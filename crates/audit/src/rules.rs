@@ -236,7 +236,7 @@ static RULES: [Rule; 14] = [
     },
     Rule {
         name: "telemetry-side-effect",
-        summary: "telemetry mutators (counter_add/gauge_set/hist_observe) in statement position only (instrumentation must never feed values back into control flow)",
+        summary: "telemetry mutators (counter_add/counter_set_total/gauge_set/hist_observe/hist_set) in statement position only (instrumentation must never feed values back into control flow)",
         scope: "workspace",
         skip_test_code: true,
         kind: RuleKind::PerFile {
@@ -559,7 +559,13 @@ fn check_telemetry_side_effect(cx: &FileCtx<'_>, lines: &mut Vec<u32>) {
     const KEYWORDS: &[&str] = &[
         "return", "in", "if", "while", "match", "else", "break", "move",
     ];
-    for name in ["counter_add", "gauge_set", "hist_observe"] {
+    for name in [
+        "counter_add",
+        "counter_set_total",
+        "gauge_set",
+        "hist_observe",
+        "hist_set",
+    ] {
         for i in method_calls(t, name) {
             let mut j = i - 1; // the `.` before the method name
             while j > 0 {

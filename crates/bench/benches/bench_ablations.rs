@@ -464,772 +464,10 @@ fn workload_generation(c: &mut Criterion) {
     });
 }
 
-// ── PR 5 hot-path ablations ─────────────────────────────────────────────
-//
-// The three fns below measure the million-node event-core redesign in
-// isolation (calendar queue vs binary heap, arena vs boxed per-node state,
-// pooled vs allocated payloads) and feed their numbers into the
-// `BENCH_5.json` snapshot written by `bench5_snapshot` (the last target).
-
-/// Collected measurements for the BENCH_5.json snapshot.
-static BENCH5: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
-
-fn bench5_record(key: &str, value: String) {
-    BENCH5.lock().unwrap().push((key.to_string(), value));
-}
-
-/// The pre-PR5 event queue, verbatim: `BinaryHeap` with a monotone
-/// sequence tie-break. Baseline for the `event_queue` ablation.
-///
-/// Deliberately a copy of `p2p_sim::engine::oracle::HeapEngine`: the
-/// oracle is `#[cfg(test)]`-only by design (production code must go
-/// through the wheel), and bench targets compile without `cfg(test)` —
-/// the duplication is the price of keeping the oracle un-exported.
-mod heap_baseline {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Scheduled<E> {
-        time: u64,
-        seq: u64,
-        payload: E,
-    }
-    impl<E> PartialEq for Scheduled<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Scheduled<E> {}
-    impl<E> PartialOrd for Scheduled<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Scheduled<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            (other.time, other.seq).cmp(&(self.time, self.seq))
-        }
-    }
-
-    pub struct HeapEngine<E> {
-        queue: BinaryHeap<Scheduled<E>>,
-        now: u64,
-        seq: u64,
-    }
-
-    impl<E> HeapEngine<E> {
-        pub fn new() -> Self {
-            HeapEngine {
-                queue: BinaryHeap::new(),
-                now: 0,
-                seq: 0,
-            }
-        }
-        pub fn schedule_in(&mut self, delay: u64, payload: E) {
-            self.queue.push(Scheduled {
-                time: self.now + delay,
-                seq: self.seq,
-                payload,
-            });
-            self.seq += 1;
-        }
-        pub fn pop(&mut self) -> Option<(u64, E)> {
-            let ev = self.queue.pop()?;
-            self.now = ev.time;
-            Some((ev.time, ev.payload))
-        }
-    }
-}
-
-/// Event queue: calendar-queue (timing-wheel) `Engine` vs the historic
-/// `BinaryHeap` at a 100k-event standing queue — the tentpole's headline
-/// number (acceptance: ≥ 2× pop/push throughput).
-fn event_queue(c: &mut Criterion) {
-    use p2p_sim::{Engine, SimTime};
-    use rand::Rng;
-    use std::time::Instant;
-
-    let standing = 100_000usize;
-    let ops = 2_000_000usize;
-    // The DES workload shape: mostly short delays with heavy same-tick
-    // ties (ideal-network cascades), a tail of longer timers.
-    let delay = |rng: &mut rand::rngs::SmallRng| -> u64 {
-        match rng.gen_range(0..10u32) {
-            0..=5 => rng.gen_range(0..3),
-            6..=8 => rng.gen_range(0..400),
-            _ => rng.gen_range(0..20_000),
-        }
-    };
-
-    let mut rng = small_rng(derive_seed(BENCH_SEED, 20));
-    let mut wheel: Engine<u64> = Engine::new();
-    for i in 0..standing {
-        let d = delay(&mut rng);
-        wheel.schedule_in(d, i as u64);
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        let (_, p) = wheel.pop().expect("standing queue");
-        let d = delay(&mut rng);
-        wheel.schedule_in(d, p ^ i as u64);
-    }
-    let wheel_rate = ops as f64 / t0.elapsed().as_secs_f64();
-    assert_eq!(wheel.len(), standing);
-    let _ = wheel.now() > SimTime::ZERO;
-
-    let mut rng = small_rng(derive_seed(BENCH_SEED, 20));
-    let mut heap: heap_baseline::HeapEngine<u64> = heap_baseline::HeapEngine::new();
-    for i in 0..standing {
-        let d = delay(&mut rng);
-        heap.schedule_in(d, i as u64);
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        let (_, p) = heap.pop().expect("standing queue");
-        let d = delay(&mut rng);
-        heap.schedule_in(d, p ^ i as u64);
-    }
-    let heap_rate = ops as f64 / t0.elapsed().as_secs_f64();
-
-    let speedup = wheel_rate / heap_rate;
-    println!("\n[ablation] event queue at a {standing}-event standing queue ({ops} pop+push ops)");
-    println!("{:<28} {:>14}", "queue", "Mops/s");
-    println!("{:<28} {:>14.2}", "BinaryHeap (historic)", heap_rate / 1e6);
-    println!("{:<28} {:>14.2}", "timing wheel (Engine)", wheel_rate / 1e6);
-    println!("  wheel/heap speedup: {speedup:.2}x");
-    bench5_record(
-        "event_queue",
-        format!(
-            "{{\"standing_events\": {standing}, \"ops\": {ops}, \
-             \"heap_mops_per_s\": {:.3}, \"wheel_mops_per_s\": {:.3}, \"speedup\": {:.3}}}",
-            heap_rate / 1e6,
-            wheel_rate / 1e6,
-            speedup
-        ),
-    );
-
-    c.bench_function("ablation_event_queue/wheel_pop_push_100k", |b| {
-        b.iter(|| {
-            let (_, p) = wheel.pop().expect("standing queue");
-            let d = delay(&mut rng);
-            wheel.schedule_in(d, black_box(p));
-        });
-    });
-}
-
-/// Node state: the `NodeArena` slab (the homogeneous fast path every
-/// figure runs) vs `Box`-per-node storage (the dyn fallback's layout) on a
-/// million-node read-modify-write sweep.
-fn node_arena(c: &mut Criterion) {
-    use p2p_estimation::NodeArena;
-    use p2p_overlay::NodeId;
-    use std::time::Instant;
-
-    #[derive(Default, Clone, Copy)]
-    struct State {
-        value: f64,
-        epoch: u32,
-        joined_at: u32,
-    }
-    trait NodeState {
-        fn touch(&mut self, round: u32) -> f64;
-    }
-    impl NodeState for State {
-        fn touch(&mut self, round: u32) -> f64 {
-            if self.epoch != round {
-                self.epoch = round;
-                self.joined_at = round;
-            }
-            self.value = 0.5 * (self.value + round as f64);
-            self.value
-        }
-    }
-
-    let n = 1_000_000usize;
-    let rounds = 5u32;
-    println!("\n[ablation] per-node state sweep: {n} nodes x {rounds} rounds");
-    println!("{:<28} {:>14}", "layout", "ns/node");
-
-    let mut boxed: Vec<Box<dyn NodeState>> = (0..n)
-        .map(|_| Box::new(State::default()) as Box<dyn NodeState>)
-        .collect();
-    let t0 = Instant::now();
-    let mut acc = 0.0f64;
-    for round in 1..=rounds {
-        for s in boxed.iter_mut() {
-            acc += s.touch(round);
-        }
-    }
-    let boxed_ns = t0.elapsed().as_nanos() as f64 / (n as u32 * rounds) as f64;
-    black_box(acc);
-    println!("{:<28} {boxed_ns:>14.2}", "Box<dyn> per node");
-
-    let mut arena: NodeArena<State> = NodeArena::new();
-    arena.ensure(n);
-    let t0 = Instant::now();
-    let mut acc = 0.0f64;
-    for round in 1..=rounds {
-        for i in 0..n {
-            acc += arena.slot(NodeId(i as u32)).touch(round);
-        }
-    }
-    let arena_ns = t0.elapsed().as_nanos() as f64 / (n as u32 * rounds) as f64;
-    black_box(acc);
-    println!("{:<28} {arena_ns:>14.2}", "NodeArena slab");
-    println!("  arena/boxed time ratio: {:.2}", arena_ns / boxed_ns);
-    bench5_record(
-        "node_arena",
-        format!(
-            "{{\"nodes\": {n}, \"rounds\": {rounds}, \"boxed_ns_per_node\": {boxed_ns:.2}, \
-             \"arena_ns_per_node\": {arena_ns:.2}, \"speedup\": {:.3}}}",
-            boxed_ns / arena_ns
-        ),
-    );
-
-    c.bench_function("ablation_node_arena/slab_sweep_1m", |b| {
-        let mut round = rounds;
-        b.iter(|| {
-            round += 1;
-            let mut acc = 0.0;
-            for i in 0..n {
-                acc += arena.slot(NodeId(i as u32)).touch(round);
-            }
-            black_box(acc)
-        });
-    });
-}
-
-/// Message delivery: the free-list payload pool vs a fresh heap allocation
-/// per in-flight message, plus the end-to-end `Network` hit rate.
-fn message_pool(c: &mut Criterion) {
-    use p2p_sim::{MessageKind, Network, NetworkModel, PayloadPool, SimTime};
-    use std::collections::VecDeque;
-    use std::time::Instant;
-
-    type Msg = [u64; 8];
-    let plateau = 10_000usize;
-    let cycles = 2_000_000usize;
-
-    // Fresh allocation per in-flight message (the historic layout: the
-    // payload lives and dies with its queue entry).
-    let mut ring: VecDeque<Box<Msg>> = VecDeque::with_capacity(plateau);
-    for i in 0..plateau {
-        ring.push_back(Box::new([i as u64; 8]));
-    }
-    let t0 = Instant::now();
-    for i in 0..cycles {
-        let m = ring.pop_front().expect("plateau");
-        black_box(m[0]);
-        drop(m);
-        ring.push_back(Box::new([i as u64; 8]));
-    }
-    let fresh_ns = t0.elapsed().as_nanos() as f64 / cycles as f64;
-
-    // The pool: same plateau, same traffic, zero steady-state allocations.
-    let mut pool: PayloadPool<Msg> = PayloadPool::new();
-    let mut handles: VecDeque<u32> = (0..plateau).map(|i| pool.insert([i as u64; 8])).collect();
-    let t0 = Instant::now();
-    for i in 0..cycles {
-        let h = handles.pop_front().expect("plateau");
-        let m = pool.take(h);
-        black_box(m[0]);
-        handles.push_back(pool.insert([i as u64; 8]));
-    }
-    let pooled_ns = t0.elapsed().as_nanos() as f64 / cycles as f64;
-
-    println!(
-        "\n[ablation] payload lifecycle at a {plateau}-message in-flight plateau ({cycles} cycles)"
-    );
-    println!("{:<28} {:>14}", "payload home", "ns/message");
-    println!("{:<28} {fresh_ns:>14.2}", "Box::new per send");
-    println!("{:<28} {pooled_ns:>14.2}", "free-list pool");
-    println!("  pool/fresh time ratio: {:.2}", pooled_ns / fresh_ns);
-
-    // End to end: a Network steady state — the acceptance evidence that a
-    // long message-level run does zero per-send allocations.
-    let model = NetworkModel::ideal().with_latency(p2p_sim::HopLatency::Constant(5.0));
-    let mut net: Network<Msg> = Network::new(model, derive_seed(BENCH_SEED, 21));
-    for round in 0..500u64 {
-        for i in 0..1_000u32 {
-            net.send(
-                0,
-                i,
-                MessageKind::Control,
-                [round, i as u64, 0, 0, 0, 0, 0, 0],
-            );
-        }
-        while net.pop_until(SimTime((round + 1) * 5)).is_some() {}
-    }
-    let stats = net.engine_stats();
-    println!(
-        "  Network steady state: {} sends, pool hit rate {:.4} ({} allocs)",
-        stats.pool_hits + stats.pool_allocs,
-        stats.pool_hit_rate(),
-        stats.pool_allocs
-    );
-    bench5_record(
-        "message_pool",
-        format!(
-            "{{\"plateau\": {plateau}, \"cycles\": {cycles}, \"fresh_ns_per_msg\": {fresh_ns:.2}, \
-             \"pooled_ns_per_msg\": {pooled_ns:.2}, \"network_pool_hit_rate\": {:.4}, \
-             \"network_pool_allocs\": {}}}",
-            stats.pool_hit_rate(),
-            stats.pool_allocs
-        ),
-    );
-
-    c.bench_function("ablation_message_pool/pooled_cycle_10k", |b| {
-        b.iter(|| {
-            let h = handles.pop_front().expect("plateau");
-            let m = pool.take(h);
-            handles.push_back(pool.insert(black_box(m)));
-        });
-    });
-}
-
-/// Writes the collected hot-path measurements to `target/BENCH_5.json`.
-/// Registered last so every ablation above has recorded its entry.
-fn bench5_snapshot(_c: &mut Criterion) {
-    let entries = BENCH5.lock().unwrap().clone();
-    if entries.is_empty() {
-        eprintln!("[bench5] no entries recorded (filtered run?) — snapshot skipped");
-        return;
-    }
-    p2p_bench::write_bench5(&entries);
-}
-
-// ── PR 7 memory-scale ablation ──────────────────────────────────────────
-
-/// Collected measurements for the BENCH_6.json snapshot.
-static BENCH6: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
-
-/// Engine memory at scale: full message-level `aggregation:rounds=30` runs
-/// across the size curve, reporting nodes × peak RSS × events/s — the
-/// PR 7 headline (CSR adjacency + flat views + batched dispatch). 100k and
-/// 1M always run; the 10M acceptance point (the ~2 GiB budget) takes
-/// minutes and is gated behind `P2P_BENCH_10M=1`.
-///
-/// Peak RSS is the *process* high-water (`VmHWM`), monotone across the
-/// loop — sizes run ascending so each point's reading is dominated by its
-/// own run, but the 100k row inherits whatever earlier ablations peaked at.
-fn engine_memory(c: &mut Criterion) {
-    use p2p_estimation::{AsyncProtocol, Heuristic, ProtocolSpec};
-    use p2p_experiments::runner::run_scenario_des;
-    use p2p_experiments::sink::peak_rss_kb;
-    use p2p_experiments::Scenario;
-    use std::time::Instant;
-
-    let spec = ProtocolSpec::parse("aggregation:rounds=30").expect("literal spec");
-    let mut sizes = vec![100_000usize, 1_000_000];
-    let ten_m = std::env::var("P2P_BENCH_10M").is_ok_and(|v| v == "1");
-    if ten_m {
-        sizes.push(10_000_000);
-    }
-    println!("\n[ablation] engine memory: DES aggregation:rounds=30 across the scale curve");
-    if !ten_m {
-        println!("  (set P2P_BENCH_10M=1 to include the 10M acceptance point)");
-    }
-    println!(
-        "{:>10} {:>14} {:>14} {:>12} {:>10}",
-        "nodes", "events", "events/s", "peak RSS MB", "wall s"
-    );
-    let mut points = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let scenario = Scenario::static_network(n, 30).with_slot_reuse();
-        let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-            unreachable!("aggregation spec builds the aggregation protocol")
-        };
-        let t0 = Instant::now();
-        let trace = run_scenario_des(
-            &mut p,
-            &scenario,
-            Heuristic::OneShot,
-            derive_seed(BENCH_SEED, 22 + i as u64),
-            "engine-memory",
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let events = trace.engine.dispatched;
-        let rate = events as f64 / wall;
-        let rss_kb = peak_rss_kb();
-        println!(
-            "{n:>10} {events:>14} {:>14.0} {:>12} {wall:>10.2}",
-            rate,
-            rss_kb.map_or("n/a".to_string(), |kb| format!("{:.1}", kb as f64 / 1024.0)),
-        );
-        let rss_json = rss_kb.map_or("null".to_string(), |kb| kb.to_string());
-        points.push(format!(
-            "{{\"nodes\": {n}, \"events\": {events}, \"events_per_s\": {rate:.0}, \
-             \"peak_rss_kb\": {rss_json}, \"wall_s\": {wall:.2}}}"
-        ));
-    }
-    BENCH6.lock().unwrap().push((
-        "engine_memory".to_string(),
-        format!(
-            "{{\"protocol\": \"aggregation:rounds=30\", \"steps\": 30, \
-             \"includes_10m\": {ten_m}, \"points\": [{}]}}",
-            points.join(", ")
-        ),
-    ));
-
-    c.bench_function("ablation_engine_memory/des_aggregation_10k", |b| {
-        b.iter(|| {
-            let scenario = Scenario::static_network(10_000, 30).with_slot_reuse();
-            let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-                unreachable!("aggregation spec builds the aggregation protocol")
-            };
-            black_box(run_scenario_des(
-                &mut p,
-                &scenario,
-                Heuristic::OneShot,
-                derive_seed(BENCH_SEED, 29),
-                "engine-memory-timed",
-            ))
-        });
-    });
-}
-
-/// Writes the memory-scale curve to `target/BENCH_6.json`. Registered last.
-fn bench6_snapshot(_c: &mut Criterion) {
-    let entries = BENCH6.lock().unwrap().clone();
-    if entries.is_empty() {
-        eprintln!("[bench6] no entries recorded (filtered run?) — snapshot skipped");
-        return;
-    }
-    p2p_bench::write_bench6(&entries);
-}
-
-// ── PR 9 telemetry-overhead ablation ────────────────────────────────────
-
-/// Collected measurements for the BENCH_7.json snapshot.
-static BENCH7: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
-
-/// Process CPU time (utime + stime) in seconds, from `/proc/self/stat` —
-/// `None` off Linux. The DES run is single-threaded, so the CPU-time
-/// delta across a run is its cost stripped of scheduler preemption and
-/// hypervisor steal, which on shared runners swing wall clock by ±20%
-/// between back-to-back identical runs.
-fn cpu_time_s() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // utime/stime are overall fields 14/15; the comm field may contain
-    // spaces, so index relative to its closing paren (state is field 3).
-    let rest = stat.rsplit_once(')')?.1;
-    let mut fields = rest.split_whitespace();
-    let utime: f64 = fields.nth(11)?.parse().ok()?;
-    let stime: f64 = fields.next()?.parse().ok()?;
-    Some((utime + stime) / 100.0)
-}
-
-/// Telemetry overhead on the BENCH_6 1M-node `engine-memory` point:
-/// identical DES runs with metrics capture off and on (interval snapshots
-/// every step). The gate metric is events per CPU-second where `/proc` is
-/// available (wall time elsewhere) — but even CPU-time rates drift ±20%
-/// over tens of seconds on shared runners (frequency scaling, cache
-/// pressure), so configurations are never compared across the whole run:
-/// each of five *adjacent pairs* (order alternating base/tel per pair)
-/// yields its own overhead ratio, and the gate takes the median pair.
-/// Slow drift then cancels within pairs instead of masquerading as
-/// overhead. The budget is ≤ 5% events/s regression; `within_budget` in
-/// BENCH_7.json is what CI greps, so a noisy machine shows up as data,
-/// not a panic mid-bench.
-fn telemetry_overhead(c: &mut Criterion) {
-    use p2p_estimation::{AsyncProtocol, Heuristic, ProtocolSpec};
-    use p2p_experiments::runner::{run_scenario_des_telemetry, TelemetryOpts};
-    use p2p_experiments::Scenario;
-    use std::time::Instant;
-
-    let spec = ProtocolSpec::parse("aggregation:rounds=30").expect("literal spec");
-    let n = 1_000_000usize;
-    let seed = derive_seed(BENCH_SEED, 23);
-
-    // Returns (events, wall s, cpu s, snapshots); cpu falls back to wall
-    // off Linux so the comparison still runs, just noisier.
-    let run_once = |telemetry: Option<TelemetryOpts>| -> (u64, f64, f64, usize) {
-        let scenario = Scenario::static_network(n, 30).with_slot_reuse();
-        let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-            unreachable!("aggregation spec builds the aggregation protocol")
-        };
-        let cpu0 = cpu_time_s();
-        let t0 = Instant::now();
-        let (trace, snaps) = run_scenario_des_telemetry(
-            &mut p,
-            &scenario,
-            Heuristic::OneShot,
-            seed,
-            "telemetry-overhead",
-            telemetry,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let cpu = match (cpu0, cpu_time_s()) {
-            (Some(a), Some(b)) => b - a,
-            _ => wall,
-        };
-        (trace.engine.dispatched, wall, cpu, snaps.len())
-    };
-
-    // One untimed warm-up (allocator, page tables, ramped clocks), then
-    // five adjacent (base, telemetry) pairs, order flipped every pair so
-    // neither configuration sits systematically later inside its pair.
-    black_box(run_once(None));
-    const PAIRS: usize = 5;
-    let (mut base_events, mut tel_events, mut snapshots) = (0u64, 0u64, 0usize);
-    let (mut base_wall, mut tel_wall) = (f64::INFINITY, f64::INFINITY);
-    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(PAIRS); // (base_rate, tel_rate)
-    for k in 0..PAIRS {
-        let mut base = || {
-            let (ev, w, c, _) = run_once(None);
-            base_events = ev;
-            base_wall = base_wall.min(w);
-            ev as f64 / c
-        };
-        let mut tel = || {
-            let (ev, w, c, s) = run_once(Some(TelemetryOpts::default()));
-            tel_events = ev;
-            tel_wall = tel_wall.min(w);
-            snapshots = s;
-            ev as f64 / c
-        };
-        pairs.push(if k % 2 == 0 {
-            let b = base();
-            (b, tel())
-        } else {
-            let t = tel();
-            (base(), t)
-        });
-    }
-    assert_eq!(
-        base_events, tel_events,
-        "telemetry must not change the event schedule"
-    );
-    let mut overheads: Vec<f64> = pairs.iter().map(|(b, t)| 100.0 * (b - t) / b).collect();
-    overheads.sort_by(|a, b| a.total_cmp(b));
-    let overhead_pct = overheads[PAIRS / 2];
-    let &(base_rate, tel_rate) = pairs
-        .iter()
-        .find(|(b, t)| 100.0 * (b - t) / b == overhead_pct)
-        .unwrap_or(&pairs[0]);
-    let within = overhead_pct <= 5.0;
-    println!(
-        "\n[ablation] telemetry overhead: 1M-node engine-memory point, median of {PAIRS} pairs"
-    );
-    println!("{:<28} {:>16}", "capture (median pair)", "events/cpu-s");
-    println!("{:<28} {base_rate:>16.0}", "off");
-    println!(
-        "{:<28} {tel_rate:>16.0}",
-        format!("on ({snapshots} snapshots)")
-    );
-    let spread: Vec<String> = overheads.iter().map(|o| format!("{o:.2}%")).collect();
-    println!("  per-pair overhead (sorted): {}", spread.join(" "));
-    println!(
-        "  median events/cpu-s overhead: {overhead_pct:.2}% (budget 5%) — {}",
-        if within {
-            "within budget"
-        } else {
-            "OVER BUDGET"
-        }
-    );
-    BENCH7.lock().unwrap().push((
-        "telemetry_overhead".to_string(),
-        format!(
-            "{{\"nodes\": {n}, \"events\": {base_events}, \
-             \"base_events_per_cpu_s\": {base_rate:.0}, \
-             \"telemetry_events_per_cpu_s\": {tel_rate:.0}, \
-             \"base_wall_s\": {base_wall:.2}, \"telemetry_wall_s\": {tel_wall:.2}, \
-             \"snapshots\": {snapshots}, \"overhead_pct\": {overhead_pct:.2}, \
-             \"budget_pct\": 5.0, \"within_budget\": {within}}}"
-        ),
-    ));
-
-    c.bench_function("ablation_telemetry/des_aggregation_metrics_10k", |b| {
-        b.iter(|| {
-            let scenario = Scenario::static_network(10_000, 30).with_slot_reuse();
-            let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-                unreachable!("aggregation spec builds the aggregation protocol")
-            };
-            black_box(run_scenario_des_telemetry(
-                &mut p,
-                &scenario,
-                Heuristic::OneShot,
-                derive_seed(BENCH_SEED, 24),
-                "telemetry-overhead-timed",
-                Some(TelemetryOpts::default()),
-            ))
-        });
-    });
-}
-
-/// Writes the telemetry-overhead snapshot to `target/BENCH_7.json`.
-/// Registered last.
-fn bench7_snapshot(_c: &mut Criterion) {
-    let entries = BENCH7.lock().unwrap().clone();
-    if entries.is_empty() {
-        eprintln!("[bench7] no entries recorded (filtered run?) — snapshot skipped");
-        return;
-    }
-    p2p_bench::write_bench7(&entries);
-}
-
-// ── PR 10 shard-scaling ablation ────────────────────────────────────────
-
-/// Collected measurements for the BENCH_8.json snapshot.
-static BENCH8: std::sync::Mutex<Vec<(String, String)>> = std::sync::Mutex::new(Vec::new());
-
-/// Shard scaling on the BENCH_6 workload moved to its home turf: the same
-/// `aggregation:rounds=30` protocol on the `wan` network model (every hop
-/// ≥ 1 tick, so the conservative lookahead clamp changes nothing), run at
-/// `--shards 1` (the sequential wheel) and K ∈ {2, 4} through the
-/// tick-barrier engine. 1M always runs; the 10M acceptance point (the
-/// ≥ 2.5× target with 4+ shards) is gated behind `P2P_BENCH_10M=1` as in
-/// BENCH_6.
-///
-/// Each K is its own deterministic result identity (different RNG stream
-/// split), so events/s is each configuration's own merged dispatch count
-/// over its own wall clock — not a fixed-work comparison. `cores` records
-/// `available_parallelism` at measurement time: the speedup column only
-/// means something when it is ≥ the shard count, and the committed
-/// snapshot says so rather than hiding the host. Peak RSS is the process
-/// high-water (`VmHWM`), monotone across the loop — shard counts run
-/// ascending per size, sizes ascending overall.
-fn shard_scaling(c: &mut Criterion) {
-    use p2p_estimation::{AsyncProtocol, Deployment, Heuristic, ProtocolSpec};
-    use p2p_experiments::runner::run_scenario_des;
-    use p2p_experiments::sink::peak_rss_kb;
-    use p2p_experiments::{run_scenario_des_sharded, Scenario, ShardOpts};
-    use p2p_sim::NetworkModel;
-    use std::time::Instant;
-
-    let spec = ProtocolSpec::parse("aggregation:rounds=30").expect("literal spec");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sizes = vec![1_000_000usize];
-    let ten_m = std::env::var("P2P_BENCH_10M").is_ok_and(|v| v == "1");
-    if ten_m {
-        sizes.push(10_000_000);
-    }
-    println!("\n[ablation] shard scaling: DES aggregation:rounds=30 on wan, shards 1/2/4");
-    if !ten_m {
-        println!("  (set P2P_BENCH_10M=1 to include the 10M acceptance point)");
-    }
-    println!("  ({cores} core(s) available — speedup needs cores ≥ shards to show)");
-    println!(
-        "{:>10} {:>7} {:>14} {:>14} {:>12} {:>10}",
-        "nodes", "shards", "events", "events/s", "peak RSS MB", "wall s"
-    );
-    let mut size_rows = Vec::new();
-    for (i, &n) in sizes.iter().enumerate() {
-        let scenario = Scenario::static_network(n, 30)
-            .with_slot_reuse()
-            .with_network(NetworkModel::wan());
-        let seed = derive_seed(BENCH_SEED, 40 + i as u64);
-        let mut points = Vec::new();
-        let mut rates = Vec::new();
-        for &k in &[1u32, 2, 4] {
-            let t0 = Instant::now();
-            let trace = if k == 1 {
-                let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-                    unreachable!("aggregation spec builds the aggregation protocol")
-                };
-                run_scenario_des(&mut p, &scenario, Heuristic::OneShot, seed, "shard-scaling")
-            } else {
-                let make = |_: u32, view| {
-                    let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-                        unreachable!("aggregation spec builds the aggregation protocol")
-                    };
-                    p.deployment = Deployment::Shard(view);
-                    p
-                };
-                run_scenario_des_sharded(
-                    make,
-                    &scenario,
-                    Heuristic::OneShot,
-                    seed,
-                    "shard-scaling",
-                    ShardOpts {
-                        shards: k,
-                        workers: None,
-                    },
-                    None,
-                )
-                .0
-            };
-            let wall = t0.elapsed().as_secs_f64();
-            let events = trace.engine.dispatched;
-            let rate = events as f64 / wall;
-            rates.push((k, rate));
-            let rss_kb = peak_rss_kb();
-            println!(
-                "{n:>10} {k:>7} {events:>14} {rate:>14.0} {:>12} {wall:>10.2}",
-                rss_kb.map_or("n/a".to_string(), |kb| format!("{:.1}", kb as f64 / 1024.0)),
-            );
-            let rss_json = rss_kb.map_or("null".to_string(), |kb| kb.to_string());
-            points.push(format!(
-                "{{\"shards\": {k}, \"events\": {events}, \"events_per_s\": {rate:.0}, \
-                 \"peak_rss_kb\": {rss_json}, \"wall_s\": {wall:.2}}}"
-            ));
-        }
-        let base = rates[0].1;
-        let speedup_4 = rates
-            .iter()
-            .find(|&&(k, _)| k == 4)
-            .map_or(f64::NAN, |&(_, r)| r / base);
-        size_rows.push(format!(
-            "{{\"nodes\": {n}, \"speedup_4_shards\": {speedup_4:.2}, \"points\": [{}]}}",
-            points.join(", ")
-        ));
-    }
-    BENCH8.lock().unwrap().push((
-        "shard_scaling".to_string(),
-        format!(
-            "{{\"protocol\": \"aggregation:rounds=30\", \"network\": \"wan\", \"steps\": 30, \
-             \"cores\": {cores}, \"includes_10m\": {ten_m}, \"target_speedup_4_shards\": 2.5, \
-             \"sizes\": [{}]}}",
-            size_rows.join(", ")
-        ),
-    ));
-
-    c.bench_function("ablation_shard_scaling/des_sharded_20k_k4", |b| {
-        b.iter(|| {
-            let scenario = Scenario::static_network(20_000, 30)
-                .with_slot_reuse()
-                .with_network(NetworkModel::wan());
-            let make = |_: u32, view| {
-                let AsyncProtocol::Aggregation(mut p) = spec.build_async() else {
-                    unreachable!("aggregation spec builds the aggregation protocol")
-                };
-                p.deployment = Deployment::Shard(view);
-                p
-            };
-            black_box(run_scenario_des_sharded(
-                make,
-                &scenario,
-                Heuristic::OneShot,
-                derive_seed(BENCH_SEED, 49),
-                "shard-scaling-timed",
-                ShardOpts {
-                    shards: 4,
-                    workers: None,
-                },
-                None,
-            ))
-        });
-    });
-}
-
-/// Writes the shard-scaling curve to `target/BENCH_8.json`. Registered
-/// last.
-fn bench8_snapshot(_c: &mut Criterion) {
-    let entries = BENCH8.lock().unwrap().clone();
-    if entries.is_empty() {
-        eprintln!("[bench8] no entries recorded (filtered run?) — snapshot skipped");
-        return;
-    }
-    p2p_bench::write_bench8(&entries);
-}
-
 criterion_group! {
     name = benches;
     config = criterion_config();
     targets = l_sweep, t_bias, topology, estimator, min_hops, hs_target_mode, oracle_distances,
-        delay, churn_removal, ops_at_lookup, workload_generation,
-        event_queue, node_arena, message_pool, engine_memory, telemetry_overhead, shard_scaling,
-        bench5_snapshot, bench6_snapshot, bench7_snapshot, bench8_snapshot
+        delay, churn_removal, ops_at_lookup, workload_generation
 }
 criterion_main!(benches);

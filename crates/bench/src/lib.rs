@@ -59,84 +59,3 @@ pub fn criterion_config() -> criterion::Criterion {
 
 /// Master seed for all bench-generated data.
 pub const BENCH_SEED: u64 = 20060619;
-
-/// Where the hot-path benchmark snapshot lands: `target/BENCH_5.json`
-/// (sibling of `target/figures`). CI uploads it as an artifact; the copy
-/// committed at the repo root is the reference measurement.
-pub fn bench5_path() -> PathBuf {
-    figures_dir()
-        .parent()
-        .map(|p| p.join("BENCH_5.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_5.json"))
-}
-
-/// Writes the hot-path snapshot as a JSON object of `key → entry` (entries
-/// are pre-rendered JSON values; the writer is hand-rolled like every
-/// serializer in this workspace).
-pub fn write_bench5(entries: &[(String, String)]) {
-    write_snapshot("bench5", &bench5_path(), entries);
-}
-
-/// Where the memory-scale snapshot lands: `target/BENCH_6.json`, the
-/// nodes × peak-RSS × events/s curve from the `engine-memory` ablation.
-/// Same convention as [`bench5_path`]: CI uploads the fresh copy, the one
-/// committed at the repo root is the reference measurement.
-pub fn bench6_path() -> PathBuf {
-    figures_dir()
-        .parent()
-        .map(|p| p.join("BENCH_6.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_6.json"))
-}
-
-/// Writes the memory-scale snapshot (see [`write_bench5`] for the format).
-pub fn write_bench6(entries: &[(String, String)]) {
-    write_snapshot("bench6", &bench6_path(), entries);
-}
-
-/// Where the telemetry-overhead snapshot lands: `target/BENCH_7.json`,
-/// events/s with and without interval metrics capture on the 1M-node
-/// `engine-memory` configuration. Same convention as [`bench5_path`].
-pub fn bench7_path() -> PathBuf {
-    figures_dir()
-        .parent()
-        .map(|p| p.join("BENCH_7.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_7.json"))
-}
-
-/// Writes the telemetry-overhead snapshot (see [`write_bench5`] for the
-/// format).
-pub fn write_bench7(entries: &[(String, String)]) {
-    write_snapshot("bench7", &bench7_path(), entries);
-}
-
-/// Where the shard-scaling snapshot lands: `target/BENCH_8.json`,
-/// shards × events/s × peak RSS from the `shard_scaling` ablation (the
-/// tick-barrier parallel engine vs the sequential wheel on the same
-/// scenario). Same convention as [`bench5_path`].
-pub fn bench8_path() -> PathBuf {
-    figures_dir()
-        .parent()
-        .map(|p| p.join("BENCH_8.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_8.json"))
-}
-
-/// Writes the shard-scaling snapshot (see [`write_bench5`] for the format).
-pub fn write_bench8(entries: &[(String, String)]) {
-    write_snapshot("bench8", &bench8_path(), entries);
-}
-
-fn write_snapshot(tag: &str, path: &std::path::Path, entries: &[(String, String)]) {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in entries.iter().enumerate() {
-        out.push_str(&format!("  \"{key}\": {value}"));
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(path, out) {
-        Ok(()) => println!("[{tag}] snapshot -> {}", path.display()),
-        Err(e) => eprintln!("[{tag}] {}: write failed: {e}", path.display()),
-    }
-}

@@ -76,8 +76,8 @@ pub use heuristics::{Heuristic, Smoother};
 pub use hops_sampling::HopsSampling;
 pub use monitor::SizeMonitor;
 pub use net_protocol::{
-    AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Deployment, Networked, NodeProtocol,
-    ShardRoute, ShardView, SyncStep,
+    AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Deployment, Host, Networked,
+    NodeProtocol, ShardCore, ShardView, SimHost, SyncStep,
 };
 pub use protocol::{estimate_once, EstimationProtocol, StepOutcome};
 pub use sample_collide::SampleCollide;

@@ -75,11 +75,12 @@ struct AggState {
 /// Per-node state lives in a [`NodeArena`]: dense slot-indexed storage with
 /// generation checking, so an overlay running with slot reuse can never
 /// leak a departed node's mass into the slot's next tenant.
+#[derive(Clone)]
 pub struct AsyncAggregation {
     /// Protocol parameters (rounds per epoch).
     pub config: AggregationConfig,
     /// Where this instance runs (DES or one cluster shard).
-    pub deployment: Deployment,
+    deployment: Deployment,
     nodes: NodeArena<AggState>,
     epoch: u32,
     rounds_done: u32,
@@ -137,18 +138,6 @@ impl AsyncAggregation {
             None => cx.report(StepOutcome::Failed),
         }
     }
-
-    /// Local estimate at `node` — `1 / value` for current-epoch
-    /// participants with positive value. The read goes through the arena's
-    /// generation check, so monitor gauges over a slot-reusing overlay can
-    /// never read a departed tenant's mass.
-    pub fn estimate_at(&self, node: NodeId) -> Option<f64> {
-        let s = self.nodes.get(node)?;
-        if s.epoch != self.epoch {
-            return None;
-        }
-        (s.value > 0.0).then(|| 1.0 / s.value)
-    }
 }
 
 impl NodeProtocol for AsyncAggregation {
@@ -156,6 +145,22 @@ impl NodeProtocol for AsyncAggregation {
 
     fn name(&self) -> &'static str {
         "Aggregation"
+    }
+
+    fn set_deployment(&mut self, deployment: Deployment) {
+        self.deployment = deployment;
+    }
+
+    /// Local estimate at `node` — `1 / value` for current-epoch
+    /// participants with positive value. The read goes through the arena's
+    /// generation check, so monitor gauges over a slot-reusing overlay can
+    /// never read a departed tenant's mass.
+    fn estimate_at(&self, node: NodeId) -> Option<f64> {
+        let s = self.nodes.get(node)?;
+        if s.epoch != self.epoch {
+            return None;
+        }
+        (s.value > 0.0).then(|| 1.0 / s.value)
     }
 
     fn reset(&mut self) {

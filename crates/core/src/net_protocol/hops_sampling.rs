@@ -66,13 +66,14 @@ struct HsReach {
 ///
 /// Per-node reach state lives in a [`NodeArena`] keyed by run id, with
 /// generation checking for slot-reusing overlays.
+#[derive(Clone)]
 pub struct AsyncHopsSampling {
     /// Protocol parameters (shared with the synchronous estimator). The
     /// event-driven variant implements the paper's `gossipFor = 1` turn
     /// structure: one forwarding turn, on first contact.
     pub config: HopsSamplingConfig,
     /// Where this instance runs (DES or one cluster shard).
-    pub deployment: Deployment,
+    deployment: Deployment,
     run_id: u64,
     active: bool,
     initiator: NodeId,
@@ -141,6 +142,10 @@ impl NodeProtocol for AsyncHopsSampling {
 
     fn name(&self) -> &'static str {
         "HopsSampling"
+    }
+
+    fn set_deployment(&mut self, deployment: Deployment) {
+        self.deployment = deployment;
     }
 
     fn reset(&mut self) {

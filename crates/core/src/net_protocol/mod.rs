@@ -31,18 +31,25 @@
 //!   each `estimate` call drives the embedded network until the protocol
 //!   closes a reporting period. This is what routes
 //!   [`SizeMonitor`](crate::SizeMonitor) through the network.
+//!
+//! Every driver of the contract — `Networked`, the scenario runner, the
+//! sharded engine, the UDP node runtime — runs the same loop:
+//! [`ShardCore::run_until`] behind a [`Host`] (see [`shard_core`]).
 
 mod aggregation;
 mod hops_sampling;
 mod sample_collide;
+pub mod shard_core;
 
 pub use aggregation::{AggMsg, AsyncAggregation};
 pub use hops_sampling::{AsyncHopsSampling, HsMsg};
 pub use sample_collide::{AsyncSampleCollide, ScMsg};
+pub use shard_core::{Host, ShardCore, SimHost};
 
 use crate::protocol::{EstimationProtocol, StepOutcome};
 use crate::SizeEstimator;
 use p2p_overlay::{Graph, NodeId};
+use p2p_sim::rng::{derive_seed, small_rng};
 use p2p_sim::{MessageCounter, MessageKind, NetEvent, Network, NetworkModel, SimTime};
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
@@ -81,11 +88,35 @@ pub struct ShardView {
     pub estimator: Option<NodeId>,
 }
 
+/// The stream each shard's protocol RNG derives from
+/// (`derive(derive(seed, this), shard)`).
+const SHARD_PROTO_SEED_STREAM: u64 = 0x0073_6861_7264; // "shard"
+
+/// The stream the estimator-node choice derives from.
+const ESTIMATOR_SEED_STREAM: u64 = 0x0065_7374_696D; // "estim"
+
 impl ShardView {
     /// Whether this shard hosts `node`'s slot.
     pub fn hosts(&self, node: NodeId) -> bool {
         debug_assert!(self.procs > 0, "a shard view needs at least one shard");
         node.index() as u32 % self.procs == self.proc
+    }
+
+    /// Shard `proc` of `procs`' view and protocol RNG stream for the run
+    /// seeded by `seed`. One uniform alive draw off a run-wide stream picks
+    /// the node that leads estimations, so every shard — a DES shard or a
+    /// cluster process alike — agrees on it without communication, and
+    /// only the shard hosting it gets `estimator: Some(..)`.
+    pub fn elect(seed: u64, graph: &Graph, proc: u32, procs: u32) -> (ShardView, SmallRng) {
+        let mut est_rng = small_rng(derive_seed(seed, ESTIMATOR_SEED_STREAM));
+        let mut view = ShardView {
+            proc,
+            procs,
+            estimator: None,
+        };
+        view.estimator = graph.random_alive(&mut est_rng).filter(|&n| view.hosts(n));
+        let proto_base = derive_seed(seed, SHARD_PROTO_SEED_STREAM);
+        (view, small_rng(derive_seed(proto_base, proc as u64)))
     }
 }
 
@@ -123,16 +154,6 @@ impl Deployment {
     }
 }
 
-/// The sharded DES driver's routing attachment to a [`Cx`]: which shard
-/// this protocol instance executes as, and the outbox its cross-shard
-/// sends buffer into until the next tick-barrier exchange.
-pub struct ShardRoute<'a, M> {
-    /// This shard's view (partition rule `index % procs`).
-    pub view: ShardView,
-    /// The shard's per-destination cross-shard lanes for the current tick.
-    pub outbox: &'a mut p2p_sim::shard::Outbox<M>,
-}
-
 /// Everything a [`NodeProtocol`] handler may touch: the current overlay
 /// snapshot (immutable — churn is the driver's business), the network it
 /// sends through, the protocol RNG stream and the report sink.
@@ -145,9 +166,11 @@ pub struct Cx<'a, M> {
     /// latency/loss draws — those live on the network's own stream).
     pub rng: &'a mut SmallRng,
     reports: &'a mut Vec<StepOutcome>,
-    /// Cross-shard routing, set only by the sharded DES driver. `None` is
-    /// the historic single-instance path, bit for bit.
-    route: Option<ShardRoute<'a, M>>,
+    /// Cross-shard routing — which shard this instance executes as and the
+    /// outbox its remote sends buffer into until the next tick-barrier
+    /// exchange — set only by a [`ShardCore`] built with an outbox. `None`
+    /// is the historic single-instance path, bit for bit.
+    route: Option<(ShardView, &'a mut p2p_sim::shard::Outbox<M>)>,
 }
 
 impl<'a, M> Cx<'a, M> {
@@ -167,26 +190,6 @@ impl<'a, M> Cx<'a, M> {
         }
     }
 
-    /// [`Cx::new`] with cross-shard routing: sends to nodes this shard does
-    /// not host are resolved by the local network's model
-    /// ([`Network::route_remote`]) and buffered into the route's outbox for
-    /// the barrier exchange.
-    pub fn with_route(
-        graph: &'a Graph,
-        net: &'a mut Network<M>,
-        rng: &'a mut SmallRng,
-        reports: &'a mut Vec<StepOutcome>,
-        route: ShardRoute<'a, M>,
-    ) -> Self {
-        Cx {
-            graph,
-            net,
-            rng,
-            reports,
-            route: Some(route),
-        }
-    }
-
     /// Closes a reporting period: the driver records `outcome` (and the
     /// ground-truth size at this instant) on the trace.
     pub fn report(&mut self, outcome: StepOutcome) {
@@ -201,11 +204,10 @@ impl<'a, M> Cx<'a, M> {
     /// shard; dropped remote sends surface as a local [`NodeProtocol::on_loss`]
     /// at the would-be delivery tick.
     pub fn send(&mut self, src: NodeId, dst: NodeId, kind: MessageKind, msg: M) {
-        if let Some(route) = self.route.as_mut() {
-            let dst_shard = dst.index() as u32 % route.view.procs;
-            if dst_shard != route.view.proc {
+        if let Some((view, outbox)) = self.route.as_mut() {
+            if !view.hosts(dst) {
                 if let Some(m) = self.net.route_remote(src.0, dst.0, kind, msg) {
-                    route.outbox.push(dst_shard as usize, m);
+                    outbox.push(dst.index() % view.procs as usize, m);
                 }
                 return;
             }
@@ -260,6 +262,17 @@ pub trait NodeProtocol {
     /// [`EstimationProtocol::reset`]).
     fn reset(&mut self) {}
 
+    /// Marks where this instance runs; [`ShardCore::shard`] calls it once
+    /// before driving. The default ignores it, which is correct for
+    /// protocols that only ever run as the all-hosting simulator instance.
+    fn set_deployment(&mut self, _deployment: Deployment) {}
+
+    /// `node`'s current estimate, for protocols that hold one per node
+    /// (the epidemic class); `None` elsewhere.
+    fn estimate_at(&self, _node: NodeId) -> Option<f64> {
+        None
+    }
+
     /// A step boundary on the scenario timeline (`step` counts from 1).
     fn on_step(&mut self, step: u64, cx: &mut Cx<'_, Self::Msg>);
 
@@ -278,6 +291,48 @@ pub trait NodeProtocol {
         _msg: Self::Msg,
         _cx: &mut Cx<'_, Self::Msg>,
     ) {
+    }
+}
+
+/// A borrowed protocol is a protocol: lets a [`ShardCore`] drive an
+/// instance its caller keeps.
+impl<P: NodeProtocol + ?Sized> NodeProtocol for &mut P {
+    type Msg = P::Msg;
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn on_init(&mut self, cx: &mut Cx<'_, Self::Msg>) {
+        (**self).on_init(cx)
+    }
+
+    fn reset(&mut self) {
+        (**self).reset()
+    }
+
+    fn set_deployment(&mut self, deployment: Deployment) {
+        (**self).set_deployment(deployment)
+    }
+
+    fn estimate_at(&self, node: NodeId) -> Option<f64> {
+        (**self).estimate_at(node)
+    }
+
+    fn on_step(&mut self, step: u64, cx: &mut Cx<'_, Self::Msg>) {
+        (**self).on_step(step, cx)
+    }
+
+    fn on_message(&mut self, src: NodeId, dst: NodeId, msg: Self::Msg, cx: &mut Cx<'_, Self::Msg>) {
+        (**self).on_message(src, dst, msg, cx)
+    }
+
+    fn on_timer(&mut self, node: NodeId, tag: u64, cx: &mut Cx<'_, Self::Msg>) {
+        (**self).on_timer(node, tag, cx)
+    }
+
+    fn on_loss(&mut self, src: NodeId, dst: NodeId, msg: Self::Msg, cx: &mut Cx<'_, Self::Msg>) {
+        (**self).on_loss(src, dst, msg, cx)
     }
 }
 
@@ -339,19 +394,17 @@ impl<P: EstimationProtocol + ?Sized> NodeProtocol for SyncStep<'_, P> {
 /// estimation under latency and loss.
 ///
 /// The network's latency/loss stream is seeded by `net_seed` at
-/// construction (and re-seeded identically on [`reset`](Self::reset)), so
-/// runs stay deterministic per `(protocol seed, net_seed)` pair.
+/// construction, so runs stay deterministic per `(protocol seed,
+/// net_seed)` pair.
 pub struct Networked<P: NodeProtocol> {
-    /// The wrapped event-driven protocol.
-    pub protocol: P,
     /// Estimation slots driven without a report before `estimate` gives up
     /// (safety valve for protocols starved by a pathological overlay).
     pub max_steps_per_estimate: u64,
-    net: Network<P::Msg>,
-    net_seed: u64,
+    /// The wrapped protocol on its own event core. The core's RNG slot
+    /// holds the caller's stream for the duration of each `estimate` call.
+    core: ShardCore<P>,
     step: u64,
     started: bool,
-    reports: Vec<StepOutcome>,
     queue: VecDeque<StepOutcome>,
 }
 
@@ -359,20 +412,17 @@ impl<P: NodeProtocol> Networked<P> {
     /// Wraps `protocol` over a fresh network under `model`.
     pub fn new(protocol: P, model: NetworkModel, net_seed: u64) -> Self {
         Networked {
-            protocol,
             max_steps_per_estimate: 100_000,
-            net: Network::new(model, net_seed),
-            net_seed,
+            core: ShardCore::new(protocol, Network::new(model, net_seed), small_rng(0)),
             step: 0,
             started: false,
-            reports: Vec::new(),
             queue: VecDeque::new(),
         }
     }
 
     /// Network accounting so far (sent/delivered/dropped/churn-lost).
     pub fn net_stats(&self) -> &p2p_sim::NetStats {
-        self.net.stats()
+        self.core.net.stats()
     }
 
     /// Steps driven so far.
@@ -380,33 +430,34 @@ impl<P: NodeProtocol> Networked<P> {
         self.step
     }
 
-    /// Advances the simulation by one step window: fires `on_step`, then
-    /// dispatches every event up to the window's end, queueing any closed
-    /// reporting periods.
-    fn drive_step(&mut self, graph: &Graph, rng: &mut SmallRng) {
-        self.step += 1;
-        {
-            let mut cx = Cx::new(graph, &mut self.net, rng, &mut self.reports);
-            self.protocol.on_step(self.step, &mut cx);
+    /// Drives the core one step window at a time (`on_step`, then every
+    /// event up to the window's end) until a reporting period closes.
+    fn drive(&mut self, graph: &Graph) -> Option<f64> {
+        if !self.started {
+            self.started = true;
+            self.core.init(graph);
         }
-        let horizon = SimTime(self.step * self.net.model().step_ticks);
-        while let Some((_, event)) = self.net.pop_until(horizon) {
-            dispatch(
-                &mut self.protocol,
-                event,
-                graph,
-                &mut self.net,
-                rng,
-                &mut self.reports,
-            );
+        for _ in 0..self.max_steps_per_estimate {
+            match self.queue.pop_front() {
+                Some(StepOutcome::Estimate(e)) => return Some(e),
+                Some(StepOutcome::Failed) => return None,
+                Some(StepOutcome::Pending) => continue,
+                None => {}
+            }
+            self.step += 1;
+            self.core.step(self.step, graph);
+            let horizon = SimTime(self.step * self.core.net.model().step_ticks);
+            self.core.run_until(horizon, &mut SimHost(graph));
+            self.queue.extend(self.core.drain_reports());
         }
-        self.queue.extend(self.reports.drain(..));
+        None
     }
 }
 
 /// Routes one popped network event to the matching protocol handler,
-/// reclassifying deliveries to departed nodes as churn losses. Shared by
-/// [`Networked`] and the scenario driver in `p2p-experiments`.
+/// reclassifying deliveries to departed nodes as churn losses — the
+/// parts-based front of the [`ShardCore`] loop's event mapping, for callers
+/// that hold the protocol, network and RNG separately.
 pub fn dispatch<P: NodeProtocol>(
     protocol: &mut P,
     event: NetEvent<P::Msg>,
@@ -416,49 +467,12 @@ pub fn dispatch<P: NodeProtocol>(
     reports: &mut Vec<StepOutcome>,
 ) {
     let cx = Cx::new(graph, net, rng, reports);
-    dispatch_cx(protocol, event, cx);
-}
-
-/// [`dispatch`] for the sharded DES driver: the same event routing with a
-/// shard-routed [`Cx`], so handler sends to remote-hosted nodes buffer into
-/// the shard's outbox instead of the local wheel.
-pub fn dispatch_routed<'a, P: NodeProtocol>(
-    protocol: &mut P,
-    event: NetEvent<P::Msg>,
-    graph: &'a Graph,
-    net: &'a mut Network<P::Msg>,
-    rng: &'a mut SmallRng,
-    reports: &'a mut Vec<StepOutcome>,
-    route: ShardRoute<'a, P::Msg>,
-) {
-    let cx = Cx::with_route(graph, net, rng, reports, route);
-    dispatch_cx(protocol, event, cx);
-}
-
-fn dispatch_cx<P: NodeProtocol>(protocol: &mut P, event: NetEvent<P::Msg>, mut cx: Cx<'_, P::Msg>) {
-    match event {
-        NetEvent::Deliver { src, dst, msg } => {
-            let (src, dst) = (NodeId(src), NodeId(dst));
-            if cx.graph.is_alive(dst) {
-                protocol.on_message(src, dst, msg, &mut cx);
-            } else {
-                cx.net.note_churn_loss();
-                protocol.on_loss(src, dst, msg, &mut cx);
-            }
-        }
-        NetEvent::Drop { src, dst, msg } => {
-            protocol.on_loss(NodeId(src), NodeId(dst), msg, &mut cx);
-        }
-        NetEvent::Timer { node, tag } => protocol.on_timer(NodeId(node), tag, &mut cx),
-        NetEvent::Control { .. } => {
-            unreachable!("control events belong to the scenario driver")
-        }
-    }
+    shard_core::deliver_event(protocol, event, cx, true);
 }
 
 impl<P: NodeProtocol> SizeEstimator for Networked<P> {
     fn name(&self) -> &'static str {
-        self.protocol.name()
+        self.core.protocol.name()
     }
 
     fn estimate(
@@ -467,43 +481,11 @@ impl<P: NodeProtocol> SizeEstimator for Networked<P> {
         rng: &mut SmallRng,
         msgs: &mut MessageCounter,
     ) -> Option<f64> {
-        if !self.started {
-            self.started = true;
-            let mut cx = Cx::new(graph, &mut self.net, rng, &mut self.reports);
-            self.protocol.on_init(&mut cx);
-        }
-        for _ in 0..self.max_steps_per_estimate {
-            if let Some(outcome) = self.queue.pop_front() {
-                match outcome {
-                    StepOutcome::Estimate(e) => {
-                        msgs.merge(&self.net.take_counter());
-                        return Some(e);
-                    }
-                    StepOutcome::Failed => {
-                        msgs.merge(&self.net.take_counter());
-                        return None;
-                    }
-                    StepOutcome::Pending => continue,
-                }
-            }
-            self.drive_step(graph, rng);
-        }
-        msgs.merge(&self.net.take_counter());
-        None
-    }
-}
-
-impl<P: NodeProtocol> Networked<P> {
-    /// Drops protocol state, the report queue *and* the in-flight network,
-    /// rebuilding the latter from its original seed — for reuse after the
-    /// monitored overlay is replaced wholesale.
-    pub fn reset(&mut self) {
-        self.protocol.reset();
-        self.net = Network::new(*self.net.model(), self.net_seed);
-        self.step = 0;
-        self.started = false;
-        self.reports.clear();
-        self.queue.clear();
+        std::mem::swap(&mut self.core.rng, rng);
+        let estimate = self.drive(graph);
+        std::mem::swap(&mut self.core.rng, rng);
+        msgs.merge(&self.core.net.take_counter());
+        estimate
     }
 }
 

@@ -46,6 +46,7 @@ pub enum ScMsg {
 }
 
 /// One in-flight estimation.
+#[derive(Clone)]
 struct ScRun {
     initiator: NodeId,
     counter: CollisionCounter,
@@ -59,13 +60,14 @@ struct ScRun {
 /// report nothing — under high latency the completed-estimation rate drops,
 /// which is the point). A run that outlives `timeout_steps` step windows is
 /// reported [`StepOutcome::Failed`] and abandoned.
+#[derive(Clone)]
 pub struct AsyncSampleCollide {
     /// Algorithm parameters (shared with the synchronous estimator).
     pub config: SampleCollideConfig,
     /// Step windows before an unfinished estimation is declared failed.
     pub timeout_steps: u64,
     /// Where this instance runs (DES or one cluster shard).
-    pub deployment: Deployment,
+    deployment: Deployment,
     run_id: u64,
     active: Option<ScRun>,
 }
@@ -129,6 +131,10 @@ impl NodeProtocol for AsyncSampleCollide {
 
     fn name(&self) -> &'static str {
         "Sample&Collide"
+    }
+
+    fn set_deployment(&mut self, deployment: Deployment) {
+        self.deployment = deployment;
     }
 
     fn reset(&mut self) {

@@ -398,25 +398,26 @@ pub enum AsyncProtocol {
     Aggregation(AsyncAggregation),
 }
 
+/// Runs `$body` with `$p` bound to the concrete protocol inside an
+/// [`AsyncProtocol`](crate::AsyncProtocol) — the one per-class match, so a
+/// driver generic over [`NodeProtocol`](crate::NodeProtocol) is entered by
+/// one call however its bounds on the wire format differ.
+#[macro_export]
+macro_rules! with_async_protocol {
+    ($built:expr, $p:pat => $body:expr) => {
+        match $built {
+            $crate::AsyncProtocol::SampleCollide($p) => $body,
+            $crate::AsyncProtocol::HopsSampling($p) => $body,
+            $crate::AsyncProtocol::Aggregation($p) => $body,
+        }
+    };
+}
+
 impl AsyncProtocol {
     /// Algorithm name as used in the paper's figure legends.
     pub fn name(&self) -> &'static str {
         use crate::NodeProtocol as _;
-        match self {
-            AsyncProtocol::SampleCollide(p) => p.name(),
-            AsyncProtocol::HopsSampling(p) => p.name(),
-            AsyncProtocol::Aggregation(p) => p.name(),
-        }
-    }
-
-    /// Marks where this instance runs (DES or one cluster shard). The node
-    /// runtime calls this once before driving the protocol over sockets.
-    pub fn set_deployment(&mut self, deployment: crate::net_protocol::Deployment) {
-        match self {
-            AsyncProtocol::SampleCollide(p) => p.deployment = deployment,
-            AsyncProtocol::HopsSampling(p) => p.deployment = deployment,
-            AsyncProtocol::Aggregation(p) => p.deployment = deployment,
-        }
+        with_async_protocol!(self, p => p.name())
     }
 }
 

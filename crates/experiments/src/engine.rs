@@ -25,14 +25,12 @@
 
 use crate::figures::{smooth_last_k, to_quality};
 use crate::runner::record_aggregation_convergence;
-use crate::runner::{
-    replication_threads, run_scenario_des_telemetry, run_scenario_telemetry, TelemetryOpts, Trace,
-};
+use crate::runner::{replication_threads, run_scenario_des_telemetry, TelemetryOpts, Trace};
 use crate::scenario::Scenario;
-use crate::sharded::{run_scenario_des_sharded, ShardOpts};
+use crate::sharded::run_scenario_des_sharded;
 use crate::sink::{ExperimentMeta, ResultSink, Row, RunStats};
 use crate::spec::{ExecMode, ExperimentSpec, Presentation, SweepMetric};
-use p2p_estimation::{AsyncProtocol, Deployment, Heuristic, ProtocolSpec};
+use p2p_estimation::{with_async_protocol, Heuristic, ProtocolSpec, SyncStep};
 use p2p_sim::parallel::{default_threads, par_map};
 use p2p_sim::rng::{derive_seed, replication_seeds, small_rng};
 use p2p_stats::series::Figure;
@@ -175,9 +173,9 @@ fn emit_series(sink: &mut dyn ResultSink, series: &Series) {
 /// execution mode. Protocols are built fresh per replication from the
 /// spec; `telemetry` (replication 0 under `--metrics`) additionally
 /// captures interval snapshots without perturbing the trace. `shards ≥ 2`
-/// runs event-driven entries on the sharded parallel engine — protocol
-/// instances are then built fresh *per shard*, each deployed as its slice
-/// of the partition.
+/// runs event-driven entries on the sharded parallel engine — one fresh
+/// protocol instance *per shard*, each deployed as its slice of the
+/// partition.
 #[allow(clippy::too_many_arguments)] // private; mirrors the engine options
 fn run_one(
     entry_protocol: &ProtocolSpec,
@@ -195,90 +193,22 @@ fn run_one(
                 shards < 2,
                 "--shards needs an event-driven protocol entry (sync steps are atomic)"
             );
+            // Sync steps send nothing, so a capture's network counters stay
+            // zero; overlay, batch and convergence metrics are live.
             let mut p = entry_protocol.build_sync();
-            run_scenario_telemetry(&mut *p, scenario, heuristic, seed, series_name, telemetry)
+            let mut p = SyncStep::new(&mut *p);
+            run_scenario_des_telemetry(&mut p, scenario, heuristic, seed, series_name, telemetry)
         }
-        ExecMode::Async if shards >= 2 => {
-            let opts = ShardOpts {
-                shards,
-                workers: None,
-            };
-            // One closure per variant so the sharded driver gets a concrete
-            // protocol type; each build installs the shard's deployment.
-            match entry_protocol.build_async() {
-                AsyncProtocol::SampleCollide(_) => run_scenario_des_sharded(
-                    |_, view| match entry_protocol.build_async() {
-                        AsyncProtocol::SampleCollide(mut p) => {
-                            p.deployment = Deployment::Shard(view);
-                            p
-                        }
-                        _ => unreachable!("spec re-build changed protocol class"),
-                    },
-                    scenario,
-                    heuristic,
-                    seed,
-                    series_name,
-                    opts,
-                    telemetry,
-                ),
-                AsyncProtocol::HopsSampling(_) => run_scenario_des_sharded(
-                    |_, view| match entry_protocol.build_async() {
-                        AsyncProtocol::HopsSampling(mut p) => {
-                            p.deployment = Deployment::Shard(view);
-                            p
-                        }
-                        _ => unreachable!("spec re-build changed protocol class"),
-                    },
-                    scenario,
-                    heuristic,
-                    seed,
-                    series_name,
-                    opts,
-                    telemetry,
-                ),
-                AsyncProtocol::Aggregation(_) => run_scenario_des_sharded(
-                    |_, view| match entry_protocol.build_async() {
-                        AsyncProtocol::Aggregation(mut p) => {
-                            p.deployment = Deployment::Shard(view);
-                            p
-                        }
-                        _ => unreachable!("spec re-build changed protocol class"),
-                    },
-                    scenario,
-                    heuristic,
-                    seed,
-                    series_name,
-                    opts,
-                    telemetry,
-                ),
-            }
-        }
-        ExecMode::Async => match entry_protocol.build_async() {
-            AsyncProtocol::SampleCollide(mut p) => run_scenario_des_telemetry(
-                &mut p,
-                scenario,
-                heuristic,
-                seed,
-                series_name,
-                telemetry,
-            ),
-            AsyncProtocol::HopsSampling(mut p) => run_scenario_des_telemetry(
-                &mut p,
-                scenario,
-                heuristic,
-                seed,
-                series_name,
-                telemetry,
-            ),
-            AsyncProtocol::Aggregation(mut p) => run_scenario_des_telemetry(
-                &mut p,
-                scenario,
-                heuristic,
-                seed,
-                series_name,
-                telemetry,
-            ),
-        },
+        // `with_async_protocol!` is the only per-class match; each shard runs
+        // a clone of the fresh build, deployed by its `ShardCore`.
+        ExecMode::Async if shards >= 2 => with_async_protocol!(entry_protocol.build_async(), p => {
+            run_scenario_des_sharded(
+                |_| p.clone(), scenario, heuristic, seed, series_name, shards, telemetry,
+            )
+        }),
+        ExecMode::Async => with_async_protocol!(entry_protocol.build_async(), mut p => {
+            run_scenario_des_telemetry(&mut p, scenario, heuristic, seed, series_name, telemetry)
+        }),
     }
 }
 

@@ -41,6 +41,6 @@ pub use engine::{run_experiment, run_figure_spec, EngineOptions};
 pub use runner::{run_replications, run_scenario, Trace};
 pub use scale::ExperimentScale;
 pub use scenario::{Scenario, Topology};
-pub use sharded::{run_scenario_des_sharded, ShardOpts};
+pub use sharded::run_scenario_des_sharded;
 pub use sink::{CsvSink, FigureSink, JsonLinesSink, ResultSink};
 pub use spec::{ExperimentSpec, NetworkSpec, Presentation, ProtocolRun, ScenarioSpec};

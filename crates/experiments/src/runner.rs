@@ -4,7 +4,10 @@
 //! [`NodeProtocol`] over a [`Scenario`]: the scenario's churn timeline and
 //! the protocol's step grid are control events on the scenario's
 //! [`p2p_sim::Network`], whose model injects latency, per-link
-//! heterogeneity and loss between the protocol's messages. The round-driven
+//! heterogeneity and loss between the protocol's messages. The events are
+//! popped and dispatched by the one drive loop ([`ShardCore::run_until`]);
+//! this module is its sequential [`Host`] plus the run-level half
+//! (`ScenarioRun`) it shares with the sharded driver. The round-driven
 //! entry point, [`run_scenario`], is the same driver with the protocol
 //! wrapped in the synchronous [`SyncStep`] adapter — it executes each step
 //! atomically and sends nothing, so its traces are bit-for-bit those of the
@@ -36,18 +39,16 @@
 
 use crate::scenario::{Scenario, MAX_DEGREE};
 use p2p_estimation::aggregation::AveragingRun;
-use p2p_estimation::net_protocol::{dispatch, Cx};
 use p2p_estimation::{
-    EstimationProtocol, Heuristic, NodeProtocol, Smoother, StepOutcome, SyncStep,
+    EstimationProtocol, Heuristic, Host, NodeProtocol, ShardCore, Smoother, StepOutcome, SyncStep,
 };
 use p2p_overlay::churn::ChurnDelta;
 use p2p_overlay::Graph;
-use p2p_sim::network::NetEvent;
 use p2p_sim::parallel::{default_threads, par_replications_on};
 use p2p_sim::rng::{derive_seed, small_rng};
 use p2p_sim::{EngineStats, MessageCounter, MessageKind, NetStats, Network, SimTime};
 use p2p_stats::{Series, SlidingWindow};
-use p2p_telemetry::{CounterId, GaugeId, HistId, Registry, Snapshot};
+use p2p_telemetry::{CounterId, GaugeId, HistId, Log2Histogram, Registry, Snapshot};
 use p2p_workload::trace::{schedule_digest, TraceHeader, TraceWriter};
 use p2p_workload::{ChurnModel, TraceModel, WorkloadOp, WorkloadSource};
 use rand::rngs::SmallRng;
@@ -101,67 +102,43 @@ impl Default for TelemetryOpts {
 /// last-10-runs smoothing horizon.
 const CONV_WINDOW: usize = 10;
 
-/// Per-kind metric keys, indexed like [`MessageKind::ALL`]. Static so the
-/// registry interns without allocating.
-const SENT_BY_KIND: [&str; 7] = [
-    "net.sent.walk-step",
-    "net.sent.sample-reply",
-    "net.sent.gossip-forward",
-    "net.sent.poll-reply",
-    "net.sent.aggregation-push",
-    "net.sent.aggregation-pull",
-    "net.sent.control",
-];
-const DELIVERED_BY_KIND: [&str; 7] = [
-    "net.delivered.walk-step",
-    "net.delivered.sample-reply",
-    "net.delivered.gossip-forward",
-    "net.delivered.poll-reply",
-    "net.delivered.aggregation-push",
-    "net.delivered.aggregation-pull",
-    "net.delivered.control",
-];
-const DROPPED_BY_KIND: [&str; 7] = [
-    "net.dropped.walk-step",
-    "net.dropped.sample-reply",
-    "net.dropped.gossip-forward",
-    "net.dropped.poll-reply",
-    "net.dropped.aggregation-push",
-    "net.dropped.aggregation-pull",
-    "net.dropped.control",
-];
-const IN_FLIGHT_BY_KIND: [&str; 7] = [
-    "net.in_flight.walk-step",
-    "net.in_flight.sample-reply",
-    "net.in_flight.gossip-forward",
-    "net.in_flight.poll-reply",
-    "net.in_flight.aggregation-push",
-    "net.in_flight.aggregation-pull",
-    "net.in_flight.control",
-];
-
-/// Raises a monotone counter to a cumulative total sampled from an
-/// existing source (net/engine/overlay accounting), so snapshot-time
-/// sampling needs no shadow state.
-fn counter_set_total(reg: &mut Registry, id: CounterId, total: u64) {
-    let prev = reg.counter_value(id);
-    reg.counter_add(id, total.saturating_sub(prev));
+/// Per-kind metric keys under one prefix, indexed like
+/// [`MessageKind::ALL`] (suffixes are the kinds' `Display` names). Static
+/// so the registry interns without allocating.
+macro_rules! by_kind {
+    ($prefix:literal) => {
+        [
+            concat!($prefix, ".walk-step"),
+            concat!($prefix, ".sample-reply"),
+            concat!($prefix, ".gossip-forward"),
+            concat!($prefix, ".poll-reply"),
+            concat!($prefix, ".aggregation-push"),
+            concat!($prefix, ".aggregation-pull"),
+            concat!($prefix, ".control"),
+        ]
+    };
 }
 
+/// Per-kind send counters. Public (with [`IN_FLIGHT_BY_KIND`]) because the
+/// cluster runtime (`p2p-node`) samples its shards under the same keys,
+/// which is what makes DES-side and cluster-side metrics files directly
+/// comparable.
+pub const SENT_BY_KIND: [&str; 7] = by_kind!("net.sent");
+const DELIVERED_BY_KIND: [&str; 7] = by_kind!("net.delivered");
+const DROPPED_BY_KIND: [&str; 7] = by_kind!("net.dropped");
+/// Per-kind in-flight gauges (`sent − delivered − dropped`).
+pub const IN_FLIGHT_BY_KIND: [&str; 7] = by_kind!("net.in_flight");
+
 /// One run's telemetry capture: the registry, the convergence window, and
-/// the collected interval snapshots. Most metrics are *sampled* at
-/// snapshot boundaries from accounting the engine/network/overlay already
-/// keep, so the per-event hot path gains only the batch-size observation —
-/// which is what keeps golden figure outputs byte-identical and the
-/// overhead within the BENCH_7 budget.
-///
-/// Crate-visible so the sharded driver ([`crate::sharded`]) can run one
-/// session per shard (net/engine sampling) plus one coordinator session
-/// (overlay/convergence) and fold their snapshots with
-/// [`Snapshot::merge_from`] — every session registers the identical metric
-/// set, which is exactly the merge precondition.
-pub(crate) struct TelemetrySession {
-    pub(crate) opts: TelemetryOpts,
+/// the collected interval snapshots. Metrics are *sampled* at snapshot
+/// boundaries from accounting the engine/network/overlay already keep —
+/// the only per-event-path observation is the batch-size histogram each
+/// driver's [`Host::batch`] keeps per core — which is what keeps golden
+/// figure outputs byte-identical and the overhead within the ruler's
+/// `telemetry.overhead_pct` budget. One session serves any number of event
+/// cores: their accounting is summed in shard-index order at sampling time.
+struct TelemetrySession {
+    opts: TelemetryOpts,
     reg: Registry,
     c_dispatched: CounterId,
     c_pool_hits: CounterId,
@@ -190,11 +167,11 @@ pub(crate) struct TelemetrySession {
     window: SlidingWindow,
     reports_seen: u64,
     series: String,
-    pub(crate) snapshots: Vec<Snapshot>,
+    snapshots: Vec<Snapshot>,
 }
 
 impl TelemetrySession {
-    pub(crate) fn new(opts: TelemetryOpts, series: String) -> Self {
+    fn new(opts: TelemetryOpts, series: String) -> Self {
         assert!(opts.every >= 1, "snapshot interval must be ≥ 1 step");
         let mut reg = Registry::new();
         TelemetrySession {
@@ -231,16 +208,10 @@ impl TelemetrySession {
         }
     }
 
-    /// Hot-path observation: one dispatched batch of `len` simultaneous
-    /// events.
-    pub(crate) fn observe_batch(&mut self, len: usize) {
-        self.reg.hist_observe(self.h_batch_len, len as u64);
-    }
-
     /// A reporting period closed with raw estimate `raw` while the true
     /// size was `truth`: feed the convergence window and latch time-to-ε
     /// the first time the windowed median enters the ±ε band.
-    pub(crate) fn on_report(&mut self, raw: f64, truth: f64, step: u64) {
+    fn on_report(&mut self, raw: f64, truth: f64, step: u64) {
         self.reports_seen += 1;
         self.window.push(raw);
         self.reg
@@ -254,69 +225,74 @@ impl TelemetrySession {
         }
     }
 
-    /// Takes one interval snapshot at step `tick`, sampling every metric
-    /// source the run already maintains.
-    fn sample<M>(&mut self, tick: u64, net: &Network<M>, graph: &Graph) {
-        self.sample_core(net);
-        self.sample_overlay(graph);
-        self.snapshot_now(tick);
-    }
-
-    /// Samples the engine/network accounting of one event core. In a
-    /// sharded run each shard session calls this on its own [`Network`];
-    /// the untouched metrics stay zero and vanish under the snapshot fold.
-    pub(crate) fn sample_core<M>(&mut self, net: &Network<M>) {
-        let es = net.engine_stats();
-        counter_set_total(&mut self.reg, self.c_dispatched, es.dispatched);
-        counter_set_total(&mut self.reg, self.c_pool_hits, es.pool_hits);
-        counter_set_total(&mut self.reg, self.c_pool_allocs, es.pool_allocs);
-        let ns = *net.stats();
-        counter_set_total(&mut self.reg, self.c_sent, ns.sent);
-        counter_set_total(&mut self.reg, self.c_delivered, ns.delivered);
-        counter_set_total(&mut self.reg, self.c_dropped, ns.dropped);
-        counter_set_total(&mut self.reg, self.c_churn_lost, ns.churn_lost);
-        for (slot, kind) in MessageKind::ALL.into_iter().enumerate() {
-            let sent = net.counter().get(kind);
-            let delivered = net.delivered_by_kind().get(kind);
-            let dropped = net.dropped_by_kind().get(kind);
-            counter_set_total(&mut self.reg, self.c_sent_kind[slot], sent);
-            counter_set_total(&mut self.reg, self.c_delivered_kind[slot], delivered);
-            counter_set_total(&mut self.reg, self.c_dropped_kind[slot], dropped);
+    /// Takes one snapshot at step `tick`, sampling every metric source the
+    /// run already maintains: the overlay, and every event core's
+    /// engine/network accounting and batch-size histogram, summed in the
+    /// given (shard-index) order.
+    fn sample<'a, M: 'a>(
+        &mut self,
+        tick: u64,
+        graph: &Graph,
+        cores: impl IntoIterator<Item = (&'a Network<M>, &'a Log2Histogram)>,
+    ) {
+        let mut es = EngineStats::default();
+        let mut ns = NetStats::default();
+        let mut sent = MessageCounter::new();
+        let mut delivered = MessageCounter::new();
+        let mut dropped = MessageCounter::new();
+        let mut in_flight = [0u64; 7];
+        let mut pending = 0;
+        let mut batch_lens = Log2Histogram::default();
+        for (net, lens) in cores {
+            es.merge_from(&net.engine_stats());
+            ns.merge_from(net.stats());
+            let (s, d, x) = (
+                net.counter(),
+                net.delivered_by_kind(),
+                net.dropped_by_kind(),
+            );
+            sent.merge(s);
+            delivered.merge(d);
+            dropped.merge(x);
             // Churn losses reclassify an already-counted delivery, so per
             // kind `sent − delivered − dropped` is exactly the population
-            // still in flight.
-            self.reg.gauge_set(
-                self.g_in_flight_kind[slot],
-                sent.saturating_sub(delivered).saturating_sub(dropped),
-            );
+            // still in flight (per core: a cross-shard message is sent on
+            // one core and delivered on another).
+            for (gauge, k) in in_flight.iter_mut().zip(MessageKind::ALL) {
+                *gauge += s.get(k).saturating_sub(d.get(k)).saturating_sub(x.get(k));
+            }
+            pending += net.pending() as u64;
+            batch_lens.merge(lens);
         }
-        self.reg.gauge_set(self.g_peak_depth, es.peak_depth as u64);
-        self.reg.gauge_set(self.g_pending, net.pending() as u64);
-    }
+        let reg = &mut self.reg;
+        reg.counter_set_total(self.c_dispatched, es.dispatched);
+        reg.counter_set_total(self.c_pool_hits, es.pool_hits);
+        reg.counter_set_total(self.c_pool_allocs, es.pool_allocs);
+        reg.counter_set_total(self.c_sent, ns.sent);
+        reg.counter_set_total(self.c_delivered, ns.delivered);
+        reg.counter_set_total(self.c_dropped, ns.dropped);
+        reg.counter_set_total(self.c_churn_lost, ns.churn_lost);
+        for (slot, kind) in MessageKind::ALL.into_iter().enumerate() {
+            reg.counter_set_total(self.c_sent_kind[slot], sent.get(kind));
+            reg.counter_set_total(self.c_delivered_kind[slot], delivered.get(kind));
+            reg.counter_set_total(self.c_dropped_kind[slot], dropped.get(kind));
+            reg.gauge_set(self.g_in_flight_kind[slot], in_flight[slot]);
+        }
+        reg.gauge_set(self.g_peak_depth, es.peak_depth as u64);
+        reg.gauge_set(self.g_pending, pending);
+        reg.hist_set(self.h_batch_len, batch_lens);
 
-    /// Samples the overlay gauges and the run-level report counter. In a
-    /// sharded run only the coordinator session calls this — the overlay
-    /// is shared, so sampling it once keeps the folded totals honest.
-    pub(crate) fn sample_overlay(&mut self, graph: &Graph) {
         let arrivals = graph.num_slots() as u64 + graph.slots_reused();
-        counter_set_total(&mut self.reg, self.c_arrivals, arrivals);
-        counter_set_total(
-            &mut self.reg,
-            self.c_departures,
-            arrivals.saturating_sub(graph.alive_count() as u64),
-        );
-        counter_set_total(&mut self.reg, self.c_slots_reused, graph.slots_reused());
-        counter_set_total(&mut self.reg, self.c_compactions, graph.compactions());
-        counter_set_total(&mut self.reg, self.c_reports, self.reports_seen);
-        self.reg.gauge_set(self.g_alive, graph.alive_count() as u64);
-        self.reg
-            .gauge_set(self.g_arena_bytes, graph.adjacency_bytes() as u64);
-    }
+        let alive = graph.alive_count() as u64;
+        reg.counter_set_total(self.c_arrivals, arrivals);
+        reg.counter_set_total(self.c_departures, arrivals.saturating_sub(alive));
+        reg.counter_set_total(self.c_slots_reused, graph.slots_reused());
+        reg.counter_set_total(self.c_compactions, graph.compactions());
+        reg.counter_set_total(self.c_reports, self.reports_seen);
+        reg.gauge_set(self.g_alive, alive);
+        reg.gauge_set(self.g_arena_bytes, graph.adjacency_bytes() as u64);
 
-    /// Closes one interval snapshot at step `tick` from whatever the
-    /// sampling calls above have staged in the registry.
-    pub(crate) fn snapshot_now(&mut self, tick: u64) {
-        let mut snap = self.reg.snapshot(tick);
+        let mut snap = reg.snapshot(tick);
         snap.series = self.series.clone();
         self.snapshots.push(snap);
     }
@@ -337,7 +313,7 @@ pub(crate) const NET_SEED_STREAM: u64 = 0x006E_6574_776F_726B; // "network"
 pub const WORKLOAD_SEED_STREAM: u64 = 0x776F_726B_6C6F_6164; // "workload"
 
 /// The per-run execution state of a scenario's streamed churn source.
-pub(crate) struct WorkloadRuntime {
+struct WorkloadRuntime {
     model: Box<dyn ChurnModel>,
     rng: SmallRng,
     recorder: Option<TraceWriter<BufWriter<File>>>,
@@ -350,9 +326,10 @@ pub(crate) struct WorkloadRuntime {
 
 impl WorkloadRuntime {
     /// Resolves the scenario's source: builds the model (or opens the
-    /// replay trace) and derives the dedicated workload stream.
-    pub(crate) fn new(source: &WorkloadSource, scenario: &Scenario, seed: u64) -> Self {
-        let (model, recorder): (Box<dyn ChurnModel>, _) = match source {
+    /// replay trace), derives the dedicated workload stream and shows the
+    /// model the initial overlay.
+    fn new(source: &WorkloadSource, scenario: &Scenario, seed: u64, graph: &Graph) -> Self {
+        let (mut model, recorder): (Box<dyn ChurnModel>, _) = match source {
             WorkloadSource::Model(spec) => (spec.build(MAX_DEGREE), None),
             WorkloadSource::Record { spec, path } => {
                 let header = TraceHeader {
@@ -383,9 +360,11 @@ impl WorkloadRuntime {
                 (Box::new(model) as Box<dyn ChurnModel + 'static>, None)
             }
         };
+        let mut rng = small_rng(derive_seed(seed, WORKLOAD_SEED_STREAM));
+        model.on_init(graph, &mut rng);
         WorkloadRuntime {
             model,
-            rng: small_rng(derive_seed(seed, WORKLOAD_SEED_STREAM)),
+            rng,
             recorder,
             ops: Vec::new(),
             delta: ChurnDelta::default(),
@@ -393,14 +372,10 @@ impl WorkloadRuntime {
         }
     }
 
-    pub(crate) fn on_init(&mut self, graph: &Graph) {
-        self.model.on_init(graph, &mut self.rng);
-    }
-
     /// One step of streamed churn: generate → record → apply → observe.
     /// Op application draws from `apply_rng` (the run's main stream),
     /// exactly like scheduled ops do.
-    pub(crate) fn step(&mut self, step: u64, graph: &mut Graph, apply_rng: &mut SmallRng) {
+    fn step(&mut self, step: u64, graph: &mut Graph, apply_rng: &mut SmallRng) {
         self.ops.clear();
         self.model.ops_at(step, graph, &mut self.rng, &mut self.ops);
         if let Some(rec) = self.recorder.as_mut() {
@@ -419,7 +394,7 @@ impl WorkloadRuntime {
     /// a session model must give scheduled arrivals lifetimes too, or a
     /// `growing` schedule under a session workload would mint immortal
     /// nodes. Consumes the same `apply_rng` draws as a plain `apply`.
-    pub(crate) fn observe_scheduled(
+    fn observe_scheduled(
         &mut self,
         step: u64,
         op: &p2p_overlay::churn::ChurnOp,
@@ -432,10 +407,183 @@ impl WorkloadRuntime {
             .observe_external(step, &self.delta, &mut self.rng);
     }
 
-    pub(crate) fn finish(&mut self) {
+    fn finish(&mut self) {
         if let Some(rec) = self.recorder.as_mut() {
             rec.flush().expect("workload trace flush failed");
         }
+    }
+}
+
+/// The run-level half of a scenario execution — everything that is not an
+/// event core: the streamed/scheduled churn, the report → [`Smoother`] →
+/// series recording, the telemetry session and the final [`Trace`]
+/// assembly. The sequential driver below wraps one [`ShardCore`] in it;
+/// the sharded driver ([`crate::sharded`]) wraps `K`.
+pub(crate) struct ScenarioRun<'s> {
+    scenario: &'s Scenario,
+    workload: Option<WorkloadRuntime>,
+    smoother: Smoother,
+    estimates: Series,
+    real_size: Series,
+    completed: usize,
+    current_step: u64,
+    tel: Option<TelemetrySession>,
+}
+
+impl<'s> ScenarioRun<'s> {
+    /// Builds the scenario's overlay off `rng` — the run's main stream,
+    /// which afterwards applies every churn op — and starts the workload.
+    pub(crate) fn new(
+        scenario: &'s Scenario,
+        heuristic: Heuristic,
+        seed: u64,
+        series_name: String,
+        telemetry: Option<TelemetryOpts>,
+        rng: &mut SmallRng,
+    ) -> (Self, Graph) {
+        let graph = scenario.build_overlay(rng);
+        let workload = (scenario.workload.as_ref())
+            .map(|source| WorkloadRuntime::new(source, scenario, seed, &graph));
+        let run = ScenarioRun {
+            scenario,
+            workload,
+            smoother: Smoother::new(heuristic),
+            tel: telemetry.map(|o| TelemetrySession::new(o, series_name.clone())),
+            estimates: Series::new(series_name),
+            real_size: Series::new("real size"),
+            completed: 0,
+            current_step: 0,
+        };
+        (run, graph)
+    }
+
+    /// The scenario's `i`-th scheduled churn op fires.
+    pub(crate) fn scheduled(&mut self, i: usize, graph: &mut Graph, rng: &mut SmallRng) {
+        let (at, op) = self.scenario.schedule[i];
+        match self.workload.as_mut() {
+            Some(w) => w.observe_scheduled(at, &op, graph, rng),
+            None => {
+                op.apply(graph, rng);
+            }
+        }
+    }
+
+    /// Step `step` begins: streamed churn lands before the step's protocol
+    /// step — the same "churn at s precedes step s" contract scheduled ops
+    /// get from FIFO control ordering.
+    pub(crate) fn begin_step(&mut self, step: u64, graph: &mut Graph, rng: &mut SmallRng) {
+        self.current_step = step;
+        if let Some(w) = self.workload.as_mut() {
+            w.step(step, graph, rng);
+        }
+    }
+
+    /// Records closed reporting periods against the current step and
+    /// `graph`'s size. Both only change in [`scheduled`](Self::scheduled) /
+    /// [`begin_step`](Self::begin_step), so harvesting a core's buffer right
+    /// before those calls is equivalent to harvesting after every event.
+    /// Post-timeline completions (the queue drains after the last step)
+    /// land at the final step's x position.
+    pub(crate) fn record(&mut self, reports: impl Iterator<Item = StepOutcome>, graph: &Graph) {
+        let x = self.current_step.max(1) as f64;
+        let truth = graph.alive_count() as f64;
+        for outcome in reports {
+            if let Some(raw) = outcome.estimate() {
+                self.estimates.push(x, self.smoother.apply(raw));
+                self.completed += 1;
+                if let Some(t) = self.tel.as_mut() {
+                    t.on_report(raw, truth, self.current_step);
+                }
+            }
+            if outcome.is_report() {
+                self.real_size.push(x, truth);
+            }
+        }
+    }
+
+    /// Takes the interval snapshot at `step`'s boundary if one is due; the
+    /// final step is covered by [`finish`](Self::finish)'s complete
+    /// post-drain snapshot instead.
+    pub(crate) fn interval_snapshot<'a, M: 'a>(
+        &mut self,
+        step: u64,
+        graph: &Graph,
+        cores: impl IntoIterator<Item = (&'a Network<M>, &'a Log2Histogram)>,
+    ) {
+        if let Some(t) = self.tel.as_mut() {
+            if step.is_multiple_of(t.opts.every) && step != self.scenario.steps {
+                t.sample(step, graph, cores);
+            }
+        }
+    }
+
+    /// Closes the run: the complete post-drain snapshot, then every core's
+    /// accounting summed into the [`Trace`] in the given (shard-index)
+    /// order.
+    pub(crate) fn finish<M>(
+        mut self,
+        graph: &Graph,
+        cores: Vec<(&mut Network<M>, &Log2Histogram)>,
+    ) -> (Trace, Vec<Snapshot>) {
+        if let Some(w) = self.workload.as_mut() {
+            w.finish();
+        }
+        debug_assert!(graph.check_invariants().is_ok());
+        // Sampled before `take_counter` zeroes the traffic counters.
+        if let Some(t) = self.tel.as_mut() {
+            let cores = cores.iter().map(|(net, lens)| (&**net, *lens));
+            t.sample(self.scenario.steps, graph, cores);
+        }
+        let mut trace = Trace {
+            estimates: self.estimates,
+            real_size: self.real_size,
+            messages: MessageCounter::new(),
+            completed: self.completed,
+            net: NetStats::default(),
+            engine: EngineStats::default(),
+        };
+        for (net, _) in cores {
+            trace.messages.merge(&net.take_counter());
+            trace.net.merge_from(net.stats());
+            trace.engine.merge_from(&net.engine_stats());
+        }
+        (trace, self.tel.map(|t| t.snapshots).unwrap_or_default())
+    }
+}
+
+/// The sequential driver's [`Host`]: the overlay and the run-level state.
+/// The scenario's churn timeline and step grid are control events on the
+/// core's own wheel.
+struct SequentialHost<'s> {
+    run: ScenarioRun<'s>,
+    graph: Graph,
+    batch_lens: Log2Histogram,
+}
+
+impl<P: NodeProtocol> Host<P> for SequentialHost<'_> {
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    fn control(&mut self, tag: u64, core: &mut ShardCore<P>) {
+        self.run.record(core.drain_reports(), &self.graph);
+        if tag & STEP_TAG == 0 {
+            self.run
+                .scheduled(tag as usize, &mut self.graph, &mut core.rng);
+        } else {
+            let step = tag & !STEP_TAG;
+            self.run.begin_step(step, &mut self.graph, &mut core.rng);
+            core.step(step, &self.graph);
+            // Interval snapshots land at step boundaries, after the step's
+            // own sends and reports.
+            self.run.record(core.drain_reports(), &self.graph);
+            let cores = [(&core.net, &self.batch_lens)];
+            self.run.interval_snapshot(step, &self.graph, cores);
+        }
+    }
+
+    fn batch(&mut self, len: usize) {
+        self.batch_lens.observe(len as u64);
     }
 }
 
@@ -471,22 +619,13 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
     series_name: impl Into<String>,
     telemetry: Option<TelemetryOpts>,
 ) -> (Trace, Vec<Snapshot>) {
-    let series_name = series_name.into();
-    let mut tel = telemetry.map(|o| TelemetrySession::new(o, series_name.clone()));
+    // One stream builds the overlay, applies churn and feeds the protocol.
     let mut rng = small_rng(seed);
-    let mut graph = scenario.build_overlay(&mut rng);
-    let mut smoother = Smoother::new(heuristic);
+    let name = series_name.into();
+    let (run, graph) = ScenarioRun::new(scenario, heuristic, seed, name, telemetry, &mut rng);
     let step_ticks = scenario.network.step_ticks;
     let mut net: Network<P::Msg> =
         Network::new(scenario.network, derive_seed(seed, NET_SEED_STREAM));
-    let mut workload = scenario
-        .workload
-        .as_ref()
-        .map(|source| WorkloadRuntime::new(source, scenario, seed));
-    if let Some(w) = workload.as_mut() {
-        w.on_init(&graph);
-    }
-
     // Churn first, then the step grid: FIFO tie-breaking puts an op
     // scheduled at step `s` before that step's protocol step.
     for (i, &(step, _)) in scenario.schedule.iter().enumerate() {
@@ -496,98 +635,18 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
         net.schedule_control_at(SimTime(step * step_ticks), STEP_TAG | step);
     }
 
-    let mut reports: Vec<StepOutcome> = Vec::new();
-    {
-        let mut cx = Cx::new(&graph, &mut net, &mut rng, &mut reports);
-        protocol.on_init(&mut cx);
-    }
-
-    let mut estimates = Series::new(series_name);
-    let mut real_size = Series::new("real size");
-    let mut completed = 0usize;
-    let mut current_step = 0u64;
-    // Batched dispatch: drain one timestamp's bucket per pop_batch call
-    // instead of popping singly — same event order bit for bit (pinned by
-    // `pop_batch_matches_single_pops_event_for_event` and the engine's
-    // oracle tests), one wheel probe per batch instead of per event.
-    let mut batch: Vec<NetEvent<P::Msg>> = Vec::new();
-    while net.pop_batch(&mut batch).is_some() {
-        if let Some(t) = tel.as_mut() {
-            t.observe_batch(batch.len());
-        }
-        for event in batch.drain(..) {
-            match event {
-                NetEvent::Control { tag } if tag & STEP_TAG != 0 => {
-                    current_step = tag & !STEP_TAG;
-                    // Streamed churn lands before the step's protocol step —
-                    // the same "churn at s precedes step s" contract scheduled
-                    // ops get from FIFO control ordering.
-                    if let Some(w) = workload.as_mut() {
-                        w.step(current_step, &mut graph, &mut rng);
-                    }
-                    {
-                        let mut cx = Cx::new(&graph, &mut net, &mut rng, &mut reports);
-                        protocol.on_step(current_step, &mut cx);
-                    }
-                    // Interval snapshots land at step boundaries, after the
-                    // step's own sends; the final step is covered by the
-                    // complete post-drain snapshot instead.
-                    if let Some(t) = tel.as_mut() {
-                        if current_step.is_multiple_of(t.opts.every)
-                            && current_step != scenario.steps
-                        {
-                            t.sample(current_step, &net, &graph);
-                        }
-                    }
-                }
-                NetEvent::Control { tag } => {
-                    let (at, op) = scenario.schedule[tag as usize];
-                    match workload.as_mut() {
-                        Some(w) => w.observe_scheduled(at, &op, &mut graph, &mut rng),
-                        None => {
-                            op.apply(&mut graph, &mut rng);
-                        }
-                    }
-                }
-                other => dispatch(protocol, other, &graph, &mut net, &mut rng, &mut reports),
-            }
-            for outcome in reports.drain(..) {
-                // Post-timeline completions (the queue drains after the last
-                // step) land at the final step's x position.
-                let x = current_step.max(1) as f64;
-                if let Some(raw) = outcome.estimate() {
-                    estimates.push(x, smoother.apply(raw));
-                    completed += 1;
-                    if let Some(t) = tel.as_mut() {
-                        t.on_report(raw, graph.alive_count() as f64, current_step);
-                    }
-                }
-                if outcome.is_report() {
-                    real_size.push(x, graph.alive_count() as f64);
-                }
-            }
-        }
-    }
-    if let Some(w) = workload.as_mut() {
-        w.finish();
-    }
-    debug_assert!(graph.check_invariants().is_ok());
-
-    // The complete end-of-run snapshot, after the post-timeline drain (and
-    // before `take_counter` zeroes the traffic counter).
-    if let Some(t) = tel.as_mut() {
-        t.sample(scenario.steps, &net, &graph);
-    }
-
-    let trace = Trace {
-        estimates,
-        real_size,
-        messages: net.take_counter(),
-        completed,
-        net: *net.stats(),
-        engine: net.engine_stats(),
+    let mut core = ShardCore::new(protocol, net, rng);
+    core.init(&graph);
+    let mut host = SequentialHost {
+        run,
+        graph,
+        batch_lens: Log2Histogram::default(),
     };
-    (trace, tel.map(|t| t.snapshots).unwrap_or_default())
+    // No horizon: after the final step the queue drains.
+    core.run_until(SimTime(u64::MAX), &mut host);
+    host.run.record(core.drain_reports(), &host.graph);
+    host.run
+        .finish(&host.graph, vec![(&mut core.net, &host.batch_lens)])
 }
 
 /// Runs any round-driven [`EstimationProtocol`] over a scenario: one
@@ -614,28 +673,6 @@ pub fn run_scenario<P: EstimationProtocol + ?Sized>(
         heuristic,
         seed,
         series_name,
-    )
-}
-
-/// [`run_scenario`] with optional telemetry capture (the round-driven
-/// analogue of [`run_scenario_des_telemetry`]). Sync-adapter runs route no
-/// per-message traffic, so their network counters stay zero; the overlay,
-/// batch and convergence metrics are live.
-pub fn run_scenario_telemetry<P: EstimationProtocol + ?Sized>(
-    protocol: &mut P,
-    scenario: &Scenario,
-    heuristic: Heuristic,
-    seed: u64,
-    series_name: impl Into<String>,
-    telemetry: Option<TelemetryOpts>,
-) -> (Trace, Vec<Snapshot>) {
-    run_scenario_des_telemetry(
-        &mut SyncStep::new(protocol),
-        scenario,
-        heuristic,
-        seed,
-        series_name,
-        telemetry,
     )
 }
 

@@ -21,7 +21,7 @@
 
 use crate::runtime::{run_node, NodeStats, RuntimeConfig};
 use crate::wire::{read_ctrl, write_ctrl, CtrlMsg, WireOp};
-use p2p_estimation::{AsyncProtocol, ProtocolSpec};
+use p2p_estimation::{with_async_protocol, ProtocolSpec};
 use p2p_experiments::runner::run_replications_des;
 use p2p_experiments::sink::{ExperimentMeta, ResultSink};
 use p2p_experiments::Scenario;
@@ -671,56 +671,13 @@ impl Envelope {
 pub fn des_envelope(cfg: &ClusterConfig, replications: usize) -> Envelope {
     let scenario = cfg.scenario();
     let heuristic = p2p_estimation::Heuristic::OneShot;
-    let finals: Vec<f64> = match cfg.protocol.build_async() {
-        AsyncProtocol::SampleCollide(_) => {
-            let spec = cfg.protocol;
-            run_replications_des(
-                |_| match spec.build_async() {
-                    AsyncProtocol::SampleCollide(p) => p,
-                    _ => unreachable!(),
-                },
-                &scenario,
-                heuristic,
-                cfg.seed,
-                replications,
-            )
-            .iter()
-            .filter_map(|t| t.estimates.points.last().map(|&(_, y)| y))
-            .collect()
-        }
-        AsyncProtocol::HopsSampling(_) => {
-            let spec = cfg.protocol;
-            run_replications_des(
-                |_| match spec.build_async() {
-                    AsyncProtocol::HopsSampling(p) => p,
-                    _ => unreachable!(),
-                },
-                &scenario,
-                heuristic,
-                cfg.seed,
-                replications,
-            )
-            .iter()
-            .filter_map(|t| t.estimates.points.last().map(|&(_, y)| y))
-            .collect()
-        }
-        AsyncProtocol::Aggregation(_) => {
-            let spec = cfg.protocol;
-            run_replications_des(
-                |_| match spec.build_async() {
-                    AsyncProtocol::Aggregation(p) => p,
-                    _ => unreachable!(),
-                },
-                &scenario,
-                heuristic,
-                cfg.seed,
-                replications,
-            )
-            .iter()
-            .filter_map(|t| t.estimates.points.last().map(|&(_, y)| y))
-            .collect()
-        }
-    };
+    let traces = with_async_protocol!(cfg.protocol.build_async(), p => {
+        run_replications_des(|_| p.clone(), &scenario, heuristic, cfg.seed, replications)
+    });
+    let finals: Vec<f64> = traces
+        .iter()
+        .filter_map(|t| t.estimates.points.last().map(|&(_, y)| y))
+        .collect();
     let truth = cfg.nodes as f64;
     let (lo, hi) = finals
         .iter()

@@ -1,26 +1,22 @@
 //! The node runtime: one OS process hosting a shard of the overlay's nodes
 //! over a real [`UdpSocket`], driving the *unmodified* event-driven
-//! protocols through the same [`Cx`] contract the DES uses.
+//! protocols through the same [`Cx`](p2p_estimation::net_protocol::Cx)
+//! contract the DES uses.
 //!
 //! # Cx over sockets
 //!
-//! A handler's sends and timers go into a local [`Network`] — the
-//! *outbox* — configured with the cluster's shared
-//! [`NetworkModel`](p2p_sim::NetworkModel), exactly as in the simulator.
-//! The runtime maps simulated time onto the wall clock at one tick = one
-//! millisecond: whenever wall time reaches an outbox event's maturity the
-//! event pops and
-//!
-//! * `Deliver` to a locally hosted node dispatches straight into the
-//!   protocol (after the same alive check the DES driver applies);
-//! * `Deliver` to a remote node is encoded as a wire frame and sent over
-//!   UDP to the shard owning that slot;
-//! * `Drop` is silently discarded — injected loss, like real loss, is
-//!   observed only through protocol timeouts, never through the DES's
-//!   omniscient `on_loss` callback;
-//! * `Timer` dispatches to the protocol;
-//! * `Control` events carry the step grid: each maturity fires `on_step`
-//!   and schedules the next boundary.
+//! The process is one [`ShardCore`] — the same drive loop the simulator
+//! runs — behind the UDP [`Host`] below (DESIGN.md, "The drive loop",
+//! tabulates what each host answers). A handler's sends and timers go into
+//! the core's local [`Network`] — the *outbox* — configured with the
+//! cluster's shared [`NetworkModel`](p2p_sim::NetworkModel), exactly as in
+//! the simulator. The runtime maps simulated time onto the wall clock at
+//! one tick = one millisecond: whenever wall time reaches an outbox
+//! event's maturity the core pops it. A delivery to a remote slot is then
+//! encoded as a wire frame and sent over UDP to the shard owning it; a
+//! `Drop` is silently discarded — injected loss, like real loss, is
+//! observed only through protocol timeouts, never through the DES's
+//! omniscient `on_loss` callback; `Control` events carry the step grid.
 //!
 //! The result: injected latency/loss rides the same model and the same
 //! per-process stream as in the simulator, stacked on top of whatever the
@@ -37,11 +33,11 @@
 //! stay identical by induction without any view-synchronization protocol.
 //! A shard *hosts* the nodes whose slot index is ≡ its shard index modulo
 //! the shard count; the protocol object knows this through its
-//! [`Deployment`] and only acts for hosted nodes.
+//! [`Deployment`](p2p_estimation::Deployment) and only acts for hosted nodes.
 
 use crate::wire::{decode_data, encode_data, read_ctrl, write_ctrl, CtrlMsg, WirePayload};
-use p2p_estimation::net_protocol::{Cx, Deployment, NodeProtocol, ShardView};
-use p2p_estimation::{AsyncProtocol, ProtocolSpec, StepOutcome};
+use p2p_estimation::{with_async_protocol, Host, NodeProtocol, ProtocolSpec, ShardCore, ShardView};
+use p2p_experiments::runner::{IN_FLIGHT_BY_KIND, SENT_BY_KIND};
 use p2p_experiments::Scenario;
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::rng::{derive_seed, small_rng};
@@ -56,10 +52,6 @@ use std::time::{Duration, Instant};
 
 /// Seed stream for a process's outbox network (latency/loss draws).
 const OUTBOX_SEED_STREAM: u64 = 0x6F75_7462_6F78; // "outbox"
-/// Seed stream for a process's protocol RNG.
-const PROTO_SEED_STREAM: u64 = 0x0073_6861_7264; // "shard"
-/// Seed stream for the cluster-wide estimator-node draw.
-const ESTIMATOR_SEED_STREAM: u64 = 0x0065_7374_696D; // "estim"
 
 /// Control tag carrying the step grid through the outbox (the tag's low
 /// bits are the step number).
@@ -190,91 +182,9 @@ pub fn run_node(cfg: &RuntimeConfig) -> io::Result<NodeStats> {
         }
     }
 
-    match cfg.protocol.build_async() {
-        AsyncProtocol::SampleCollide(p) => serve(cfg, p, socket, ctrl, ctrl_reader, &peers),
-        AsyncProtocol::HopsSampling(p) => serve(cfg, p, socket, ctrl, ctrl_reader, &peers),
-        AsyncProtocol::Aggregation(p) => serve(cfg, p, socket, ctrl, ctrl_reader, &peers),
-    }
-}
-
-/// Sets the shard deployment on a freshly built protocol. The estimator
-/// node is drawn from a cluster-wide derived stream, so every process
-/// agrees on it without communication; the shard hosting it leads.
-fn deploy<P: HostedProtocol>(protocol: &mut P, cfg: &RuntimeConfig, graph: &Graph) {
-    let mut est_rng = small_rng(derive_seed(cfg.seed, ESTIMATOR_SEED_STREAM));
-    let estimator = graph.random_alive(&mut est_rng);
-    let hosted = estimator.filter(|n| n.index() as u32 % cfg.procs == cfg.proc);
-    protocol.set_deployment(Deployment::Shard(ShardView {
-        proc: cfg.proc,
-        procs: cfg.procs,
-        estimator: hosted,
-    }));
-}
-
-/// The subset of [`AsyncProtocol`] behavior the generic server needs:
-/// a [`NodeProtocol`] whose deployment can be set and whose per-node
-/// estimates can be queried.
-pub trait HostedProtocol: NodeProtocol {
-    /// Installs the shard view (see [`Deployment`]).
-    fn set_deployment(&mut self, deployment: Deployment);
-
-    /// The node's current estimate, for protocols that hold one per node
-    /// (the epidemic class); `None` elsewhere.
-    fn estimate_at(&self, _node: NodeId) -> Option<f64> {
-        None
-    }
-}
-
-impl HostedProtocol for p2p_estimation::net_protocol::AsyncSampleCollide {
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
-    }
-}
-
-impl HostedProtocol for p2p_estimation::net_protocol::AsyncHopsSampling {
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
-    }
-}
-
-impl HostedProtocol for p2p_estimation::net_protocol::AsyncAggregation {
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
-    }
-
-    fn estimate_at(&self, node: NodeId) -> Option<f64> {
-        p2p_estimation::net_protocol::AsyncAggregation::estimate_at(self, node)
-    }
-}
-
-// Shard metric names mirror the DES runner's telemetry session exactly:
-// the same accounting under the same keys, so DES-side and cluster-side
-// metrics files are directly comparable. `MessageKind::ALL` order.
-const SENT_BY_KIND: [&str; 7] = [
-    "net.sent.walk-step",
-    "net.sent.sample-reply",
-    "net.sent.gossip-forward",
-    "net.sent.poll-reply",
-    "net.sent.aggregation-push",
-    "net.sent.aggregation-pull",
-    "net.sent.control",
-];
-const IN_FLIGHT_BY_KIND: [&str; 7] = [
-    "net.in_flight.walk-step",
-    "net.in_flight.sample-reply",
-    "net.in_flight.gossip-forward",
-    "net.in_flight.poll-reply",
-    "net.in_flight.aggregation-push",
-    "net.in_flight.aggregation-pull",
-    "net.in_flight.control",
-];
-
-/// Raises a monotone counter to a cumulative total sampled from existing
-/// accounting (the outbox / frame counters), so snapshots need no shadow
-/// state on the hot path.
-fn counter_set_total(reg: &mut Registry, id: CounterId, total: u64) {
-    let prev = reg.counter_value(id);
-    reg.counter_add(id, total.saturating_sub(prev));
+    with_async_protocol!(cfg.protocol.build_async(), p => {
+        serve(cfg, p, socket, ctrl, ctrl_reader, &peers)
+    })
 }
 
 /// One shard's telemetry: every metric is sampled at step boundaries from
@@ -302,32 +212,20 @@ struct ShardTelemetry {
 impl ShardTelemetry {
     fn new(proc: u32) -> Self {
         let mut reg = Registry::new();
-        let c_frames_sent = reg.counter("node.frames_sent");
-        let c_frames_received = reg.counter("node.frames_received");
-        let c_frames_malformed = reg.counter("node.frames_malformed");
-        let c_outbox_sent = reg.counter("net.sent");
-        let c_outbox_delivered = reg.counter("net.delivered");
-        let c_outbox_dropped = reg.counter("net.dropped");
-        let c_outbox_churn_lost = reg.counter("net.churn_lost");
-        let c_sent_kind = SENT_BY_KIND.map(|n| reg.counter(n));
-        let g_in_flight_kind = IN_FLIGHT_BY_KIND.map(|n| reg.gauge(n));
-        let g_alive = reg.gauge("overlay.alive");
-        let g_hosted = reg.gauge("node.hosted");
-        let g_pending = reg.gauge("outbox.pending");
         ShardTelemetry {
+            c_frames_sent: reg.counter("node.frames_sent"),
+            c_frames_received: reg.counter("node.frames_received"),
+            c_frames_malformed: reg.counter("node.frames_malformed"),
+            c_outbox_sent: reg.counter("net.sent"),
+            c_outbox_delivered: reg.counter("net.delivered"),
+            c_outbox_dropped: reg.counter("net.dropped"),
+            c_outbox_churn_lost: reg.counter("net.churn_lost"),
+            c_sent_kind: SENT_BY_KIND.map(|n| reg.counter(n)),
+            g_in_flight_kind: IN_FLIGHT_BY_KIND.map(|n| reg.gauge(n)),
+            g_alive: reg.gauge("overlay.alive"),
+            g_hosted: reg.gauge("node.hosted"),
+            g_pending: reg.gauge("outbox.pending"),
             reg,
-            c_frames_sent,
-            c_frames_received,
-            c_frames_malformed,
-            c_outbox_sent,
-            c_outbox_delivered,
-            c_outbox_dropped,
-            c_outbox_churn_lost,
-            c_sent_kind,
-            g_in_flight_kind,
-            g_alive,
-            g_hosted,
-            g_pending,
             series: format!("shard{proc}"),
         }
     }
@@ -342,20 +240,25 @@ impl ShardTelemetry {
         procs: u32,
         proc: u32,
     ) -> Snapshot {
-        counter_set_total(&mut self.reg, self.c_frames_sent, stats.sent);
-        counter_set_total(&mut self.reg, self.c_frames_received, stats.received);
-        counter_set_total(&mut self.reg, self.c_frames_malformed, stats.malformed);
+        self.reg.counter_set_total(self.c_frames_sent, stats.sent);
+        self.reg
+            .counter_set_total(self.c_frames_received, stats.received);
+        self.reg
+            .counter_set_total(self.c_frames_malformed, stats.malformed);
         let net = outbox.stats();
-        counter_set_total(&mut self.reg, self.c_outbox_sent, net.sent);
-        counter_set_total(&mut self.reg, self.c_outbox_delivered, net.delivered);
-        counter_set_total(&mut self.reg, self.c_outbox_dropped, net.dropped);
-        counter_set_total(&mut self.reg, self.c_outbox_churn_lost, net.churn_lost);
+        self.reg.counter_set_total(self.c_outbox_sent, net.sent);
+        self.reg
+            .counter_set_total(self.c_outbox_delivered, net.delivered);
+        self.reg
+            .counter_set_total(self.c_outbox_dropped, net.dropped);
+        self.reg
+            .counter_set_total(self.c_outbox_churn_lost, net.churn_lost);
         let sent_kind = outbox.counter();
         let delivered_kind = outbox.delivered_by_kind();
         let dropped_kind = outbox.dropped_by_kind();
         for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
             let sent = sent_kind.get(kind);
-            counter_set_total(&mut self.reg, self.c_sent_kind[i], sent);
+            self.reg.counter_set_total(self.c_sent_kind[i], sent);
             let settled = delivered_kind.get(kind) + dropped_kind.get(kind);
             self.reg
                 .gauge_set(self.g_in_flight_kind[i], sent.saturating_sub(settled));
@@ -374,34 +277,114 @@ impl ShardTelemetry {
     }
 }
 
+/// The socket [`Host`]: the overlay replica, the UDP data socket, the
+/// coordinator's control stream and what the step grid feeds.
+struct UdpHost<'a> {
+    cfg: &'a RuntimeConfig,
+    graph: Graph,
+    socket: UdpSocket,
+    peers: &'a [SocketAddr],
+    ctrl: TcpStream,
+    frame_buf: Vec<u8>,
+    stats: NodeStats,
+    tel: Option<ShardTelemetry>,
+    /// The first I/O failure inside a seam call; the pump returns it once
+    /// the core hands control back.
+    failed: io::Result<()>,
+}
+
+impl UdpHost<'_> {
+    fn note(&mut self, outcome: io::Result<()>) {
+        if self.failed.is_ok() {
+            self.failed = outcome;
+        }
+    }
+}
+
+impl<P> Host<P> for UdpHost<'_>
+where
+    P: NodeProtocol,
+    P::Msg: WirePayload,
+{
+    fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// Injected loss and dead destinations: nobody hears about them. The
+    /// DES's `on_loss` shortcut does not exist out here — timeouts do the
+    /// work.
+    fn observes_loss(&self) -> bool {
+        false
+    }
+
+    /// The step grid rides the outbox: fire `on_step`, schedule the next
+    /// boundary, and let telemetry ride along (ticks are step numbers, no
+    /// extra wall-clock reads; the snapshot ships as a control frame).
+    fn control(&mut self, tag: u64, core: &mut ShardCore<P>) {
+        let cfg = self.cfg;
+        let step = tag & !STEP_TAG;
+        self.stats.steps = step;
+        core.step(step, &self.graph);
+        if step < cfg.scenario.steps {
+            let next = step + 1;
+            let step_ms = cfg.scenario.network.step_ticks.max(1);
+            core.net
+                .schedule_control_at(SimTime(next * step_ms), STEP_TAG | next);
+        }
+        if let Some(t) = self.tel.as_mut() {
+            if step.is_multiple_of(cfg.metrics_every) || step == cfg.scenario.steps {
+                let snap = t.sample(
+                    step,
+                    &self.stats,
+                    &core.net,
+                    &self.graph,
+                    cfg.procs,
+                    cfg.proc,
+                );
+                let json = snap.to_jsonl().into_bytes();
+                let shipped = write_ctrl(&mut self.ctrl, &CtrlMsg::Metrics { json });
+                self.note(shipped);
+            }
+        }
+    }
+
+    /// Latency was served on this (the sender's) outbox; the frame leaves
+    /// at maturity and is delivered on receipt.
+    fn forward(&mut self, src: NodeId, dst: NodeId, msg: P::Msg) {
+        encode_data(src, dst, &msg, &mut self.frame_buf);
+        let peer = self.peers[dst.index() % self.peers.len()];
+        match self.socket.send_to(&self.frame_buf, peer) {
+            Ok(_) => self.stats.sent += 1,
+            Err(e) => self.note(Err(e)),
+        }
+    }
+}
+
 /// The generic post-handshake server: overlay replica, outbox pump, UDP
 /// I/O, control handling. `Start` has been received; time zero is now.
 fn serve<P>(
     cfg: &RuntimeConfig,
-    mut protocol: P,
+    protocol: P,
     socket: UdpSocket,
-    mut ctrl: TcpStream,
+    ctrl: TcpStream,
     mut ctrl_reader: TcpStream,
     peers: &[SocketAddr],
 ) -> io::Result<NodeStats>
 where
-    P: HostedProtocol,
+    P: NodeProtocol,
     P::Msg: WirePayload + Send + 'static,
 {
     // Identical on every process: same seed → same overlay replica, and
     // the post-build stream becomes the shared churn-application stream.
     let mut apply_rng = small_rng(cfg.seed);
-    let mut graph = cfg.scenario.build_overlay(&mut apply_rng);
-    deploy(&mut protocol, cfg, &graph);
-
-    let mut proto_rng = small_rng(derive_seed(
-        derive_seed(cfg.seed, PROTO_SEED_STREAM),
-        cfg.proc as u64,
-    ));
-    let mut outbox: Network<P::Msg> = Network::new(
+    let graph = cfg.scenario.build_overlay(&mut apply_rng);
+    let (view, proto_rng) = ShardView::elect(cfg.seed, &graph, cfg.proc, cfg.procs);
+    let outbox: Network<P::Msg> = Network::new(
         cfg.scenario.network,
         derive_seed(derive_seed(cfg.seed, OUTBOX_SEED_STREAM), cfg.proc as u64),
     );
+    // No send-time lanes: remote sends mature on this wheel, then `forward`.
+    let mut core = ShardCore::shard(protocol, outbox, proto_rng, view, None);
     let step_ms = cfg.scenario.network.step_ticks.max(1);
 
     let (tx, rx) = mpsc::channel::<Event<P::Msg>>();
@@ -456,87 +439,34 @@ where
     };
 
     let start = Instant::now();
-    let mut stats = NodeStats::default();
-    let mut reports: Vec<StepOutcome> = Vec::new();
-    let mut frame_buf = Vec::with_capacity(64);
     let mut delta = p2p_overlay::churn::ChurnDelta::default();
-    let mut tel = (cfg.metrics_every > 0).then(|| ShardTelemetry::new(cfg.proc));
+    let mut host = UdpHost {
+        cfg,
+        graph,
+        socket,
+        peers,
+        ctrl,
+        frame_buf: Vec::with_capacity(64),
+        stats: NodeStats::default(),
+        tel: (cfg.metrics_every > 0).then(|| ShardTelemetry::new(cfg.proc)),
+        failed: Ok(()),
+    };
 
-    {
-        let mut cx = Cx::new(&graph, &mut outbox, &mut proto_rng, &mut reports);
-        protocol.on_init(&mut cx);
-    }
-    outbox.schedule_control_at(SimTime(step_ms), STEP_TAG | 1);
+    core.init(&host.graph);
+    core.net.schedule_control_at(SimTime(step_ms), STEP_TAG | 1);
 
     'main: loop {
         let now_ms = start.elapsed().as_millis() as u64;
 
-        // Pump: pop every matured outbox event into the protocol, the
-        // socket, or the void (drops).
-        while let Some((_, event)) = outbox.pop_until(SimTime(now_ms)) {
-            match event {
-                NetEvent::Control { tag } => {
-                    let step = tag & !STEP_TAG;
-                    stats.steps = step;
-                    {
-                        let mut cx = Cx::new(&graph, &mut outbox, &mut proto_rng, &mut reports);
-                        protocol.on_step(step, &mut cx);
-                    }
-                    if step < cfg.scenario.steps {
-                        outbox.schedule_control_at(
-                            SimTime((step + 1) * step_ms),
-                            STEP_TAG | (step + 1),
-                        );
-                    }
-                    // Telemetry rides the step grid: the interval snapshot
-                    // is sampled here (ticks are step numbers, no extra
-                    // wall-clock reads) and shipped as a control frame.
-                    if let Some(t) = tel.as_mut() {
-                        if step.is_multiple_of(cfg.metrics_every) || step == cfg.scenario.steps {
-                            let snap = t.sample(step, &stats, &outbox, &graph, cfg.procs, cfg.proc);
-                            write_ctrl(
-                                &mut ctrl,
-                                &CtrlMsg::Metrics {
-                                    json: snap.to_jsonl().into_bytes(),
-                                },
-                            )?;
-                        }
-                    }
-                }
-                NetEvent::Deliver { src, dst, msg } => {
-                    let (src, dst) = (NodeId(src), NodeId(dst));
-                    if dst.index() as u32 % cfg.procs == cfg.proc {
-                        if graph.is_alive(dst) {
-                            let mut cx = Cx::new(&graph, &mut outbox, &mut proto_rng, &mut reports);
-                            protocol.on_message(src, dst, msg, &mut cx);
-                        } else {
-                            outbox.note_churn_loss();
-                        }
-                    } else {
-                        encode_data(src, dst, &msg, &mut frame_buf);
-                        let peer = peers[dst.index() % peers.len()];
-                        socket.send_to(&frame_buf, peer)?;
-                        stats.sent += 1;
-                    }
-                }
-                // Injected loss: nobody hears about it. The DES's on_loss
-                // shortcut does not exist out here — timeouts do the work.
-                NetEvent::Drop { .. } => {}
-                NetEvent::Timer { node, tag } => {
-                    let mut cx = Cx::new(&graph, &mut outbox, &mut proto_rng, &mut reports);
-                    protocol.on_timer(NodeId(node), tag, &mut cx);
-                }
-            }
-            for outcome in reports.drain(..) {
-                if let Some(est) = outcome.estimate() {
-                    write_ctrl(
-                        &mut ctrl,
-                        &CtrlMsg::Report {
-                            wall_ms: start.elapsed().as_millis() as u64,
-                            estimate: est,
-                        },
-                    )?;
-                }
+        // Pump: every matured outbox event goes into the protocol, the
+        // socket, or the void (drops); then ship what the handlers — the
+        // pump's and the previous iteration's inbound frame's — reported.
+        core.run_until(SimTime(now_ms), &mut host);
+        std::mem::replace(&mut host.failed, Ok(()))?;
+        for outcome in core.drain_reports() {
+            if let Some(estimate) = outcome.estimate() {
+                let wall_ms = start.elapsed().as_millis() as u64;
+                write_ctrl(&mut host.ctrl, &CtrlMsg::Report { wall_ms, estimate })?;
             }
         }
 
@@ -547,51 +477,30 @@ where
         // due in one hop-latency, not at the next step boundary), so the
         // deadline must be recomputed from the outbox after every dispatch
         // or hop-chained protocols crawl at step pace.
-        let timeout = match outbox.next_event_time() {
+        let timeout = match core.net.next_event_time() {
             Some(t) => Duration::from_millis(t.0.saturating_sub(now_ms).min(100)),
             None => Duration::from_millis(50),
         };
         match rx.recv_timeout(timeout) {
             Ok(Event::Frame { src, dst, msg }) => {
-                stats.received += 1;
-                // Latency was served on the sender's outbox; deliver on
-                // receipt, with the DES driver's alive check.
-                if graph.is_alive(dst) {
-                    let mut cx = Cx::new(&graph, &mut outbox, &mut proto_rng, &mut reports);
-                    protocol.on_message(src, dst, msg, &mut cx);
-                } else {
-                    outbox.note_churn_loss();
-                }
-                for outcome in reports.drain(..) {
-                    if let Some(est) = outcome.estimate() {
-                        write_ctrl(
-                            &mut ctrl,
-                            &CtrlMsg::Report {
-                                wall_ms: start.elapsed().as_millis() as u64,
-                                estimate: est,
-                            },
-                        )?;
-                    }
-                }
+                host.stats.received += 1;
+                let (src, dst) = (src.0, dst.0);
+                core.handle(NetEvent::Deliver { src, dst, msg }, &mut host);
             }
-            Ok(Event::Malformed) => stats.malformed += 1,
+            Ok(Event::Malformed) => host.stats.malformed += 1,
             Ok(Event::Ctrl(CtrlMsg::Churn { ops, .. })) => {
                 for op in &ops {
                     delta.clear();
-                    op.to_op().apply(&mut graph, &mut apply_rng, &mut delta);
+                    op.to_op()
+                        .apply(&mut host.graph, &mut apply_rng, &mut delta);
                 }
             }
             Ok(Event::Ctrl(CtrlMsg::EstimateQuery)) => {
-                let mut entries = Vec::new();
-                for node in graph.alive_nodes() {
-                    if node.index() as u32 % cfg.procs != cfg.proc {
-                        continue;
-                    }
-                    if let Some(est) = protocol.estimate_at(node) {
-                        entries.push((node, est));
-                    }
-                }
-                write_ctrl(&mut ctrl, &CtrlMsg::Estimates { entries })?;
+                let entries = (host.graph.alive_nodes())
+                    .filter(|&node| view.hosts(node))
+                    .filter_map(|node| Some((node, core.protocol.estimate_at(node)?)))
+                    .collect();
+                write_ctrl(&mut host.ctrl, &CtrlMsg::Estimates { entries })?;
             }
             Ok(Event::Ctrl(CtrlMsg::Shutdown)) | Ok(Event::CtrlClosed) => break 'main,
             Ok(Event::Ctrl(_)) => {}
@@ -602,6 +511,9 @@ where
 
     // Graceful drain: stop the readers, flush remaining matured events,
     // and hand the coordinator our stats.
+    let UdpHost {
+        mut ctrl, stats, ..
+    } = host;
     running.store(false, Ordering::Relaxed);
     let _ = udp_thread.join();
     drop(rx);

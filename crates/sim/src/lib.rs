@@ -21,8 +21,6 @@
 //!   messages, applies a pluggable [`NetworkModel`] (latency distribution +
 //!   drop probability + per-link heterogeneity built on [`HopLatency`]) and
 //!   dispatches deliveries, drops, timers and driver control events;
-//! * [`rounds`] — a synchronous round clock plus round-indexed schedules for
-//!   the gossip protocols, which the source papers define in rounds;
 //! * [`message`] — per-kind message counters backing every overhead number
 //!   (Table I);
 //! * [`rng`] — deterministic seed derivation (SplitMix64) so that every
@@ -71,7 +69,6 @@ pub mod network;
 pub mod parallel;
 pub mod pool;
 pub mod rng;
-pub mod rounds;
 pub mod shard;
 pub mod time;
 
@@ -80,5 +77,4 @@ pub use latency::HopLatency;
 pub use message::{MessageCounter, MessageKind};
 pub use network::{NetEvent, NetStats, Network, NetworkModel, RemoteMsg};
 pub use pool::PayloadPool;
-pub use rounds::{RoundClock, RoundSchedule};
 pub use time::SimTime;

@@ -13,8 +13,8 @@
 //! `crates/node` (live cluster introspection), and nothing here may pull
 //! an allocator-hungry or clock-reading crate into the sim path.
 //!
-//! Determinism contract: mutator calls (`counter_add`, `gauge_set`,
-//! `hist_observe`) must sit in *statement position* — never inside an
+//! Determinism contract: mutator calls (`counter_add`, `counter_set_total`,
+//! `gauge_set`, `hist_observe`, `hist_set`) must sit in *statement position* — never inside an
 //! RNG-draw or event-ordering expression — which the `telemetry-side-effect`
 //! audit rule enforces workspace-wide.
 
@@ -140,6 +140,14 @@ impl Registry {
         self.counters[id.0 as usize] += n;
     }
 
+    /// Raises a monotone counter to a cumulative `total` sampled from an
+    /// existing source (net/engine/overlay accounting), so snapshot-time
+    /// sampling needs no shadow state.
+    pub fn counter_set_total(&mut self, id: CounterId, total: u64) {
+        let c = &mut self.counters[id.0 as usize];
+        *c = (*c).max(total);
+    }
+
     #[inline]
     pub fn gauge_set(&mut self, id: GaugeId, v: u64) {
         self.gauges[id.0 as usize] = v;
@@ -148,6 +156,12 @@ impl Registry {
     #[inline]
     pub fn hist_observe(&mut self, id: HistId, v: u64) {
         self.hists[id.0 as usize].observe(v);
+    }
+
+    /// Replaces a histogram with one accumulated elsewhere (per event
+    /// core), for sampling at snapshot time.
+    pub fn hist_set(&mut self, id: HistId, h: Log2Histogram) {
+        self.hists[id.0 as usize] = h;
     }
 
     pub fn counter_value(&self, id: CounterId) -> u64 {
