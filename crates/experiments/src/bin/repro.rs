@@ -53,11 +53,16 @@ common options:
   --out DIR                  CSV output directory       (default target/figures)
   --jobs J                   worker threads per replication batch
   --shards K                 free-form async runs only: run each replication
-                             on K parallel DES shards (tick-barrier engine,
-                             partition rule index mod K). K is part of the
-                             result identity — fixed K is byte-stable across
-                             reruns and worker counts, but K=4 is a different
-                             (equally valid) realization than K=1
+                             on K parallel DES shards (partition rule index
+                             mod K) that meet at a barrier once per lookahead
+                             window — the fewest ticks a hop can take under
+                             --network (wan: 15; ideal: 1, a barrier per
+                             tick, so sharding only pays with real latency).
+                             [stats] reports the window and the round count.
+                             K is part of the result identity — fixed K is
+                             byte-stable across reruns and worker counts, but
+                             K=4 is a different (equally valid) realization
+                             than K=1
   --format csv|csv-stream|jsonl   figure files, or streaming rows on stdout
   --metrics FILE             write interval telemetry snapshots as JSONL to
                              FILE (one experiment per file: a single --fig or
@@ -151,9 +156,15 @@ impl ResultSink for ProgressPrinter {
                 Some(kb) => format!("{kb} kB"),
                 None => "n/a".to_string(),
             };
+            let sync = stats.sync.map_or_else(String::new, |s| {
+                format!(
+                    ", {} shards, lookahead {} ticks, {} barrier rounds",
+                    s.shards, s.lookahead_ticks, s.barrier_rounds
+                )
+            });
             eprintln!(
                 "  [stats] {} ({}): {} events dispatched, peak queue {}, {} sent, \
-                 pool hit rate {:.4}, peak RSS {rss}",
+                 pool hit rate {:.4}, peak RSS {rss}{sync}",
                 stats.series,
                 stats.backend,
                 stats.events,

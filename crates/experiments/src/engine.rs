@@ -27,7 +27,7 @@ use crate::figures::{smooth_last_k, to_quality};
 use crate::runner::record_aggregation_convergence;
 use crate::runner::{replication_threads, run_scenario_des_telemetry, TelemetryOpts, Trace};
 use crate::scenario::Scenario;
-use crate::sharded::run_scenario_des_sharded;
+use crate::sharded::{run_scenario_des_sharded, ShardSync};
 use crate::sink::{ExperimentMeta, ResultSink, Row, RunStats};
 use crate::spec::{ExecMode, ExperimentSpec, Presentation, SweepMetric};
 use p2p_estimation::{with_async_protocol, Heuristic, ProtocolSpec, SyncStep};
@@ -175,7 +175,8 @@ fn emit_series(sink: &mut dyn ResultSink, series: &Series) {
 /// captures interval snapshots without perturbing the trace. `shards ≥ 2`
 /// runs event-driven entries on the sharded parallel engine — one fresh
 /// protocol instance *per shard*, each deployed as its slice of the
-/// partition.
+/// partition — and says how the run was synchronised (`None` for the
+/// sequential engine).
 #[allow(clippy::too_many_arguments)] // private; mirrors the engine options
 fn run_one(
     entry_protocol: &ProtocolSpec,
@@ -186,8 +187,9 @@ fn run_one(
     series_name: String,
     telemetry: Option<TelemetryOpts>,
     shards: u32,
-) -> (Trace, Vec<Snapshot>) {
-    match mode {
+) -> (Trace, Vec<Snapshot>, Option<ShardSync>) {
+    let mut sync = None;
+    let (trace, snaps) = match mode {
         ExecMode::Sync => {
             assert!(
                 shards < 2,
@@ -201,15 +203,34 @@ fn run_one(
         }
         // `with_async_protocol!` is the only per-class match; each shard runs
         // a clone of the fresh build, deployed by its `ShardCore`.
-        ExecMode::Async if shards >= 2 => with_async_protocol!(entry_protocol.build_async(), p => {
-            run_scenario_des_sharded(
-                |_| p.clone(), scenario, heuristic, seed, series_name, shards, telemetry,
-            )
-        }),
+        ExecMode::Async if shards >= 2 => {
+            let (trace, snaps, how) = with_async_protocol!(entry_protocol.build_async(), p => {
+                run_scenario_des_sharded(
+                    |_| p.clone(), scenario, heuristic, seed, series_name, shards, telemetry,
+                )
+            });
+            sync = Some(how);
+            (trace, snaps)
+        }
         ExecMode::Async => with_async_protocol!(entry_protocol.build_async(), mut p => {
             run_scenario_des_telemetry(&mut p, scenario, heuristic, seed, series_name, telemetry)
         }),
+    };
+    (trace, snaps, sync)
+}
+
+/// Worker threads for a replication batch: `--jobs` or the presentation's
+/// historic policy, except that every sharded replication brings its own
+/// `min(K, cores)` workers — and a descheduled worker stalls its whole
+/// barrier round — so concurrent replications are capped at `cores / K`.
+/// Scheduling only: thread counts never affect results.
+fn batch_threads(opts: &EngineOptions, reps: usize) -> usize {
+    let threads = opts.jobs.unwrap_or_else(|| replication_threads(reps));
+    if opts.shards < 2 {
+        return threads;
     }
+    let cores = default_threads(usize::MAX);
+    threads.min((cores / opts.shards as usize).max(1))
 }
 
 /// Chunked parallel replications: seeds follow the workspace-wide
@@ -252,7 +273,7 @@ fn static_quality(
         .protocols
         .first()
         .expect("StaticQuality needs one protocol entry");
-    let (trace, _) = run_one(
+    let (trace, ..) = run_one(
         &entry.protocol,
         entry.mode,
         &spec.scenario,
@@ -293,7 +314,7 @@ fn tracking(
     );
     let tel = opts.metrics.as_ref().map(|m| m.telemetry_opts());
     let reps = spec.replications.max(1);
-    let threads = opts.jobs.unwrap_or_else(|| replication_threads(reps));
+    let threads = batch_threads(opts, reps);
     let total = reps * spec.protocols.len();
     let mut done = 0usize;
     for (ci, entry) in spec.protocols.iter().enumerate() {
@@ -339,7 +360,7 @@ fn tracking(
                     opts.shards,
                 )
             },
-            |gi, (trace, snaps)| {
+            |gi, (trace, snaps, sync)| {
                 if ci == 0 && gi == 0 {
                     let mut real = trace.real_size.clone();
                     real.name = "Real network size".to_string();
@@ -363,6 +384,7 @@ fn tracking(
                         pool_hit_rate: trace.engine.pool_hit_rate(),
                         sent: trace.net.sent,
                         peak_rss_kb: crate::sink::peak_rss_kb(),
+                        sync,
                     });
                 }
                 done += 1;
@@ -489,7 +511,7 @@ fn sweep_summary(
     let sweep = spec.sweep.as_ref().expect("SweepSummary needs a sweep");
     let tel = opts.metrics.as_ref().map(|m| m.telemetry_opts());
     let reps = spec.replications.max(1);
-    let threads = opts.jobs.unwrap_or_else(|| replication_threads(reps));
+    let threads = batch_threads(opts, reps);
     let total = sweep.values.len() * spec.protocols.len();
     let mut done = 0usize;
     for (li, &v) in sweep.values.iter().enumerate() {
@@ -521,7 +543,7 @@ fn sweep_summary(
                         opts.shards,
                     )
                 },
-                |_, (trace, snaps)| {
+                |_, (trace, snaps, _)| {
                     traces.push(trace);
                     if let Some(mf) = metrics.as_mut() {
                         // Sweep-point snapshots are qualified by axis value,
@@ -629,8 +651,10 @@ mod tests {
     #[test]
     fn sharded_option_runs_async_entries_deterministically() {
         // A WAN aggregation entry on 2 shards: same bytes across reruns
-        // and across --jobs settings; a different (valid) realization than
-        // the sequential engine, which stays the `shards: 0` default.
+        // and across --jobs settings (which `batch_threads` caps at
+        // cores / K concurrent replications — scheduling only); a different
+        // (valid) realization than the sequential engine, which stays the
+        // `shards: 0` default.
         let spec = ExperimentSpec {
             backend: Backend::Des,
             id: "t".to_string(),
@@ -642,7 +666,7 @@ mod tests {
             protocols: vec![ProtocolRun::async_(
                 ProtocolSpec::parse("aggregation:rounds=20").unwrap(),
             )],
-            replications: 2,
+            replications: 3,
             seed_stream: Some(9),
             sweep: None,
             presentation: Presentation::Tracking,
@@ -658,18 +682,31 @@ mod tests {
         };
         let a = run(&sharded);
         let b = run(&sharded);
-        let c = run(&EngineOptions {
-            jobs: Some(1),
-            shards: 2,
-            ..EngineOptions::default()
-        });
+        let with_jobs = |jobs| {
+            run(&EngineOptions {
+                jobs: Some(jobs),
+                shards: 2,
+                ..EngineOptions::default()
+            })
+        };
         let sequential = run(&EngineOptions::default());
         assert_eq!(a.series.len(), sequential.series.len());
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(sa.points, sb.points, "rerun: {}", sa.name);
         }
-        for (sa, sc) in a.series.iter().zip(&c.series) {
-            assert_eq!(sa.points, sc.points, "jobs override: {}", sa.name);
+        for jobs in [1, 3] {
+            for (sa, sc) in a.series.iter().zip(&with_jobs(jobs).series) {
+                assert_eq!(sa.points, sc.points, "--jobs {jobs}: {}", sa.name);
+            }
+        }
+        let cores = default_threads(usize::MAX);
+        for (jobs, shards, want) in [(3, 2, (cores / 2).max(1)), (3, 64, 1), (3, 0, 3)] {
+            let opts = EngineOptions {
+                jobs: Some(jobs),
+                shards,
+                ..EngineOptions::default()
+            };
+            assert_eq!(batch_threads(&opts, 3), want.min(jobs), "K={shards}");
         }
         // Replications still land on distinct derived seeds.
         assert_ne!(a.series[1].points, a.series[2].points);

@@ -4,27 +4,46 @@
 //! scenario on one core. This module splits the node population across `K`
 //! shards — the same `index % K` partition rule the real cluster runtime
 //! uses (`crates/node`) — and runs the shards on worker threads that
-//! synchronize at **tick barriers**:
+//! synchronize at **lookahead-window barriers**:
 //!
 //! * every shard owns a full event core ([`Network`]: timing wheel,
 //!   payload pool, private latency/loss stream) plus its own protocol
 //!   instance and derived RNG stream;
 //! * a message between co-hosted nodes stays entirely inside its shard;
-//! * a cross-shard send is routed through
-//!   [`Network::route_remote`], which clamps its latency to **≥ 1 tick**
-//!   — that lookahead is what makes the synchronization *conservative*:
-//!   nothing a shard does during tick `T` can affect another shard before
-//!   tick `T + 1`, so all shards may execute tick `T` in parallel;
+//! * a cross-shard send is routed through [`Network::route_remote`] and
+//!   never resolves in fewer than `L` =
+//!   [`NetworkModel::min_hop_ticks`](p2p_sim::NetworkModel::min_hop_ticks)
+//!   ticks — that lookahead is what makes the synchronization
+//!   *conservative*: nothing a shard does during the window
+//!   `[T, T + L − 1]` can affect another shard before tick `T + L`, so all
+//!   shards may execute the whole window in parallel;
 //! * at the barrier, buffered cross-shard messages are exchanged through
 //!   [`ExchangeGrid`] and enqueued at the destination in
 //!   **(source-shard-index, FIFO)** order — a fixed merge order, so the
 //!   destination wheel's structural FIFO makes same-tick remote arrivals
 //!   deterministic.
 //!
+//! ## The window
+//!
+//! Each round the coordinator picks `T` = the earliest pending tick over
+//! every wheel, every inbox and the next control tick (step boundary or
+//! scheduled churn), and lets the shards run `[T, T + L − 1]`, clipped by
+//! two rules that keep every observable where a tick-by-tick run puts it:
+//! a window **never reaches the next control tick** (churn is applied and
+//! reports are stamped only between rounds), and **a round that carries a
+//! control tick is that one tick** (an interval snapshot for step `s`
+//! still means "state after tick `s · step_ticks`"). `L` is derived from
+//! the model, never set: `wan` gives 15; `ideal` and `Exponential`
+//! latencies give 1 and run through the same loop as one-tick windows. At
+//! every exchange the coordinator asserts that nothing buffered is due
+//! inside the window just run, so an over-stated bound fails the run
+//! instead of scheduling an event into a shard's past.
+//!
 //! ## Determinism boundary
 //!
 //! A `K`-shard run is byte-identical across reruns **and across worker
-//! thread counts** — each shard's tick execution depends only on its own
+//! thread counts** — window boundaries are a pure function of simulation
+//! state, and each shard's execution of a window depends only on its own
 //! state, the published round plan and the (read-locked) overlay, never on
 //! scheduling. `K` itself, however, is part of the result identity: a
 //! `K`-shard run partitions the RNG streams differently than a single
@@ -33,13 +52,20 @@
 //! never reaches this module: the engine falls back to the sequential
 //! driver, keeping every golden figure and trace byte-identical.
 //!
-//! Because the lookahead clamp turns a zero-latency cross-shard hop into a
-//! one-tick hop, sharded execution is meant for latency-realistic models
-//! (e.g. [`NetworkModel::wan`](p2p_sim::NetworkModel::wan), where every
-//! hop already takes ≥ 1 tick and the clamp changes nothing). Under the
-//! paper's ideal instantaneous model a chain of cross-shard hops stretches
-//! across ticks — still a valid execution, but far from the historic
-//! round semantics.
+//! A remote arrival enters its destination bucket at the start of the
+//! window after the one it was sent in, so it queues behind local events
+//! already scheduled for the same tick. Handlers that commute (Aggregation's
+//! pulls) produce the same estimates at any `L`; handlers that draw
+//! randomness in handling order (walks) produce a different, equally valid
+//! realization.
+//!
+//! Sharding pays only under latency-realistic models (e.g.
+//! [`NetworkModel::wan`](p2p_sim::NetworkModel::wan)): the paper's ideal
+//! instantaneous model derives a one-tick window — two barrier waits per
+//! occupied tick — and its zero-latency cross-shard hops are clamped to one
+//! tick, so a chain of them stretches across ticks (still a valid
+//! execution, but far from the historic round semantics). A run reports
+//! its `lookahead_ticks` and `barrier_rounds` ([`ShardSync`]).
 
 use crate::runner::{ScenarioRun, TelemetryOpts, Trace, NET_SEED_STREAM};
 use crate::scenario::Scenario;
@@ -54,19 +80,34 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError, RwLock};
 
+/// How a sharded run was synchronised: deterministic counts, a pure
+/// function of the scenario, the seed and `K`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardSync {
+    /// Shard count `K`.
+    pub shards: u32,
+    /// The model-derived window length `L`
+    /// ([`NetworkModel::min_hop_ticks`](p2p_sim::NetworkModel::min_hop_ticks)).
+    pub lookahead_ticks: u64,
+    /// Windows executed, each one start/end barrier pair.
+    pub barrier_rounds: u64,
+}
+
 /// The per-round execution order published to the workers at the barrier.
 #[derive(Clone, Copy)]
 struct Plan {
-    /// The tick every shard executes this round.
+    /// The first tick of the window every shard executes this round.
     tick: u64,
-    /// `Some(s)` when this round's tick is protocol step `s`'s boundary.
+    /// Its last tick (`tick ..= until`).
+    until: u64,
+    /// `Some(s)` when `tick` is protocol step `s`'s boundary.
     step: Option<u64>,
-    /// Termination signal: workers exit instead of executing a tick.
+    /// Termination signal: workers exit instead of executing a window.
     done: bool,
 }
 
 /// One shard's complete run state. Each lives behind its own `Mutex`: a
-/// worker locks it for the duration of the shard's tick, the coordinator
+/// worker locks it for the duration of the shard's window, the coordinator
 /// between barriers — never both at once, so every lock is uncontended.
 struct Shard<P: NodeProtocol> {
     core: ShardCore<P>,
@@ -74,7 +115,7 @@ struct Shard<P: NodeProtocol> {
     batch_lens: Log2Histogram,
 }
 
-/// A shard core's [`Host`] for one tick: the read-locked overlay, plus the
+/// A shard core's [`Host`] for one window: the read-locked overlay, plus the
 /// [`Host`] defaults — the coordinator owns the step grid and churn, and
 /// cross-shard sends divert into the core's outbox at send time.
 struct ShardHost<'a> {
@@ -93,11 +134,11 @@ impl<P: NodeProtocol> Host<P> for ShardHost<'_> {
 }
 
 impl<P: NodeProtocol> Shard<P> {
-    /// Executes this shard's slice of tick `plan.tick`: enqueue the remote
-    /// arrivals exchanged at the previous barrier, park the clock on the
-    /// tick, run the protocol step if this round carries one, then drain
-    /// every event up to (and including) the tick.
-    fn run_tick(&mut self, plan: Plan, graph: &Graph) {
+    /// Executes this shard's slice of the window `plan.tick ..= plan.until`:
+    /// enqueue the remote arrivals exchanged at the previous barrier, park
+    /// the clock on the first tick, run the protocol step if this round
+    /// carries one, then drain every event up to (and including) the last.
+    fn run_window(&mut self, plan: Plan, graph: &Graph) {
         let net = &mut self.core.net;
         self.inbox.drain(|m| net.enqueue_remote(m));
         net.advance_to(SimTime(plan.tick));
@@ -108,19 +149,34 @@ impl<P: NodeProtocol> Shard<P> {
             graph,
             batch_lens: &mut self.batch_lens,
         };
-        self.core.run_until(SimTime(plan.tick), &mut host);
+        self.core.run_until(SimTime(plan.until), &mut host);
     }
 }
 
-/// The tick barrier's second half: moves every shard's buffered
+/// The window barrier's second half: moves every shard's buffered
 /// cross-shard traffic to its destination's inbox in (source-shard-index,
 /// FIFO) order.
+///
+/// # Panics
+/// Panics if a buffered delivery is due at or before `until`, the last tick
+/// of the window just executed: the lookahead over-stated what the model
+/// guarantees, and delivering it would schedule into a shard's past.
 fn exchange<P: NodeProtocol>(
     grid: &mut ExchangeGrid<P::Msg>,
     shards: &mut [MutexGuard<'_, Shard<P>>],
+    until: u64,
 ) {
     for (s, st) in shards.iter_mut().enumerate() {
-        grid.collect(s, st.core.outbox());
+        let outbox = st.core.outbox();
+        if let Some(due) = outbox.min_at() {
+            assert!(
+                due.0 > until,
+                "lookahead violated: shard {s} sent a cross-shard message due at tick {} \
+                 inside the window ending at tick {until}",
+                due.0
+            );
+        }
+        grid.collect(s, outbox);
     }
     for (d, st) in shards.iter_mut().enumerate() {
         grid.deliver(d, &mut st.inbox);
@@ -135,8 +191,9 @@ fn exchange<P: NodeProtocol>(
 /// only hosted slots. Reports are collected in (shard-index, FIFO) order
 /// at each barrier; per-shard engine/network accounting is folded into the
 /// returned [`Trace`] in the same fixed order, so `[stats]` totals cover
-/// the whole run. A panic on a worker thread ends the run and resumes on
-/// the caller's thread.
+/// the whole run; the [`ShardSync`] says how it was synchronised. A panic
+/// on a worker thread or the coordinator ends the run and resumes on the
+/// caller's thread.
 pub fn run_scenario_des_sharded<P, F>(
     make: F,
     scenario: &Scenario,
@@ -145,7 +202,7 @@ pub fn run_scenario_des_sharded<P, F>(
     series_name: impl Into<String>,
     shards: u32,
     telemetry: Option<TelemetryOpts>,
-) -> (Trace, Vec<Snapshot>)
+) -> (Trace, Vec<Snapshot>, ShardSync)
 where
     P: NodeProtocol + Send,
     P::Msg: Send,
@@ -154,6 +211,7 @@ where
     let workers = default_threads(shards as usize);
     run_sharded_on(
         workers,
+        scenario.network.min_hop_ticks(),
         make,
         scenario,
         heuristic,
@@ -165,10 +223,14 @@ where
 }
 
 /// [`run_scenario_des_sharded`] on an explicit worker-thread count, which
-/// never affects the produced bytes — only wall-clock.
-#[allow(clippy::too_many_arguments)] // private; the public entry plus `workers`
+/// never affects the produced bytes — only wall-clock — and an explicit
+/// window length, which production always derives from the model (tests
+/// pass 1 for the tick-by-tick reference and an over-stated value to trip
+/// the exchange guard).
+#[allow(clippy::too_many_arguments)] // private; the public entry plus `workers`, `lookahead`
 fn run_sharded_on<P, F>(
     workers: usize,
+    lookahead: u64,
     make: F,
     scenario: &Scenario,
     heuristic: Heuristic,
@@ -176,7 +238,7 @@ fn run_sharded_on<P, F>(
     series_name: String,
     k: u32,
     telemetry: Option<TelemetryOpts>,
-) -> (Trace, Vec<Snapshot>)
+) -> (Trace, Vec<Snapshot>, ShardSync)
 where
     P: NodeProtocol + Send,
     P::Msg: Send,
@@ -186,6 +248,7 @@ where
         k >= 2,
         "sharded execution needs K ≥ 2 (K = 1 is the sequential driver)"
     );
+    assert!(lookahead >= 1, "a window is at least one tick");
     let workers = workers.clamp(1, k as usize);
     let step_ticks = scenario.network.step_ticks;
 
@@ -220,7 +283,7 @@ where
     for st in &mut shards {
         st.core.init(&graph);
     }
-    exchange(&mut grid, &mut shards);
+    exchange(&mut grid, &mut shards, 0);
 
     // Control ticks: the step grid plus any scheduled churn outside it.
     let scheduled = scenario.schedule.iter().map(|&(s, _)| s);
@@ -232,13 +295,15 @@ where
     let graph_lock = RwLock::new(graph);
     let plan = Mutex::new(Plan {
         tick: 0,
+        until: 0,
         step: None,
         done: false,
     });
+    let mut barrier_rounds = 0u64;
     let start = Barrier::new(workers + 1);
     let end = Barrier::new(workers + 1);
-    // The first worker panic of the run; the barriers are still met, so
-    // the coordinator sees it in bounded time instead of parking forever.
+    // The first panic of the run, worker's or coordinator's; the barriers
+    // are still met, so nobody parks forever on a failed peer.
     let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -255,7 +320,7 @@ where
                     let graph = graph_lock.read().expect("churn panics end the run");
                     for st in states.iter().skip(w).step_by(workers) {
                         let mut st = st.lock().expect("one worker per shard");
-                        st.run_tick(p, &graph);
+                        st.run_window(p, &graph);
                     }
                 }));
                 if let Err(payload) = ticks {
@@ -268,9 +333,10 @@ where
             });
         }
 
-        // Coordinator: picks each round's tick, applies churn, releases the
-        // workers, then harvests reports and runs the cross-shard exchange.
-        loop {
+        // Coordinator: picks each round's window, applies churn, releases
+        // the workers, then harvests reports and runs the cross-shard
+        // exchange.
+        let rounds = catch_unwind(AssertUnwindSafe(|| loop {
             let ctrl_tick = ctrl.peek().map(|&s| s * step_ticks);
             let next = shards
                 .iter()
@@ -282,6 +348,13 @@ where
             let Some(tick) = next else { break };
             drop(shards);
 
+            // A control round is its one tick; any other window stops short
+            // of the next control tick (`tick < c` there, so `c - 1 ≥ tick`).
+            let until = match ctrl_tick {
+                Some(c) if c == tick => tick,
+                Some(c) => (c - 1).min(tick + lookahead - 1),
+                None => tick + lookahead - 1,
+            };
             let mut step_of_round = None;
             if ctrl_tick == Some(tick) {
                 let s = ctrl.next().expect("peeked");
@@ -299,11 +372,13 @@ where
 
             *plan.lock().expect("the plan is only ever assigned") = Plan {
                 tick,
+                until,
                 step: step_of_round,
                 done: false,
             };
+            barrier_rounds += 1;
             start.wait();
-            // Workers execute the tick on every shard.
+            // Workers execute the window on every shard.
             end.wait();
             if failure
                 .lock()
@@ -322,10 +397,16 @@ where
                 let cores = shards.iter().map(|st| (&st.core.net, &st.batch_lens));
                 run.interval_snapshot(s, &graph, cores);
             }
-            exchange(&mut grid, &mut shards);
-        }
+            exchange(&mut grid, &mut shards, until);
+        }));
         plan.lock().expect("the plan is only ever assigned").done = true;
         start.wait();
+        if let Err(payload) = rounds {
+            failure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
     });
 
     if let Some(payload) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
@@ -340,7 +421,13 @@ where
         debug_assert!(st.core.outbox().is_empty() && st.inbox.is_empty());
         (&mut st.core.net, &st.batch_lens)
     });
-    run.finish(&graph, cores.collect())
+    let (trace, snaps) = run.finish(&graph, cores.collect());
+    let sync = ShardSync {
+        shards: k,
+        lookahead_ticks: lookahead,
+        barrier_rounds,
+    };
+    (trace, snaps, sync)
 }
 
 #[cfg(test)]
@@ -353,17 +440,26 @@ mod tests {
     use std::time::Duration;
 
     /// A small WAN scenario: realistic latencies, so the ≥ 1 tick
-    /// cross-shard clamp changes nothing about hop timing.
+    /// cross-shard clamp changes nothing about hop timing and the model
+    /// derives a 15-tick window.
     fn wan_scenario(n: usize, steps: u64) -> Scenario {
         Scenario::static_network(n, steps).with_network(NetworkModel::wan())
     }
 
-    fn run_agg(k: u32, workers: Option<usize>, seed: u64) -> (Trace, Vec<Snapshot>) {
-        let scenario = wan_scenario(2_000, 60);
+    /// Aggregation over `scenario` on `k` shards with `lookahead`-tick
+    /// windows (`None`: the model-derived length production uses).
+    fn run_agg_on(
+        scenario: &Scenario,
+        k: u32,
+        workers: Option<usize>,
+        lookahead: Option<u64>,
+        seed: u64,
+    ) -> (Trace, Vec<Snapshot>, ShardSync) {
         run_sharded_on(
             workers.unwrap_or_else(|| default_threads(k as usize)),
+            lookahead.unwrap_or_else(|| scenario.network.min_hop_ticks()),
             |_| AsyncAggregation::paper(),
-            &scenario,
+            scenario,
             Heuristic::OneShot,
             seed,
             "agg".to_string(),
@@ -375,16 +471,22 @@ mod tests {
         )
     }
 
+    fn run_agg(k: u32, workers: Option<usize>, seed: u64) -> (Trace, Vec<Snapshot>) {
+        let (trace, snaps, _) = run_agg_on(&wan_scenario(2_000, 60), k, workers, None, seed);
+        (trace, snaps)
+    }
+
     /// The spec-built walk protocol on 3 shards (walks hop across shards
     /// constantly).
     fn run_sc() -> (Trace, Vec<Snapshot>) {
         let spec = ProtocolSpec::parse("sample-collide:l=40,t=4").unwrap();
         let scenario = wan_scenario(600, 8);
-        p2p_estimation::with_async_protocol!(spec.build_async(), p => {
+        let (trace, snaps, _) = p2p_estimation::with_async_protocol!(spec.build_async(), p => {
             run_scenario_des_sharded(
                 |_| p.clone(), &scenario, Heuristic::OneShot, 5, "sc", 3, None,
             )
-        })
+        });
+        (trace, snaps)
     }
 
     fn fingerprint(trace: &Trace, snaps: &[Snapshot]) -> String {
@@ -404,20 +506,30 @@ mod tests {
 
     #[test]
     fn sharded_realizations_match_the_stored_goldens() {
-        // Recorded at the commit before the drivers moved onto `ShardCore`
-        // (PR 13): FNV-1a of `fingerprint` — the Debug form of the whole
-        // trace plus every snapshot's JSONL. Rerun/worker-count equality
-        // only pins the sharded path against itself; this pins it against
-        // history.
+        // FNV-1a of `fingerprint` — the Debug form of the whole trace plus
+        // every snapshot's JSONL. Rerun/worker-count equality only pins the
+        // sharded path against itself; this pins it against history. The
+        // one-tick column was recorded at the commit before the drivers
+        // moved onto `ShardCore` (PR 13), when every round was one tick: a
+        // one-tick window is still that run, bit for bit. The derived
+        // column (15-tick WAN windows) was recorded when windows landed and
+        // differs from it only in `engine.peak_depth` and the pool counters
+        // (remote arrivals wait in the inbox, not the wheel).
+        let scenario = wan_scenario(2_000, 60);
         let golden = [
-            (2, 0x4694_69ef_0837_816d_u64),
-            (3, 0x2754_5585_aab9_36be),
-            (4, 0xf636_fa14_4f00_3c0e),
+            (2, 0x4694_69ef_0837_816d_u64, 0x48d7_d585_fbe8_0449_u64),
+            (3, 0x2754_5585_aab9_36be, 0xe9c1_941d_3d81_9c87),
+            (4, 0xf636_fa14_4f00_3c0e, 0x1365_af37_5b70_be72),
         ];
-        for (k, want) in golden {
-            let (t, s) = run_agg(k, None, 77);
-            assert_eq!(fnv1a(&fingerprint(&t, &s)), want, "aggregation, K={k}");
+        for (k, one_tick, derived) in golden {
+            for (lookahead, want) in [(Some(1), one_tick), (None, derived)] {
+                let (t, s, _) = run_agg_on(&scenario, k, None, lookahead, 77);
+                let got = fnv1a(&fingerprint(&t, &s));
+                assert_eq!(got, want, "aggregation, K={k}, window {lookahead:?}");
+            }
         }
+        // One walk token in flight: nothing for a window to reorder, so the
+        // per-tick constant survived the move to windows.
         let (t, s) = run_sc();
         assert_eq!(
             fnv1a(&fingerprint(&t, &s)),
@@ -528,6 +640,7 @@ mod tests {
                 let outcome = catch_unwind(|| {
                     run_sharded_on(
                         workers,
+                        NetworkModel::wan().min_hop_ticks(),
                         |shard| Bomb { armed: shard == 1 },
                         &wan_scenario(50, 5),
                         Heuristic::OneShot,
@@ -546,5 +659,84 @@ mod tests {
             let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("shard worker blew up"), "payload {msg:?}");
         }
+    }
+
+    #[test]
+    fn derived_windows_match_tick_by_tick_execution_for_aggregation() {
+        // Lossless static WAN: the window only reorders commuting pulls, so
+        // the whole run — event and message counts, report positions,
+        // estimates — is the tick-by-tick run's, in a fraction of the rounds.
+        let scenario = wan_scenario(2_000, 60);
+        for k in [2, 3, 4] {
+            let (tick, _, by_tick) = run_agg_on(&scenario, k, None, Some(1), 77);
+            let (win, _, by_window) = run_agg_on(&scenario, k, None, None, 77);
+            assert_eq!(win.net, tick.net, "K={k}");
+            assert_eq!(win.messages, tick.messages, "K={k}");
+            assert_eq!(win.engine.dispatched, tick.engine.dispatched, "K={k}");
+            assert_eq!(win.completed, tick.completed, "K={k}");
+            assert_eq!(win.real_size.points, tick.real_size.points, "K={k}");
+            assert_eq!(win.estimates.points.len(), tick.estimates.points.len());
+            for (&(xw, yw), &(xt, yt)) in win.estimates.points.iter().zip(&tick.estimates.points) {
+                assert_eq!(xw, xt, "K={k}: a report moved");
+                assert!((yw - yt).abs() <= 1e-9 * yt.abs(), "K={k}: {yw} vs {yt}");
+            }
+            assert_eq!((by_tick.shards, by_tick.lookahead_ticks), (k, 1));
+            assert_eq!((by_window.shards, by_window.lookahead_ticks), (k, 15));
+            // At most 60 steps × (1 step round + ⌈399 / 15⌉ = 27 windows)
+            // plus the drain after the last step; fewer where a step's
+            // traffic has landed before the next step begins.
+            assert!(
+                by_window.barrier_rounds <= 60 * 28 + 40,
+                "K={k}: {} rounds",
+                by_window.barrier_rounds
+            );
+            assert!(by_tick.barrier_rounds > 10 * by_window.barrier_rounds);
+        }
+    }
+
+    #[test]
+    fn windows_never_cross_a_control_tick() {
+        // Scheduled churn at steps, and a streamed heavy-tailed workload on
+        // every step: the overlay changes only between rounds, so the truth
+        // curve (stamped when a report is recorded) is the tick-by-tick one.
+        let pareto = crate::spec::ScenarioSpec::parse("static:churn=pareto:alpha=1.5,mean=50")
+            .unwrap()
+            .resolve(1_000, 120);
+        for scenario in [Scenario::catastrophic(1_000, 120), pareto] {
+            let scenario = scenario.with_network(NetworkModel::wan());
+            let (tick, _, _) = run_agg_on(&scenario, 2, None, Some(1), 13);
+            let (win, _, sync) = run_agg_on(&scenario, 2, None, None, 13);
+            assert_eq!(sync.lookahead_ticks, 15);
+            assert!(!win.real_size.points.is_empty(), "{}", scenario.name);
+            assert_eq!(
+                win.real_size.points, tick.real_size.points,
+                "{}",
+                scenario.name
+            );
+        }
+    }
+
+    #[test]
+    fn an_overstated_lookahead_fails_the_run_at_the_exchange() {
+        // WAN hops can land 15 ticks out; a 50-tick window lets a shard run
+        // past a delivery still buffered for it. The exchange guard must
+        // turn that into a panic (through the same bounded-time path as a
+        // worker failure), never into an event scheduled in the past.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(|| {
+                run_agg_on(&wan_scenario(500, 5), 2, Some(2), Some(50), 3);
+            });
+            let _ = tx.send(outcome);
+        });
+        let payload = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the run hung")
+            .expect_err("a 50-tick window over-states the WAN bound");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("lookahead violated"), "payload {msg:?}");
     }
 }

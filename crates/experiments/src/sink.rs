@@ -15,6 +15,7 @@
 //! * [`JsonLinesSink`] — one hand-rolled JSON object per row (no serde),
 //!   for piping into `jq`/pandas.
 
+use crate::sharded::ShardSync;
 use p2p_stats::series::Figure;
 use p2p_stats::Series;
 use std::io::{self, Write};
@@ -66,6 +67,9 @@ pub struct RunStats<'a> {
     /// finished (`VmHWM` from `/proc/self/status`); `None` where the
     /// platform has no cheap high-water readout.
     pub peak_rss_kb: Option<u64>,
+    /// How a `--shards K` run was synchronised; `None` for the sequential
+    /// engine, whose records carry no such fields.
+    pub sync: Option<ShardSync>,
 }
 
 /// Reads the process peak resident set size (`VmHWM`, in kB) from
@@ -294,10 +298,16 @@ impl<W: Write> ResultSink for JsonLinesSink<W> {
             Some(kb) => kb.to_string(),
             None => "null".to_string(),
         };
+        let sync = stats.sync.map_or_else(String::new, |s| {
+            format!(
+                ",\"shards\":{},\"lookahead_ticks\":{},\"barrier_rounds\":{}",
+                s.shards, s.lookahead_ticks, s.barrier_rounds
+            )
+        });
         self.write(format!(
             "{{\"event\":\"run_stats\",\"experiment\":\"{}\",\"series\":\"{}\",\
              \"backend\":\"{}\",\"events\":{},\"peak_queue\":{},\"pool_hit_rate\":{},\
-             \"sent\":{},\"peak_rss_kb\":{rss}}}\n",
+             \"sent\":{},\"peak_rss_kb\":{rss}{sync}}}\n",
             json_escape(&self.id),
             json_escape(stats.series),
             json_escape(stats.backend),
@@ -453,6 +463,7 @@ mod tests {
             pool_hit_rate: 0.5,
             sent: 7,
             peak_rss_kb: Some(2048),
+            sync: None,
         });
         sink.run_stats(&RunStats {
             series: "Estimation #2",
@@ -462,6 +473,11 @@ mod tests {
             pool_hit_rate: 0.5,
             sent: 7,
             peak_rss_kb: None,
+            sync: Some(ShardSync {
+                shards: 2,
+                lookahead_ticks: 15,
+                barrier_rounds: 3_732,
+            }),
         });
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -471,9 +487,14 @@ mod tests {
              \"backend\":\"des\",\"events\":10,\"peak_queue\":3,\"pool_hit_rate\":0.5,\
              \"sent\":7,\"peak_rss_kb\":2048}"
         );
+        // A missing readout is an explicit null; a sharded run appends how
+        // it was synchronised (the sequential record above has no such keys).
         assert!(
-            lines[2].ends_with("\"peak_rss_kb\":null}"),
-            "missing readout must be an explicit null: {}",
+            lines[2].ends_with(
+                "\"peak_rss_kb\":null,\"shards\":2,\"lookahead_ticks\":15,\
+                 \"barrier_rounds\":3732}"
+            ),
+            "{}",
             lines[2]
         );
     }

@@ -140,6 +140,28 @@ impl NetworkModel {
     pub fn is_ideal(&self) -> bool {
         self.drop_rate == 0.0 && self.latency == HopLatency::Constant(0.0)
     }
+
+    /// The smallest delay, in ticks, a cross-shard hop can resolve to under
+    /// this model: the **lookahead** the sharded driver may run ahead of
+    /// its peers between exchanges. Always ≥ 1 (the
+    /// [`route_remote`](Network::route_remote) clamp); 15 for
+    /// [`wan`](Self::wan); 1 for [`ideal`](Self::ideal) and any
+    /// `Exponential` latency, whose draws reach zero.
+    ///
+    /// The bound mirrors `route_remote`'s own `round().max(0).max(1)`
+    /// arithmetic on the distribution's lower end and the smallest link
+    /// factor `1 − link_spread`. Every step there is monotone (IEEE
+    /// multiplication of non-negative operands, `round`, the clamps), so
+    /// no real draw resolves below it.
+    pub fn min_hop_ticks(&self) -> u64 {
+        let lo = match self.latency {
+            HopLatency::Constant(ms) => ms,
+            HopLatency::Uniform { lo, .. } => lo,
+            HopLatency::Exponential { .. } => 0.0,
+        };
+        let floor = lo.max(0.0) * (1.0 - self.link_spread);
+        (floor.round().max(0.0) as u64).max(1)
+    }
 }
 
 impl Default for NetworkModel {
@@ -193,8 +215,9 @@ pub struct RemoteMsg<M> {
     pub src: u32,
     /// Receiving node slot (hosted by the destination shard).
     pub dst: u32,
-    /// Absolute delivery tick (≥ send tick + 1: the conservative-lookahead
-    /// guarantee tick-barrier synchronization relies on).
+    /// Absolute delivery tick, ≥ send tick +
+    /// [`min_hop_ticks`](NetworkModel::min_hop_ticks): the
+    /// conservative-lookahead guarantee window synchronization relies on.
     pub at: SimTime,
     /// Traffic class the send was charged as.
     pub kind: MessageKind,
@@ -432,9 +455,10 @@ impl<M> Network<M> {
     /// Routes a message whose destination lives on *another shard*: charges
     /// the send and consumes the model's latency/drop draws exactly like
     /// [`send`](Self::send) (same private stream, same send-order
-    /// discipline), but clamps the delay to ≥ 1 tick — the cross-shard
-    /// lookahead that lets every shard execute a full tick before the
-    /// barrier exchange. Returns the resolved in-transit message for the
+    /// discipline), but clamps the delay to ≥ 1 tick — the floor of the
+    /// cross-shard lookahead ([`NetworkModel::min_hop_ticks`] is the
+    /// model's full bound) that lets every shard execute a whole window
+    /// before the barrier exchange. Returns the resolved in-transit message for the
     /// caller to buffer toward the destination shard, or `None` when the
     /// model dropped it — the drop is then scheduled *locally* at the
     /// would-be delivery tick, so this (sending) shard's protocol instance
@@ -911,6 +935,62 @@ mod tests {
         );
         assert_eq!(dst.stats().delivered, 1, "counted at the destination");
         assert_eq!(dst.stats().sent, 0);
+    }
+
+    #[test]
+    fn no_hop_resolves_before_the_models_min_hop_ticks() {
+        assert_eq!(NetworkModel::ideal().min_hop_ticks(), 1);
+        assert_eq!(NetworkModel::wan().min_hop_ticks(), 15);
+        let exp = NetworkModel::wan().with_latency(HopLatency::Exponential { mean: 500.0 });
+        assert_eq!(exp.min_hop_ticks(), 1, "exponential draws reach zero");
+        let constant = NetworkModel::ideal().with_latency(HopLatency::Constant(40.0));
+        assert_eq!(constant.min_hop_ticks(), 40);
+        let mut net: Network<()> = Network::new(constant, 1);
+        let hop = net.route_remote(0, 1, MessageKind::Control, ()).unwrap();
+        assert_eq!(hop.at, SimTime(40), "tight without link spread");
+
+        // Random models × random links: 10 000 draws through each of
+        // `route_remote` and `send` (whose delay `route_remote` clamps to
+        // ≥ 1), dropped or delivered, never resolve before the bound.
+        let mut rng = small_rng(4242);
+        for case in 0..100u64 {
+            let lo = rng.gen_range(0.0..300.0);
+            let latency = match case % 3 {
+                0 => HopLatency::Constant(lo),
+                1 => HopLatency::Uniform {
+                    lo,
+                    hi: lo + rng.gen_range(0.5..200.0),
+                },
+                _ => HopLatency::Exponential { mean: lo + 1.0 },
+            };
+            let model = NetworkModel::ideal()
+                .with_latency(latency)
+                .with_link_spread(rng.gen_range(0.0..1.0))
+                .with_drop_rate([0.0, 0.3][(case % 2) as usize]);
+            let bound = model.min_hop_ticks();
+            let mut net: Network<()> = Network::new(model, case);
+            for i in 0..100u32 {
+                let now = net.now().0;
+                let (src, dst) = (rng.gen_range(0..64u32), 64 + i);
+                let remote = match net.route_remote(src, dst, MessageKind::Control, ()) {
+                    Some(m) => m.at.0,
+                    None => {
+                        net.pop()
+                            .expect("a dropped remote send surfaces locally")
+                            .0
+                             .0
+                    }
+                };
+                assert!(
+                    remote >= now + bound,
+                    "{model:?}: {remote} < {now} + {bound}"
+                );
+                let now = net.now().0;
+                net.send(src, dst, MessageKind::Control, ());
+                let local = net.pop().expect("just sent").0 .0;
+                assert!(local.max(now + 1) >= now + bound, "{model:?}: send");
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! The sharded runner partitions the node population across `K` shards
 //! (slot `s` lives on shard `s % K`, the same rule `p2p-node` deploys
 //! with), gives each shard its own timing wheel, payload pool and derived
-//! RNG streams, and runs shards on worker threads that synchronize at tick
-//! barriers. The conservative-execution argument is the classic one: every
-//! cross-shard delivery resolves ≥ 1 tick after its send
-//! ([`Network::route_remote`](crate::Network::route_remote) clamps the
-//! delay), so messages produced while executing tick `T` can only be due
-//! at `T + 1` or later — each shard may therefore execute all of tick `T`
-//! without observing the others, and the buffered cross-shard traffic is
-//! reconciled between ticks.
+//! RNG streams, and runs shards on worker threads that synchronize at
+//! lookahead-window barriers. The conservative-execution argument is the
+//! classic one: every cross-shard delivery resolves at least `L` =
+//! [`NetworkModel::min_hop_ticks`](crate::NetworkModel::min_hop_ticks)
+//! ticks after its send (the model's smallest hop; never below the 1 tick
+//! [`Network::route_remote`](crate::Network::route_remote) clamps to), so
+//! messages produced while executing the window `[T, T + L − 1]` can only
+//! be due at `T + L` or later — each shard may therefore execute the whole
+//! window without observing the others, and the buffered cross-shard
+//! traffic is reconciled between windows.
 //!
 //! # The (source-shard-index, FIFO) merge order
 //!
@@ -20,7 +22,7 @@
 //! messages, it enqueues them **grouped by source shard in ascending shard
 //! index, preserving each source's send (FIFO) order** —
 //! [`Inbox::drain`]. Because every shard ingests before executing its next
-//! tick, same-tick remote arrivals take a deterministic position in the
+//! window, same-tick remote arrivals take a deterministic position in the
 //! destination bucket regardless of which worker thread ran which shard
 //! when. The result: a K-shard run is byte-identical across reruns *and*
 //! across worker-thread counts — K itself is part of the result identity
@@ -30,10 +32,10 @@
 //! # Shapes
 //!
 //! * [`Outbox`] — a source shard's per-destination lanes, filled while the
-//!   shard executes a tick (single-threaded: only that shard's worker
+//!   shard executes a window (single-threaded: only that shard's worker
 //!   touches it).
 //! * [`Inbox`] — a destination shard's per-source lanes for one round,
-//!   drained in source-index order at the start of the next tick.
+//!   drained in source-index order at the start of the next window.
 //! * [`ExchangeGrid`] — the coordinator's scratch that moves lanes from
 //!   outboxes to inboxes between parallel phases, one shard locked at a
 //!   time, swapping `Vec`s so lane capacity circulates with zero
@@ -44,7 +46,8 @@ use crate::time::SimTime;
 
 /// A source shard's buffered cross-shard sends: one FIFO lane per
 /// destination shard, plus the earliest delivery tick per lane so the
-/// coordinator can compute the next barrier tick without scanning messages.
+/// coordinator can compute the next barrier tick — and check that nothing
+/// is due inside the window just executed — without scanning messages.
 pub struct Outbox<M> {
     lanes: Vec<Vec<RemoteMsg<M>>>,
     mins: Vec<u64>,
@@ -112,7 +115,7 @@ impl<M> Inbox<M> {
     /// Drains the round's messages in **(source-shard-index, FIFO)** order —
     /// the sharded determinism contract. The destination shard calls this
     /// (feeding [`Network::enqueue_remote`](crate::Network::enqueue_remote))
-    /// before executing its next tick, so same-tick remote arrivals occupy
+    /// before executing its next window, so same-tick remote arrivals occupy
     /// a deterministic position in the destination bucket.
     pub fn drain(&mut self, mut f: impl FnMut(RemoteMsg<M>)) {
         for lane in &mut self.lanes {
