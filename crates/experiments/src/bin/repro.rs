@@ -12,10 +12,12 @@
 //!
 //! Legacy flags (`repro --all`, `--fig N`, `--table 1`) keep working.
 //! `--format jsonl | csv-stream` streams rows to stdout as replications
-//! finish instead of writing figure files.
+//! finish instead of writing figure files. One invocation has one worker
+//! budget (`--jobs`, else the core count): its figures run side by side
+//! and print in argument order (see [`run_tasks`]).
 
 use p2p_estimation::{Heuristic, ProtocolSpec};
-use p2p_experiments::engine::{run_experiment, EngineOptions, MetricsConfig};
+use p2p_experiments::engine::{run_experiment, split_budget, EngineOptions, MetricsConfig};
 use p2p_experiments::figures::{spec_for, ALL_FIGURES};
 use p2p_experiments::sink::{CsvSink, FigureSink, JsonLinesSink, ResultSink, Row, TeeSink};
 use p2p_experiments::spec::{
@@ -24,11 +26,12 @@ use p2p_experiments::spec::{
 };
 use p2p_experiments::table::table1;
 use p2p_experiments::ExperimentScale;
+use p2p_sim::parallel::{default_threads, try_map_ordered};
 use p2p_workload::{WorkloadSource, WorkloadSpec};
-use std::io::Write as _;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn usage() -> &'static str {
     "usage:
@@ -51,7 +54,10 @@ common options:
                              smoke of the same path
   --seed S                   master seed                (default 20060619)
   --out DIR                  CSV output directory       (default target/figures)
-  --jobs J                   worker threads per replication batch
+  --jobs J                   concurrent simulations for the whole invocation
+                             (figures first, then replications; --shards K
+                             divides it); default: the core count. Never
+                             changes a byte of output
   --shards K                 free-form async runs only: run each replication
                              on K parallel DES shards (partition rule index
                              mod K) that meet at a barrier once per lookahead
@@ -775,11 +781,63 @@ fn build_custom_spec(
     Ok(spec)
 }
 
-/// Runs one spec under the chosen output format; returns the rendered
-/// figure (empty under pure streaming) for the summary printout.
-fn execute(spec: &ExperimentSpec, args: &Args) -> Result<(), String> {
+/// One unit of an invocation's work: a figure (registered or free-form)
+/// or Table I. Tasks are independent — own seed streams, own sink, own
+/// output file — so they can run side by side.
+enum Task<'a> {
+    Figure(&'a ExperimentSpec),
+    Table,
+}
+
+/// What a finished task hands back to the main thread, which prints it in
+/// task order: the rows it streamed (empty when it wrote stdout directly),
+/// its banner text, and how long it ran.
+struct TaskOutput {
+    rows: Vec<u8>,
+    banner: String,
+    wall: Duration,
+}
+
+/// Runs one task with `jobs` replication workers, streaming rows (under
+/// `--format csv-stream|jsonl`) into `rows`. Figure files are written here,
+/// as the task finishes; console text is returned, not printed.
+fn run_task(
+    task: Task<'_>,
+    args: &Args,
+    jobs: Option<usize>,
+    rows: &mut dyn Write,
+) -> Result<(String, Duration), String> {
+    // audit:allow(wall-clock): elapsed-time console banner and budget summary only; figure CSVs never see it
+    let start = Instant::now();
+    let mut banner = String::new();
+    match task {
+        Task::Figure(spec) => run_figure(spec, args, jobs, rows, &mut banner, start)?,
+        Task::Table => {
+            let runs = if args.scale.large >= 100_000 { 10 } else { 20 };
+            let t = table1(args.scale.large, runs, args.seed);
+            banner = format!("\n[{:.1?}]\n{t}\n", start.elapsed());
+            std::fs::create_dir_all(&args.out)
+                .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
+            let path = args.out.join("table1.csv");
+            std::fs::write(&path, t.to_csv())
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            banner += &format!("  -> {}\n", path.display());
+        }
+    }
+    Ok((banner, start.elapsed()))
+}
+
+/// Runs one spec under the chosen output format.
+fn run_figure(
+    spec: &ExperimentSpec,
+    args: &Args,
+    jobs: Option<usize>,
+    rows: &mut dyn Write,
+    banner: &mut String,
+    start: Instant,
+) -> Result<(), String> {
     let opts = EngineOptions {
-        jobs: args.jobs,
+        jobs,
         metrics: args.metrics.clone(),
         shards: args.shards,
     };
@@ -787,8 +845,10 @@ fn execute(spec: &ExperimentSpec, args: &Args) -> Result<(), String> {
         id: spec.id.clone(),
         enabled: !args.quiet,
     };
-    // audit:allow(wall-clock): elapsed-time console banner only; figure CSVs never see it
-    let start = Instant::now();
+    let streamed = |error: Option<&std::io::Error>| match error {
+        Some(e) => Err(format!("{}: stdout write failed: {e}", spec.id)),
+        None => Ok(()),
+    };
     match args.format {
         Format::Csv => {
             let mut fig_sink = FigureSink::new();
@@ -804,22 +864,22 @@ fn execute(spec: &ExperimentSpec, args: &Args) -> Result<(), String> {
             let path = fig
                 .save_csv(&args.out)
                 .map_err(|e| format!("{}: failed to write CSV: {e}", spec.id))?;
-            println!("\n{} — {} [{elapsed:.1?}]", fig.id, fig.title);
-            println!("  -> {}", path.display());
+            *banner += &format!("\n{} — {} [{elapsed:.1?}]\n", fig.id, fig.title);
+            *banner += &format!("  -> {}\n", path.display());
             for s in &fig.series {
                 let (lo, hi) = s.y_range().unwrap_or((f64::NAN, f64::NAN));
-                println!(
-                    "  {:<22} {:>4} points, y in [{:.1}, {:.1}]",
+                *banner += &format!(
+                    "  {:<22} {:>4} points, y in [{:.1}, {:.1}]\n",
                     s.name,
                     s.len(),
                     lo,
                     hi
                 );
             }
+            Ok(())
         }
         Format::CsvStream => {
-            let stdout = std::io::stdout();
-            let mut csv = CsvSink::new(stdout.lock());
+            let mut csv = CsvSink::new(rows);
             {
                 let mut tee = TeeSink {
                     a: &mut csv,
@@ -827,13 +887,10 @@ fn execute(spec: &ExperimentSpec, args: &Args) -> Result<(), String> {
                 };
                 run_experiment(spec, args.seed, &opts, &mut tee);
             }
-            if let Some(e) = csv.error() {
-                return Err(format!("{}: stdout write failed: {e}", spec.id));
-            }
+            streamed(csv.error())
         }
         Format::JsonLines => {
-            let stdout = std::io::stdout();
-            let mut jsonl = JsonLinesSink::new(stdout.lock());
+            let mut jsonl = JsonLinesSink::new(rows);
             {
                 let mut tee = TeeSink {
                     a: &mut jsonl,
@@ -841,31 +898,55 @@ fn execute(spec: &ExperimentSpec, args: &Args) -> Result<(), String> {
                 };
                 run_experiment(spec, args.seed, &opts, &mut tee);
             }
-            if let Some(e) = jsonl.error() {
-                return Err(format!("{}: stdout write failed: {e}", spec.id));
-            }
+            streamed(jsonl.error())
         }
     }
-    Ok(())
 }
 
-fn run_table(args: &Args) -> Result<(), String> {
-    // audit:allow(wall-clock): elapsed-time console banner only; table1.csv never sees it
+/// Spends the invocation's one worker budget `J` (`--jobs`, else the core
+/// count) top-down: `outer = min(J, tasks)` tasks run concurrently, each
+/// with `inner = J / outer` replication workers. Output never depends on
+/// `J` — each task renders into its own buffer and the main thread prints
+/// the buffers in task order. With `outer == 1` the task runs on the main
+/// thread and streams straight to stdout, rows appearing as replications
+/// finish; a lone task without `--jobs` keeps the engine's own policy.
+fn run_tasks(args: &Args, tasks: Vec<Task<'_>>) -> Result<(), String> {
+    let n = tasks.len();
+    let budget = args.jobs.unwrap_or_else(|| default_threads(usize::MAX));
+    let (outer, inner) = split_budget(budget, n);
+    let jobs = if n == 1 { args.jobs } else { Some(inner) };
+    // audit:allow(wall-clock): the stderr budget summary only; no sink or file sees it
     let start = Instant::now();
-    let runs = if args.scale.large >= 100_000 { 10 } else { 20 };
-    let t = table1(args.scale.large, runs, args.seed);
-    // The rendered table follows the banner convention: stdout for figure-
-    // file runs, stderr when rows stream on stdout (the CSV file is written
-    // either way).
-    banner(args, format!("\n[{:.1?}]", start.elapsed()));
-    banner(args, t.to_string());
-    std::fs::create_dir_all(&args.out)
-        .map_err(|e| format!("cannot create {}: {e}", args.out.display()))?;
-    let path = args.out.join("table1.csv");
-    std::fs::write(&path, t.to_csv())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    banner(args, format!("  -> {}", path.display()));
-    Ok(())
+    let mut busy = Duration::ZERO;
+    let outcome = try_map_ordered(
+        tasks,
+        outer,
+        |_, task| {
+            let mut rows = Vec::new();
+            let (banner, wall) = if outer == 1 {
+                run_task(task, args, jobs, &mut std::io::stdout().lock())?
+            } else {
+                run_task(task, args, jobs, &mut rows)?
+            };
+            Ok(TaskOutput { rows, banner, wall })
+        },
+        |_, done: TaskOutput| {
+            busy += done.wall;
+            std::io::stdout()
+                .write_all(&done.rows)
+                .map_err(|e| format!("stdout write failed: {e}"))?;
+            say(args, &done.banner)
+        },
+    );
+    if outcome.is_ok() && n > 1 && !args.quiet {
+        let wall = start.elapsed();
+        eprintln!(
+            "# repro: {n} tasks on {outer}×{inner} workers: wall {wall:.1?}, Σ task wall \
+             {busy:.1?}, busy {:.0}%",
+            100.0 * busy.as_secs_f64() / (outer as f64 * wall.as_secs_f64())
+        );
+    }
+    outcome
 }
 
 fn run_list(args: &Args) {
@@ -885,11 +966,16 @@ fn run_list(args: &Args) {
 
 /// Run banners go to stdout for figure-file runs and to stderr when rows
 /// stream on stdout, so piped output stays machine-readable.
-fn banner(args: &Args, line: String) {
+fn say(args: &Args, text: &str) -> Result<(), String> {
     if args.format == Format::Csv {
-        println!("{line}");
-    } else if !args.quiet {
-        eprintln!("{line}");
+        std::io::stdout()
+            .write_all(text.as_bytes())
+            .map_err(|e| format!("stdout write failed: {e}"))
+    } else {
+        if !args.quiet {
+            eprint!("{text}");
+        }
+        Ok(())
     }
 }
 
@@ -902,70 +988,63 @@ fn main() -> ExitCode {
         }
     };
 
-    match &args.command {
+    let done = match &args.command {
         Command::List => {
             run_list(&args);
-            ExitCode::SUCCESS
+            Ok(())
         }
         Command::Audit {
             list_rules,
             jsonl,
             root,
-        } => run_audit(*list_rules, *jsonl, root.as_deref()),
-        Command::Table => match run_table(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
-        Command::Custom(spec) => {
-            banner(
-                &args,
-                format!(
-                    "# repro: custom experiment, scale={}, seed={}, out={}",
-                    args.scale_name,
-                    args.seed,
-                    args.out.display()
-                ),
-            );
-            match execute(spec, &args) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Command::Figures { figs, table } => {
-            banner(
-                &args,
-                format!(
-                    "# repro: scale={} (large={}, huge={}), seed={}, out={}",
-                    args.scale_name,
-                    args.scale.large,
-                    args.scale.huge,
-                    args.seed,
-                    args.out.display()
-                ),
-            );
-            for n in figs {
-                let Some(spec) = spec_for(*n, &args.scale) else {
-                    eprintln!("fig{n:02}: unknown figure number");
-                    return ExitCode::FAILURE;
-                };
-                if let Err(e) = execute(&spec, &args) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if *table {
-                if let Err(e) = run_table(&args) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
+        } => return run_audit(*list_rules, *jsonl, root.as_deref()),
+        Command::Table => run_tasks(&args, vec![Task::Table]),
+        Command::Custom(spec) => say(
+            &args,
+            &format!(
+                "# repro: custom experiment, scale={}, seed={}, out={}\n",
+                args.scale_name,
+                args.seed,
+                args.out.display()
+            ),
+        )
+        .and_then(|()| run_tasks(&args, vec![Task::Figure(spec)])),
+        Command::Figures { figs, table } => run_figures(&args, figs, *table),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
+}
+
+/// Resolves every requested figure before any work starts (a bad number
+/// fails the invocation with nothing run and nothing written), then runs
+/// figures and table as one task list.
+fn run_figures(args: &Args, figs: &[u32], table: bool) -> Result<(), String> {
+    let specs = figs
+        .iter()
+        .map(|&n| {
+            spec_for(n, &args.scale).ok_or_else(|| format!("fig{n:02}: unknown figure number"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    say(
+        args,
+        &format!(
+            "# repro: scale={} (large={}, huge={}), seed={}, out={}\n",
+            args.scale_name,
+            args.scale.large,
+            args.scale.huge,
+            args.seed,
+            args.out.display()
+        ),
+    )?;
+    let tasks = specs
+        .iter()
+        .map(Task::Figure)
+        .chain(table.then_some(Task::Table))
+        .collect();
+    run_tasks(args, tasks)
 }

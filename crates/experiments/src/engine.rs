@@ -4,11 +4,11 @@
 //! This subsumes the drive loops the 20 `figNN` generators used to
 //! hand-roll. The engine resolves the spec's seed-derivation streams (the
 //! historic figures' conventions, pinned bit-for-bit by
-//! `tests/golden_figures.rs`), fans replications out over worker threads in
-//! chunks, and streams every finished curve point through a
-//! [`ResultSink`] — so CSV/JSON output materializes while a long sweep is
-//! still running, and a `--jobs` override changes wall-clock time but
-//! never results.
+//! `tests/golden_figures.rs`), fans replications out over worker threads
+//! through one ordered queue ([`map_ordered`]), and streams every finished
+//! curve point through a [`ResultSink`] — so CSV/JSON output materializes
+//! while a long sweep is still running, and a `--jobs` override changes
+//! wall-clock time but never results.
 //!
 //! Seed-derivation contract (all streams split off with
 //! [`derive_seed`]):
@@ -31,7 +31,7 @@ use crate::sharded::{run_scenario_des_sharded, ShardSync};
 use crate::sink::{ExperimentMeta, ResultSink, Row, RunStats};
 use crate::spec::{ExecMode, ExperimentSpec, Presentation, SweepMetric};
 use p2p_estimation::{with_async_protocol, Heuristic, ProtocolSpec, SyncStep};
-use p2p_sim::parallel::{default_threads, par_map};
+use p2p_sim::parallel::{default_threads, map_ordered};
 use p2p_sim::rng::{derive_seed, replication_seeds, small_rng};
 use p2p_stats::series::Figure;
 use p2p_stats::Series;
@@ -65,9 +65,11 @@ impl MetricsConfig {
 /// never results; `shards` is different — see its doc.
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
-    /// Worker threads per replication batch; `None` keeps each
-    /// presentation's historic policy ([`replication_threads`] /
-    /// [`default_threads`]).
+    /// Concurrent simulations for the whole invocation (figures first,
+    /// then replications; `--shards K` divides it) — here, this
+    /// experiment's share of that budget (see [`split_budget`]): its
+    /// replication workers. `None` keeps each presentation's historic
+    /// policy ([`replication_threads`] / [`default_threads`]).
     pub jobs: Option<usize>,
     /// Telemetry capture (`repro run --metrics`); `None` disables it.
     /// Captured runs and uncaptured runs produce bit-identical results.
@@ -233,32 +235,30 @@ fn batch_threads(opts: &EngineOptions, reps: usize) -> usize {
     threads.min((cores / opts.shards as usize).max(1))
 }
 
-/// Chunked parallel replications: seeds follow the workspace-wide
+/// Splits an invocation's worker budget `jobs` over `tasks` independent
+/// experiments: `outer` of them run concurrently, each with `inner`
+/// replication workers, so `outer × inner ≤ jobs` simulations are ever
+/// live. Tasks come first because they have no barrier between them; a
+/// single task keeps the whole budget for its replications.
+pub fn split_budget(jobs: usize, tasks: usize) -> (usize, usize) {
+    let outer = jobs.min(tasks).max(1);
+    (outer, (jobs / outer).max(1))
+}
+
+/// Streamed parallel replications: seeds follow the workspace-wide
 /// [`replication_seeds`] convention (so results are bit-identical to
 /// [`run_replications`](crate::runner::run_replications) at any thread
-/// count), but finished chunks reach `emit` in replication order while
-/// later chunks are still computing.
+/// count), and each finished replication reaches `emit` in replication
+/// order while later ones are still computing.
 fn replications_streamed<T: Send>(
     threads: usize,
     master_seed: u64,
     replications: usize,
     f: impl Fn(usize, u64) -> T + Sync,
-    mut emit: impl FnMut(usize, T),
+    emit: impl FnMut(usize, T),
 ) {
     let seeds: Vec<u64> = replication_seeds(master_seed, replications).collect();
-    let threads = threads.max(1);
-    for (c, chunk) in seeds.chunks(threads).enumerate() {
-        let base = c * threads;
-        let tasks: Vec<(usize, u64)> = chunk
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(j, s)| (base + j, s))
-            .collect();
-        for (gi, r) in par_map(tasks, threads, |_, (gi, seed)| (gi, f(gi, seed))) {
-            emit(gi, r);
-        }
-    }
+    map_ordered(seeds, threads, f, emit);
 }
 
 /// Figs 1–4/18: one sync trace on the quality axis, smoothed curve first.
@@ -511,9 +511,12 @@ fn sweep_summary(
     let sweep = spec.sweep.as_ref().expect("SweepSummary needs a sweep");
     let tel = opts.metrics.as_ref().map(|m| m.telemetry_opts());
     let reps = spec.replications.max(1);
-    let threads = batch_threads(opts, reps);
-    let total = sweep.values.len() * spec.protocols.len();
-    let mut done = 0usize;
+    // One group per (sweep point, protocol entry) in row order, `reps`
+    // replication seeds each. Every replication of every group goes to the
+    // workers as one queue — no barrier between groups — and the ordered
+    // emit side closes a group when its last replication arrives.
+    let mut groups = Vec::new();
+    let mut seeds = Vec::new();
     for (li, &v) in sweep.values.iter().enumerate() {
         let point_seed = derive_seed(master_seed, sweep.seed_base + li as u64);
         for entry in &spec.protocols {
@@ -526,35 +529,45 @@ fn sweep_summary(
                 || derive_seed(exp_seed, li as u64),
                 |s| derive_seed(point_seed, s),
             );
-            let mut traces: Vec<Trace> = Vec::with_capacity(reps);
-            replications_streamed(
-                threads,
+            seeds.extend(replication_seeds(seed, reps));
+            groups.push((entry, scenario, v));
+        }
+    }
+    let threads = batch_threads(opts, seeds.len());
+    let total = groups.len();
+    let mut traces: Vec<Trace> = Vec::with_capacity(reps);
+    map_ordered(
+        seeds,
+        threads,
+        |t, seed| {
+            let (entry, scenario, _) = &groups[t / reps];
+            let i = t % reps;
+            run_one(
+                &entry.protocol,
+                entry.mode,
+                scenario,
+                entry.heuristic,
                 seed,
-                reps,
-                |i, seed| {
-                    run_one(
-                        &entry.protocol,
-                        entry.mode,
-                        &scenario,
-                        entry.heuristic,
-                        seed,
-                        format!("Estimation #{}", i + 1),
-                        if i == 0 { tel } else { None },
-                        opts.shards,
-                    )
-                },
-                |_, (trace, snaps, _)| {
-                    traces.push(trace);
-                    if let Some(mf) = metrics.as_mut() {
-                        // Sweep-point snapshots are qualified by axis value,
-                        // so one metrics file covers the whole sweep.
-                        for mut s in snaps {
-                            s.series = format!("{} {}", entry.series_label(), sweep.axis.label(v));
-                            mf.write(&s);
-                        }
-                    }
-                },
-            );
+                format!("Estimation #{}", i + 1),
+                if i == 0 { tel } else { None },
+                opts.shards,
+            )
+        },
+        |t, (trace, snaps, _)| {
+            let group = t / reps;
+            let (entry, scenario, v) = &groups[group];
+            traces.push(trace);
+            if let Some(mf) = metrics.as_mut() {
+                // Sweep-point snapshots are qualified by axis value,
+                // so one metrics file covers the whole sweep.
+                for mut s in snaps {
+                    s.series = format!("{} {}", entry.series_label(), sweep.axis.label(*v));
+                    mf.write(&s);
+                }
+            }
+            if traces.len() < reps {
+                return;
+            }
             let y = match metric {
                 SweepMetric::MeanAbsErrPct => mean_abs_err_pct(&traces),
                 // A timeline too short for one reporting period (epoched
@@ -571,18 +584,18 @@ fn sweep_summary(
             if let Some(y) = y {
                 sink.row(&Row {
                     series: entry.series_label(),
-                    x: sweep.axis.x(v),
+                    x: sweep.axis.x(*v),
                     y,
                 });
             }
-            done += 1;
+            traces.clear();
             sink.progress(
-                done,
+                group + 1,
                 total,
-                &format!("{} {}", entry.series_label(), sweep.axis.label(v)),
+                &format!("{} {}", entry.series_label(), sweep.axis.label(*v)),
             );
-        }
-    }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -609,15 +622,47 @@ mod tests {
 
     #[test]
     fn streamed_replications_match_the_batch_helper() {
-        // Chunked streaming must use the exact seed convention of
-        // par_replications_on, at any thread count.
+        // Streaming must use the exact seed convention of
+        // par_replications_on, in replication order, at any thread count.
         let batch = p2p_sim::parallel::par_replications_on(3, 42, 7, |i, seed| (i, seed));
-        let mut streamed = Vec::new();
-        replications_streamed(3, 42, 7, |i, seed| (i, seed), |_, r| streamed.push(r));
-        assert_eq!(batch, streamed);
-        let mut single = Vec::new();
-        replications_streamed(1, 42, 7, |i, seed| (i, seed), |_, r| single.push(r));
-        assert_eq!(batch, single);
+        for threads in [1, 2, 3, 7, 16] {
+            let mut streamed = Vec::new();
+            replications_streamed(
+                threads,
+                42,
+                7,
+                |i, seed| (i, seed),
+                |i, r| {
+                    assert_eq!(i, streamed.len(), "threads={threads}");
+                    streamed.push(r);
+                },
+            );
+            assert_eq!(batch, streamed, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn budget_goes_to_tasks_first_and_is_never_overspent() {
+        for (jobs, tasks, want) in [
+            (1, 1, (1, 1)),
+            (1, 24, (1, 1)),
+            (2, 24, (2, 1)),
+            (2, 1, (1, 2)),
+            (8, 1, (1, 8)),
+            (8, 3, (3, 2)),
+            (7, 2, (2, 3)),
+            (64, 24, (24, 2)),
+            (5, 24, (5, 1)),
+        ] {
+            assert_eq!(split_budget(jobs, tasks), want, "J={jobs}, tasks={tasks}");
+        }
+        for jobs in 1..=20 {
+            for tasks in 1..=30 {
+                let (outer, inner) = split_budget(jobs, tasks);
+                assert!(outer >= 1 && inner >= 1);
+                assert!(outer <= tasks && outer * inner <= jobs);
+            }
+        }
     }
 
     #[test]
