@@ -46,7 +46,9 @@ pub enum TargetMode {
     /// ≈7-neighbor view makes early extinction likely (≈1/6 of spreads die
     /// near the initiator) and grows a long straggler tail of huge believed
     /// distances whose exponential reply weights destroy the estimator's
-    /// variance. Kept as an ablation (`bench_ablations::hs_target_mode`).
+    /// variance. The paper-literal reading, kept beside the default so
+    /// `spread::tests::neighbor_mode_reaches_fewer_nodes_and_longer_distances`
+    /// can assert the difference.
     Neighbors,
 }
 
@@ -335,6 +337,39 @@ mod tests {
         assert!(
             (8.6..9.4).contains(&mean),
             "unbiased extrapolation should give ≈9, got {mean}"
+        );
+    }
+
+    #[test]
+    fn lower_min_hops_saves_little_and_degrades_accuracy() {
+        // §V(m): lowering minHopsReporting "does not significantly reduce
+        // the overhead, while degrading accuracy" — the gossip spread
+        // dominates the cost, and fewer deterministic replies leave more of
+        // the sum to high-weight lottery tickets.
+        let mut rng = small_rng(207);
+        let graph = HeterogeneousRandom::paper(5_000).build(&mut rng);
+        let runs = 200;
+        let mut measure = |m: u32| {
+            let mut hs = HopsSampling {
+                config: HopsSamplingConfig::paper().with_min_hops(m),
+            };
+            let mut msgs = MessageCounter::new();
+            let mut abs_err = 0.0;
+            for _ in 0..runs {
+                let est = hs.estimate(&graph, &mut rng, &mut msgs).unwrap();
+                abs_err += (est / 5_000.0 - 1.0).abs();
+            }
+            (msgs.total() as f64, abs_err / runs as f64)
+        };
+        let (cost_2, err_2) = measure(2);
+        let (cost_5, err_5) = measure(5);
+        assert!(
+            cost_2 <= cost_5 && cost_2 > 0.9 * cost_5,
+            "m=2 should cost slightly less: {cost_2} vs {cost_5}"
+        );
+        assert!(
+            err_2 > 1.3 * err_5,
+            "m=2 should be clearly less accurate: {err_2} vs {err_5}"
         );
     }
 

@@ -16,11 +16,6 @@
 //!   Montresor, ICDCS 2004, plus the epoch-tag restart variant the paper
 //!   uses in dynamic networks (§IV-D).
 //!
-//! The [`baselines`] module carries the alternatives the paper discusses but
-//! rejects (Random Tour, biased inverted birthday paradox, the `gossipSample`
-//! reply heuristic), so that each rejection can be re-validated as an
-//! ablation.
-//!
 //! The [`net_protocol`] module lifts all three classes onto the
 //! message-level network (`p2p_sim::Network`): event-driven
 //! [`NodeProtocol`] implementations whose every hop, gossip copy and reply
@@ -60,7 +55,6 @@
 
 pub mod aggregation;
 pub mod arena;
-pub mod baselines;
 pub mod heuristics;
 pub mod hops_sampling;
 pub mod monitor;

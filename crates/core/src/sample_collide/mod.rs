@@ -31,8 +31,9 @@ use rand::rngs::SmallRng;
 /// The quadratic moment formula carries a positive bias of order `C/2N`
 /// (≈ +3% at the paper's 100k/l=200 operating point, growing fast on small
 /// overlays), while the likelihood inversion is scale-free — so the latter
-/// is the default and the former is kept for the bias ablation
-/// (`bench_ablations::estimator`).
+/// is the default and the former is kept as the paper-literal reference
+/// (`estimator::tests::mle_close_to_moment_for_large_l` and
+/// `mle_handles_small_overlays` assert where the two part).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CollisionEstimator {
     /// Moment estimator `N̂ = C·(C−1) / (2l)`; for `l = 1` this is the

@@ -112,7 +112,8 @@ impl PeerSampler for RandomWalkSampler {
 /// On graphs with heterogeneous degrees the endpoint distribution converges
 /// to the *degree-biased* stationary distribution, over-sampling hubs — the
 /// weakness of the original inverted-birthday-paradox scheme \[2\] that
-/// Sample&Collide fixes. Used by `bench_baselines::biased_birthday`.
+/// Sample&Collide fixes (`tests::ctrw_beats_fixed_hop_on_scale_free`
+/// measures the gap).
 #[derive(Clone, Copy, Debug)]
 pub struct FixedHopSampler {
     /// Number of uniform-neighbor hops per sample.

@@ -16,8 +16,8 @@
 //! names and a handful of numeric knobs). Omitted keys default to the
 //! paper's parameterization, so `"sample-collide"` *is* Figs 1/2's
 //! `l = 200, T = 10` configuration and `"sample-collide:l=10"` is Fig 18's
-//! cheap one. This is the substrate the experiment registry, the benches
-//! and the `repro` CLI all build protocols from, replacing ad-hoc
+//! cheap one. This is the substrate the experiment registry, the `repro`
+//! CLI and `node cluster` all build protocols from, replacing ad-hoc
 //! constructor calls.
 
 use crate::aggregation::{Aggregation, AggregationConfig, EpochedAggregation};
@@ -61,6 +61,26 @@ pub fn parse_params(s: &str) -> Result<Vec<(&str, &str)>, SpecError> {
 pub fn parse_value<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, SpecError> {
     v.parse()
         .map_err(|_| SpecError(format!("bad value `{v}` for `{key}`")))
+}
+
+/// Parses a parameter that must also satisfy `ok`; the error names key,
+/// value and the allowed `range`. Spec strings arrive from the command
+/// line, so a value the protocol constructors would assert on (or silently
+/// turn into a garbage estimate) is rejected here, before anything runs.
+fn parse_in_range<T: std::str::FromStr>(
+    key: &str,
+    v: &str,
+    range: &str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, SpecError> {
+    let value = parse_value(key, v)?;
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(SpecError(format!(
+            "`{key}={v}` is out of range ({key} must be {range})"
+        )))
+    }
 }
 
 /// Default estimation timeout (step windows) of the event-driven
@@ -177,9 +197,13 @@ impl ProtocolSpec {
     fn set(&mut self, key: &str, v: &str) -> Result<(), SpecError> {
         match self {
             ProtocolSpec::SampleCollide { l, timer, timeout } => match key {
-                "l" => *l = parse_value(key, v)?,
-                "t" | "timer" => *timer = parse_value(key, v)?,
-                "timeout" => *timeout = parse_value(key, v)?,
+                "l" => *l = parse_in_range(key, v, ">= 1", |&l: &u32| l >= 1)?,
+                "t" | "timer" => {
+                    *timer = parse_in_range(key, v, "finite and > 0", |&t: &f64| {
+                        t.is_finite() && t > 0.0
+                    })?
+                }
+                "timeout" => *timeout = parse_in_range(key, v, ">= 1", |&t: &u64| t >= 1)?,
                 _ => {
                     return Err(SpecError(format!(
                         "unknown sample-collide key `{key}` (l | t | timeout)"
@@ -192,7 +216,7 @@ impl ProtocolSpec {
                 gossip_until,
                 min_hops,
             } => match key {
-                "to" => *gossip_to = parse_value(key, v)?,
+                "to" => *gossip_to = parse_in_range(key, v, ">= 1", |&to: &u32| to >= 1)?,
                 "for" => *gossip_for = parse_value(key, v)?,
                 "until" => *gossip_until = parse_value(key, v)?,
                 "min-hops" | "m" => *min_hops = parse_value(key, v)?,
@@ -203,7 +227,7 @@ impl ProtocolSpec {
                 }
             },
             ProtocolSpec::Aggregation { rounds, epoched } => match key {
-                "rounds" => *rounds = parse_value(key, v)?,
+                "rounds" => *rounds = parse_in_range(key, v, ">= 1", |&r: &u32| r >= 1)?,
                 "epoched" => *epoched = parse_value(key, v)?,
                 _ => {
                     return Err(SpecError(format!(
@@ -507,6 +531,54 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("bad value"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_rejected_and_used_specs_still_parse() {
+        // Each of these used to reach a constructor assert (`timeout=0`
+        // panicked in `with_timeout`) or run to a garbage estimate.
+        let rejected = [
+            ("sample-collide:l=0", "l"),
+            ("sample-collide:l=10,timeout=0", "timeout"),
+            ("sample-collide:t=0", "t"),
+            ("sample-collide:t=-1", "t"),
+            ("sample-collide:t=nan", "t"),
+            ("sample-collide:timer=inf", "timer"),
+            ("hops-sampling:to=0", "to"),
+            ("aggregation:rounds=0", "rounds"),
+            ("aggregation:epoched=false,rounds=0", "rounds"),
+        ];
+        for (text, key) in rejected {
+            let err = ProtocolSpec::parse(text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("`{key}=")) && err.contains("out of range"),
+                "{text}: {err}"
+            );
+        }
+        // Every spec string the figure registry, README, verify notes and CI
+        // jobs pass on a command line.
+        let used = [
+            "sample-collide",
+            "sample-collide:l=10",
+            "sample-collide:l=10,timeout=12",
+            "sample-collide:l=10,timeout=40",
+            "sample-collide:l=10,timeout=50",
+            "hops-sampling",
+            "aggregation",
+            "aggregation:epoched=false",
+            "aggregation:rounds=20",
+            "aggregation:rounds=25",
+            "aggregation:rounds=30",
+            "aggregation:rounds=60",
+        ];
+        for text in used {
+            let spec = ProtocolSpec::parse(text).unwrap();
+            assert_eq!(spec.to_string(), text);
+        }
+        // Boundary values stay legal.
+        ProtocolSpec::parse("sc:l=1,t=0.5,timeout=1").unwrap();
+        ProtocolSpec::parse("hs:to=1,for=0,until=0,min-hops=0").unwrap();
+        ProtocolSpec::parse("agg:rounds=1").unwrap();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! [`spec_for`] returns the declarative description of a figure at a given
 //! scale; [`by_number`] (and the `figNN` convenience wrappers) run it and
-//! return a plot-ready [`Figure`]. The mapping spec → paper figure → bench
-//! target is tabulated in `DESIGN.md`; `tests/golden_figures.rs` pins every
+//! return a plot-ready [`Figure`]. The mapping spec → paper figure is
+//! tabulated in `DESIGN.md`; `tests/golden_figures.rs` pins every
 //! registry-generated figure bit-for-bit against the pre-registry
 //! generators.
 

@@ -6,7 +6,7 @@
 //! presentation) executed by one generic [`engine`], streaming rows
 //! through a [`ResultSink`]. The paper's 20 figures are registered specs
 //! ([`figures::spec_for`]); free-form specs cover experiments the paper
-//! never drew. The spec → figure → bench mapping lives in `DESIGN.md`.
+//! never drew. The spec → figure mapping lives in `DESIGN.md`.
 //! Everything is driven by the `repro` binary:
 //!
 //! ```text
@@ -26,7 +26,6 @@
 //! Estimation quality and cost *shapes* are scale-free (that is the point of
 //! the algorithms); absolute message counts grow with N as derived in §IV-E.
 
-pub mod delay;
 pub mod engine;
 pub mod figures;
 pub mod runner;

@@ -35,7 +35,7 @@ impl ExperimentScale {
     }
 
     /// A 10×-reduced scale preserving every qualitative shape; the default
-    /// for `cargo bench` and the `repro` CLI.
+    /// for the `repro` CLI.
     pub fn small() -> Self {
         ExperimentScale {
             large: 10_000,
@@ -97,16 +97,6 @@ impl ExperimentScale {
             "huge" => Some(Self::huge()),
             "huge-smoke" => Some(Self::huge_smoke()),
             _ => None,
-        }
-    }
-
-    /// Resolves the scale for benches: `P2P_PAPER_SCALE=1` selects
-    /// [`paper`](Self::paper), anything else [`small`](Self::small).
-    pub fn from_env() -> Self {
-        // audit:allow(env-read): explicit bench-harness opt-in knob; it selects a named scale, never feeds figure output
-        match std::env::var("P2P_PAPER_SCALE") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Self::paper(),
-            _ => Self::small(),
         }
     }
 }

@@ -221,7 +221,8 @@ impl Scenario {
     /// a `partition_point` range lookup rather than a scan of the whole
     /// schedule — a growing/shrinking scenario's schedule has one entry per
     /// timeline step, which made the historic linear filter O(steps) *per
-    /// step* (see `bench_ablations::ops_at_lookup`).
+    /// step* (`tests::ops_at_range_lookup_matches_a_linear_scan` keeps that
+    /// filter as the oracle).
     pub fn ops_at(&self, step: u64) -> impl Iterator<Item = ChurnOp> + '_ {
         debug_assert!(
             self.schedule.windows(2).all(|w| w[0].0 <= w[1].0),

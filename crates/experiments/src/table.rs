@@ -29,13 +29,6 @@ pub struct Table1Row {
     pub overhead_messages: f64,
 }
 
-impl Table1Row {
-    /// Overhead in millions of messages, as the paper prints it.
-    pub fn overhead_millions(&self) -> f64 {
-        self.overhead_messages / 1.0e6
-    }
-}
-
 /// The reproduced Table I.
 #[derive(Clone, Debug)]
 pub struct Table1 {

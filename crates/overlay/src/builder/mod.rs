@@ -9,21 +9,17 @@
 //! * [`BarabasiAlbert`] — scale-free graph with growth and preferential
 //!   attachment (Fig 7), 3 links minimum per arriving node.
 //!
-//! We additionally provide [`HomogeneousRandom`] (the paper notes homogeneous
-//! degree "consistently improved all algorithms" — used by the topology
-//! ablation), [`ErdosRenyi`], [`RingLattice`] and [`WattsStrogatz`] as extra
-//! test topologies, since the algorithms are "generally applicable
-//! irrespective of the underlying structure".
+//! We additionally provide [`ErdosRenyi`], [`RingLattice`] and
+//! [`WattsStrogatz`] as extra test topologies, since the algorithms are
+//! "generally applicable irrespective of the underlying structure".
 
 mod erdos_renyi;
 pub(crate) mod heterogeneous;
-mod homogeneous;
 mod ring;
 mod scale_free;
 
 pub use erdos_renyi::ErdosRenyi;
 pub use heterogeneous::{wire_new_node, HeterogeneousRandom};
-pub use homogeneous::HomogeneousRandom;
 pub use ring::{RingLattice, WattsStrogatz};
 pub use scale_free::BarabasiAlbert;
 

@@ -9,8 +9,8 @@
 //! * [`Graph`] — a mutable undirected overlay: adjacency lists, an alive-set
 //!   with O(1) uniform sampling of alive nodes, and O(degree) node removal.
 //! * [`builder`] — the paper's heterogeneous random-graph construction
-//!   (§IV-A), homogeneous k-regular graphs, Barabási–Albert scale-free graphs
-//!   (Fig 7), Erdős–Rényi graphs and ring/Watts–Strogatz lattices for tests.
+//!   (§IV-A), Barabási–Albert scale-free graphs (Fig 7), Erdős–Rényi graphs
+//!   and ring/Watts–Strogatz lattices for tests.
 //! * [`churn`] — node arrivals, departures and catastrophic failures with the
 //!   paper's no-repair semantics (survivors do not re-wire lost links).
 //! * [`connectivity`] — BFS components, reachability and hop distances.
@@ -36,7 +36,6 @@ pub mod builder;
 pub mod churn;
 pub mod connectivity;
 pub mod graph;
-pub mod io;
 pub mod membership;
 pub mod metrics;
 pub mod node;

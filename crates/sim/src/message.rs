@@ -15,7 +15,7 @@ use std::fmt;
 /// The kinds of messages the three candidate algorithms exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MessageKind {
-    /// One hop of a Sample&Collide (or Random Tour) random walk.
+    /// One hop of a Sample&Collide random walk.
     WalkStep,
     /// A sampled node returning its id to the walk initiator.
     SampleReply,

@@ -1,5 +1,5 @@
-//! `(x, y)` data series — the exchange format between experiment runners,
-//! benches and the CSV files a plotting tool would consume.
+//! `(x, y)` data series — the exchange format between experiment runners
+//! and the CSV files a plotting tool would consume.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};

@@ -10,7 +10,7 @@
 //! * [`overlay`] — unstructured overlay graphs, builders, churn.
 //! * [`sim`] — discrete-event message-counting simulator.
 //! * [`stats`] — statistics toolkit used by the experiments.
-//! * [`estimation`] — the three size-estimation algorithms and baselines.
+//! * [`estimation`] — the three size-estimation algorithms.
 //! * [`workload`] — streamed churn models (heavy-tailed sessions, diurnal,
 //!   flash crowds, regional failures) with trace record/replay.
 //! * [`experiments`] — figure/table reproduction scenarios.

@@ -1,6 +1,8 @@
 //! Message-level DES integration tests: the golden zero-latency contract,
-//! determinism under latency + loss, the loss-monotonicity property and
-//! graph invariants under delivery/churn interleavings.
+//! determinism under latency + loss, the loss-monotonicity property, graph
+//! invariants under delivery/churn interleavings, and how far each class's
+//! round-driven (sync) form agrees with its event-driven (async) form over
+//! an ideal network.
 //!
 //! (The companion file `golden_trace.rs` pins the deeper half of the
 //! contract: the network-routed `run_scenario` reproduces the *historic*
@@ -9,8 +11,8 @@
 use p2p_size_estimation::estimation::aggregation::AggregationConfig;
 use p2p_size_estimation::estimation::net_protocol::Networked;
 use p2p_size_estimation::estimation::{
-    AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Heuristic, SampleCollide,
-    SizeEstimator,
+    with_async_protocol, AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Heuristic,
+    ProtocolSpec, SampleCollide, SizeEstimator,
 };
 use p2p_size_estimation::experiments::runner::{run_scenario, run_scenario_des, Trace};
 use p2p_size_estimation::experiments::Scenario;
@@ -18,19 +20,40 @@ use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::churn;
 use p2p_size_estimation::sim::network::NetworkModel;
 use p2p_size_estimation::sim::rng::small_rng;
-use p2p_size_estimation::sim::{HopLatency, MessageCounter};
+use p2p_size_estimation::sim::{HopLatency, MessageCounter, MessageKind};
+use p2p_size_estimation::stats::summary::summarize;
 use proptest::prelude::*;
 
-fn assert_traces_identical(a: &Trace, b: &Trace, what: &str) {
+/// What a run reported and what it was charged: the part of a [`Trace`] the
+/// sync and async forms of a protocol can share. (`net` and `engine` differ
+/// between the forms by design — the sync adapter routes nothing.)
+fn assert_reports_identical(a: &Trace, b: &Trace, what: &str) {
     assert_eq!(a.completed, b.completed, "{what}: completed");
     assert_eq!(a.messages, b.messages, "{what}: messages");
-    assert_eq!(a.net, b.net, "{what}: net stats");
     assert_eq!(a.estimates.points.len(), b.estimates.points.len(), "{what}");
     for (&(xa, ya), &(xb, yb)) in a.estimates.points.iter().zip(&b.estimates.points) {
         assert_eq!(xa.to_bits(), xb.to_bits(), "{what}: x");
         assert_eq!(ya.to_bits(), yb.to_bits(), "{what}: y at x={xa}");
     }
     assert_eq!(a.real_size.points, b.real_size.points, "{what}: truth");
+}
+
+fn assert_traces_identical(a: &Trace, b: &Trace, what: &str) {
+    assert_reports_identical(a, b, what);
+    assert_eq!(a.net, b.net, "{what}: net stats");
+}
+
+/// One spec, one scenario, one seed, in either execution form — what `repro
+/// run --mode sync` / `--mode async` build.
+fn run_form(spec: ProtocolSpec, scenario: &Scenario, seed: u64, sync: bool) -> Trace {
+    if sync {
+        let mut p = spec.build_sync();
+        run_scenario(&mut *p, scenario, Heuristic::OneShot, seed, "x")
+    } else {
+        with_async_protocol!(spec.build_async(), mut p => {
+            run_scenario_des(&mut p, scenario, Heuristic::OneShot, seed, "x")
+        })
+    }
 }
 
 #[test]
@@ -123,6 +146,92 @@ fn all_three_classes_run_under_latency_and_loss_deterministically() {
     assert!(hs.completed >= 8, "hs completed {}", hs.completed);
     assert!(agg.completed >= 2, "agg completed {}", agg.completed);
     assert!(sc.completed <= 10);
+}
+
+#[test]
+fn sample_collide_sync_and_async_on_ideal_are_the_same_run() {
+    // Over the ideal network (zero latency, zero loss) a walk token is the
+    // only thing in flight, so the event-driven form draws from the RNG in
+    // exactly the round-driven form's order: same estimates, same truth,
+    // same per-kind message bill, churn or not. The async form pays for
+    // that with an event per hop — measured 2.4–4.5× the sync wall time on
+    // `repro run` (0.18 → 0.81 s at n = 2 000 / l = 50, 0.50 → 1.20 s at
+    // n = 100 000 / l = 200) — which is why both forms still exist: the
+    // figures run the sync one. A unification must keep this identity.
+    let scenarios = [
+        Scenario::static_network(2_000, 8),
+        Scenario::catastrophic(2_000, 8),
+        Scenario::growing(2_000, 8, 0.5),
+        Scenario::shrinking(2_000, 8, 0.5),
+    ];
+    for scenario in &scenarios {
+        for l in [10u32, 50] {
+            let spec = ProtocolSpec::parse(&format!("sample-collide:l={l}")).unwrap();
+            for seed in [3u64, 4101] {
+                let sync = run_form(spec, scenario, seed, true);
+                let des = run_form(spec, scenario, seed, false);
+                let what = format!("{} l={l} seed={seed}", scenario.name);
+                assert_reports_identical(&sync, &des, &what);
+                assert_eq!(sync.completed, 8, "{what}: every step reports");
+            }
+        }
+    }
+}
+
+#[test]
+fn gossip_classes_agree_between_sync_and_async_in_distribution() {
+    // HopsSampling and epoched Aggregation interleave many messages per
+    // step, so their async forms consume the RNG in a different order:
+    // the two forms agree in distribution, not bit for bit. Pooled over
+    // nine replications each, quality (estimate / truth) and the cost of
+    // one reported estimate, kind by kind, must match.
+    let rounds30 = ProtocolSpec::parse("aggregation:rounds=30").unwrap();
+    let cases = [
+        (
+            ProtocolSpec::hops_sampling_paper(),
+            Scenario::static_network(3_000, 24),
+        ),
+        (rounds30, Scenario::static_network(2_000, 60)),
+    ];
+    for (spec, scenario) in &cases {
+        let pooled = |sync: bool| {
+            let mut quality = Vec::new();
+            let mut messages = MessageCounter::new();
+            let mut reports = 0;
+            for seed in 5_200..5_209u64 {
+                let t = run_form(*spec, scenario, seed, sync);
+                let truth = t.real_size.points.iter();
+                quality.extend(t.estimates.points.iter().zip(truth).map(|(e, r)| e.1 / r.1));
+                messages.merge(&t.messages);
+                reports += t.completed;
+            }
+            (summarize(&quality), messages, reports)
+        };
+        let (q_sync, m_sync, r_sync) = pooled(true);
+        let (q_des, m_des, r_des) = pooled(false);
+        let what = spec.key();
+        assert_eq!(r_sync, r_des, "{what}: both forms report every slot");
+        assert!(
+            (q_sync.mean - q_des.mean).abs() < 0.03,
+            "{what}: mean quality {} vs {}",
+            q_sync.mean,
+            q_des.mean
+        );
+        assert!(
+            (q_sync.median - q_des.median).abs() < 0.03,
+            "{what}: median quality {} vs {}",
+            q_sync.median,
+            q_des.median
+        );
+        for kind in MessageKind::ALL {
+            let s = m_sync.get(kind) as f64 / r_sync as f64;
+            let d = m_des.get(kind) as f64 / r_des as f64;
+            assert!(
+                (s - d).abs() <= 0.10 * s.max(d),
+                "{what}: {kind:?} per estimate {s} vs {d}"
+            );
+        }
+    }
 }
 
 #[test]
