@@ -502,6 +502,17 @@ mod tests {
         HeterogeneousRandom::paper(n).build(&mut rng)
     }
 
+    /// The event core queues messages inline; `p2p_sim`'s
+    /// `queued_entry_is_at_most_48_bytes` sizes its entry for a 24-byte,
+    /// 8-aligned payload. A fatter wire format fails here first.
+    #[test]
+    fn wire_messages_fit_the_queued_entry() {
+        use std::mem::{align_of, size_of};
+        assert!(size_of::<AggMsg>() <= 24 && align_of::<AggMsg>() <= 8);
+        assert!(size_of::<ScMsg>() <= 24 && align_of::<ScMsg>() <= 8);
+        assert!(size_of::<HsMsg>() <= 24 && align_of::<HsMsg>() <= 8);
+    }
+
     /// A comfortable cadence for millisecond-latency tests: wide enough for
     /// a whole cheap estimation to land within a few windows.
     fn slow_net(latency_ms: f64) -> NetworkModel {

@@ -1,8 +1,8 @@
 //! The one drive loop for the [`Cx`] contract.
 //!
 //! A [`ShardCore`] is everything one event core needs to execute a
-//! [`NodeProtocol`]: the protocol instance, its [`Network`] (timing wheel,
-//! payload pool, latency/loss stream), its protocol RNG, the report buffer
+//! [`NodeProtocol`]: the protocol instance, its [`Network`] (timing wheel
+//! holding the in-flight messages, latency/loss stream), its protocol RNG, the report buffer
 //! and — when it hosts only a slice of the overlay — its [`ShardView`] and
 //! cross-shard [`Outbox`]. [`ShardCore::run_until`] is the only place
 //! matured events are popped and mapped onto `on_message` / `on_loss` /

@@ -67,7 +67,7 @@ pub fn parse_value<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, SpecEr
 /// value and the allowed `range`. Spec strings arrive from the command
 /// line, so a value the protocol constructors would assert on (or silently
 /// turn into a garbage estimate) is rejected here, before anything runs.
-fn parse_in_range<T: std::str::FromStr>(
+pub fn parse_in_range<T: std::str::FromStr>(
     key: &str,
     v: &str,
     range: &str,

@@ -168,6 +168,8 @@ impl ResultSink for ProgressPrinter {
                     s.shards, s.lookahead_ticks, s.barrier_rounds
                 )
             });
+            // `pool hit rate`: the share of scheduled events the wheel
+            // stored without allocating a chunk. Two CI jobs grep the token.
             eprintln!(
                 "  [stats] {} ({}): {} events dispatched, peak queue {}, {} sent, \
                  pool hit rate {:.4}, peak RSS {rss}{sync}",

@@ -73,7 +73,7 @@ pub struct Trace {
     /// does not route its traffic message-by-message.
     pub net: NetStats,
     /// Event-core accounting for the run: events dispatched, peak queue
-    /// depth, and the in-flight payload pool's hit/alloc counters (hit
+    /// depth, and the wheel's chunk-pool hit/alloc counters (hit
     /// rate ≈ 1 ⇔ zero steady-state allocations per send).
     pub engine: EngineStats,
 }

@@ -6,8 +6,8 @@
 //! uses (`crates/node`) — and runs the shards on worker threads that
 //! synchronize at **lookahead-window barriers**:
 //!
-//! * every shard owns a full event core ([`Network`]: timing wheel,
-//!   payload pool, private latency/loss stream) plus its own protocol
+//! * every shard owns a full event core ([`Network`]: timing wheel holding
+//!   its in-flight messages, private latency/loss stream) plus its own protocol
 //!   instance and derived RNG stream;
 //! * a message between co-hosted nodes stays entirely inside its shard;
 //! * a cross-shard send is routed through [`Network::route_remote`] and
@@ -184,7 +184,9 @@ fn exchange<P: NodeProtocol>(
 }
 
 /// Runs one scenario on `shards ≥ 2` parallel event cores (`K` is part of
-/// the result identity), on `min(K, cores)` worker threads.
+/// the result identity), on `min(K, cores)` threads: the caller's, which
+/// coordinates the rounds and executes a share of the shards itself, plus
+/// one per further worker — never more runnable threads than cores.
 ///
 /// `make(shard)` builds shard `shard`'s protocol instance; its
 /// [`ShardCore`] installs the shard's deployment, so the instance paces
@@ -300,35 +302,40 @@ where
         done: false,
     });
     let mut barrier_rounds = 0u64;
-    let start = Barrier::new(workers + 1);
-    let end = Barrier::new(workers + 1);
+    let start = Barrier::new(workers);
+    let end = Barrier::new(workers);
     // The first panic of the run, worker's or coordinator's; the barriers
     // are still met, so nobody parks forever on a failed peer.
     let failure: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // Worker `w`'s share of a window: shards `w, w + workers, …`.
+    let run_share = |w: usize, p: Plan| {
+        let window = catch_unwind(AssertUnwindSafe(|| {
+            let graph = graph_lock.read().expect("churn panics end the run");
+            for st in states.iter().skip(w).step_by(workers) {
+                let mut st = st.lock().expect("one worker per shard");
+                st.run_window(p, &graph);
+            }
+        }));
+        if let Err(payload) = window {
+            failure
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(payload);
+        }
+    };
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (states, graph_lock, plan, start, end, failure) =
-                (&states, &graph_lock, &plan, &start, &end, &failure);
+        // The coordinator is worker 0: a run is `workers` threads, all of
+        // them busy while a window executes.
+        for w in 1..workers {
+            let (plan, start, end, run_share) = (&plan, &start, &end, &run_share);
             scope.spawn(move || loop {
                 start.wait();
                 let p = *plan.lock().expect("the plan is only ever assigned");
                 if p.done {
                     return;
                 }
-                let ticks = catch_unwind(AssertUnwindSafe(|| {
-                    let graph = graph_lock.read().expect("churn panics end the run");
-                    for st in states.iter().skip(w).step_by(workers) {
-                        let mut st = st.lock().expect("one worker per shard");
-                        st.run_window(p, &graph);
-                    }
-                }));
-                if let Err(payload) = ticks {
-                    failure
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .get_or_insert(payload);
-                }
+                run_share(w, p);
                 end.wait();
             });
         }
@@ -370,15 +377,18 @@ where
                 }
             }
 
-            *plan.lock().expect("the plan is only ever assigned") = Plan {
+            let p = Plan {
                 tick,
                 until,
                 step: step_of_round,
                 done: false,
             };
+            *plan.lock().expect("the plan is only ever assigned") = p;
             barrier_rounds += 1;
             start.wait();
-            // Workers execute the window on every shard.
+            // Every worker, this thread among them, executes the window on
+            // its shards.
+            run_share(0, p);
             end.wait();
             if failure
                 .lock()

@@ -59,7 +59,9 @@ pub struct RunStats<'a> {
     pub events: u64,
     /// Peak simultaneous pending events.
     pub peak_queue: usize,
-    /// Payload-pool hit rate (1.0 ⇔ zero steady-state send allocations).
+    /// Share of scheduled events the wheel stored without allocating a
+    /// chunk ([`EngineStats::pool_hit_rate`](p2p_sim::EngineStats::pool_hit_rate);
+    /// → 1.0 once the chunk table covers the in-flight plateau).
     pub pool_hit_rate: f64,
     /// Messages sent over the network.
     pub sent: u64,

@@ -16,7 +16,7 @@
 //! CLI resolves into a concrete [`Scenario`].
 
 use crate::scenario::{Scenario, Topology};
-use p2p_estimation::spec::{parse_params, parse_value};
+use p2p_estimation::spec::{parse_in_range, parse_params, parse_value};
 use p2p_estimation::{Heuristic, ProtocolSpec, SpecError};
 use p2p_sim::{HopLatency, NetworkModel};
 use p2p_workload::{WorkloadSource, WorkloadSpec};
@@ -510,6 +510,12 @@ impl fmt::Display for ScenarioSpec {
 /// A parseable network model: `ideal`, `wan`, or `key=value,...` with keys
 /// `drop`, `latency` (mean ms), `jitter` (uniform half-spread ms),
 /// `link-spread` and `ticks` (step cadence).
+///
+/// Values are range-checked at parse time — `drop` and `link-spread` in
+/// `[0, 1]`, `latency` in `[0, 1e9]`, `jitter` ≥ 0 and below `latency`,
+/// `ticks` in `[1, 2^32]` — so that no run the CLI can express overflows
+/// the clock (`now + delay`, `steps × ticks`) or hands the latency sampler
+/// an empty or non-finite range.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkSpec(pub NetworkModel);
 
@@ -525,29 +531,24 @@ impl NetworkSpec {
         let mut model = NetworkModel::ideal();
         let mut mean = 0.0f64;
         let mut jitter = 0.0f64;
+        let unit = |x: &f64| (0.0..=1.0).contains(x);
         for (k, v) in parse_params(s)? {
             match k {
-                "drop" => {
-                    let rate: f64 = parse_value(k, v)?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(SpecError(format!("drop rate {rate} outside [0,1]")));
-                    }
-                    model = model.with_drop_rate(rate);
+                "drop" => model = model.with_drop_rate(parse_in_range(k, v, "in [0, 1]", unit)?),
+                "latency" => {
+                    mean = parse_in_range(k, v, "in [0, 1e9]", |x| (0.0..=1e9).contains(x))?;
                 }
-                "latency" => mean = parse_value(k, v)?,
-                "jitter" => jitter = parse_value(k, v)?,
+                "jitter" => {
+                    jitter = parse_in_range(k, v, "finite and ≥ 0", |x: &f64| {
+                        x.is_finite() && *x >= 0.0
+                    })?;
+                }
                 "link-spread" => {
-                    let spread: f64 = parse_value(k, v)?;
-                    if !(0.0..=1.0).contains(&spread) {
-                        return Err(SpecError(format!("link spread {spread} outside [0,1]")));
-                    }
-                    model = model.with_link_spread(spread);
+                    model = model.with_link_spread(parse_in_range(k, v, "in [0, 1]", unit)?);
                 }
                 "ticks" => {
-                    let ticks: u64 = parse_value(k, v)?;
-                    if ticks == 0 {
-                        return Err(SpecError("ticks must be ≥ 1".to_string()));
-                    }
+                    let ticks =
+                        parse_in_range(k, v, "in [1, 2^32]", |t| (1..=1u64 << 32).contains(t))?;
                     model = model.with_step_ticks(ticks);
                 }
                 other => {
@@ -560,7 +561,7 @@ impl NetworkSpec {
         }
         if jitter > 0.0 && jitter >= mean {
             return Err(SpecError(format!(
-                "jitter {jitter} must stay below the latency mean {mean}"
+                "`jitter={jitter}` is out of range (jitter must stay below latency={mean})"
             )));
         }
         if mean > 0.0 {
@@ -695,6 +696,81 @@ mod tests {
             "drop=0.01,latency=100,jitter=40,link-spread=0.25,ticks=2000",
         ] {
             let spec = NetworkSpec::parse(text).unwrap();
+            assert_eq!(
+                NetworkSpec::parse(&spec.to_string()).unwrap(),
+                spec,
+                "{text}"
+            );
+        }
+    }
+
+    /// Values that used to panic inside the event core (`latency=1e19`,
+    /// `jitter=nan`, `ticks=u64::MAX`) or silently ran as the ideal network
+    /// (`latency=nan`, `latency=-5`) are spec errors naming their key.
+    #[test]
+    fn network_spec_rejects_out_of_range_values_by_key() {
+        for (text, key) in [
+            ("latency=1e19", "latency"),
+            ("latency=inf", "latency"),
+            ("latency=nan", "latency"),
+            ("latency=-5", "latency"),
+            ("latency=1000000001", "latency"),
+            ("latency=50,jitter=nan", "jitter"),
+            ("latency=50,jitter=inf", "jitter"),
+            ("latency=50,jitter=-1", "jitter"),
+            ("latency=50,jitter=50", "jitter"),
+            ("jitter=5", "jitter"),
+            ("ticks=0", "ticks"),
+            ("ticks=4294967297", "ticks"),
+            ("ticks=18446744073709551615", "ticks"),
+            ("drop=nan", "drop"),
+            ("drop=1.5", "drop"),
+            ("link-spread=nan", "link-spread"),
+            ("link-spread=-0.1", "link-spread"),
+        ] {
+            let err = NetworkSpec::parse(text).expect_err(text);
+            assert!(err.0.contains(&format!("`{key}=")), "{text}: {err}");
+        }
+        // The ends of every range are inside it.
+        for text in ["latency=1e9,jitter=999999999,ticks=4294967296", "drop=1"] {
+            assert!(NetworkSpec::parse(text).is_ok(), "{text}");
+        }
+    }
+
+    /// Every network the shipped surfaces name still parses and survives
+    /// `Display`: the `--network` strings of README, the verify notes and
+    /// `.github/workflows/ci.yml`, and every model the figure registry
+    /// builds (base scenarios, per-protocol overrides, each sweep point).
+    #[test]
+    fn shipped_network_specs_parse_and_round_trip() {
+        let mut specs: Vec<String> = [
+            "ideal",
+            "wan",
+            "latency=100,jitter=40,ticks=2000",
+            "latency=32,jitter=27,link-spread=0.25,drop=0.01,ticks=1000",
+        ]
+        .map(String::from)
+        .to_vec();
+        let scale = crate::ExperimentScale::tiny();
+        for n in crate::figures::ALL_FIGURES {
+            let fig = crate::figures::spec_for(n, &scale).expect("registered figure");
+            let mut bases = vec![fig.scenario.network];
+            bases.extend(
+                fig.protocols
+                    .iter()
+                    .filter_map(|p| p.scenario_override.as_ref().map(|s| s.network)),
+            );
+            for base in bases {
+                specs.push(NetworkSpec(base).to_string());
+                let sweep = fig
+                    .sweep
+                    .iter()
+                    .flat_map(|s| s.values.iter().map(|&v| (s.axis, v)));
+                specs.extend(sweep.map(|(axis, v)| NetworkSpec(axis.apply(base, v)).to_string()));
+            }
+        }
+        for text in specs {
+            let spec = NetworkSpec::parse(&text).unwrap_or_else(|e| panic!("`{text}`: {e}"));
             assert_eq!(
                 NetworkSpec::parse(&spec.to_string()).unwrap(),
                 spec,

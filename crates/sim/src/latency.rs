@@ -7,9 +7,10 @@
 //! measured". This module provides the minimal substrate to measure exactly
 //! that: a distribution of one-hop message latencies.
 //!
-//! The experiments crate combines these with each protocol's communication
-//! structure (sequential walk hops, synchronous gossip rounds) to produce
-//! end-to-end estimation delays — see `p2p_experiments::delay`.
+//! [`NetworkModel`](crate::NetworkModel) draws one of these per message in
+//! [`Network::send`](crate::Network::send), so an event-driven protocol's
+//! end-to-end estimation delay is whatever its communication structure
+//! (sequential walk hops, gossip rounds) makes of the per-hop draws.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

@@ -14,11 +14,16 @@
 //!
 //! * [`engine::Engine`] — a generic discrete-event queue over virtual time:
 //!   a hierarchical timing wheel (calendar queue) with O(1) schedule,
-//!   amortized O(1) pop, and structural FIFO tie-breaking;
-//! * [`pool`] — the free-list [`pool::PayloadPool`] that parks in-flight
-//!   message payloads so steady-state sends allocate nothing;
+//!   amortized O(1) pop and structural FIFO tie-breaking, whose buckets are
+//!   chains of 64-entry chunks drawn from one LIFO-recycled pool — the
+//!   store holds what is in flight and nothing else, and
+//!   [`EngineStats::pool_hit_rate`] is the share of scheduled events that
+//!   allocated nothing;
+//! * [`pool`] — the free-list [`pool::PayloadPool`] slab in-flight payloads
+//!   used to park in; payloads now travel inline through the wheel, and the
+//!   slab is kept only for the frozen ruler's `sim.pool.cycle_ns` probe;
 //! * [`network`] — the [`Network`] facade over the engine: it owns in-flight
-//!   messages, applies a pluggable [`NetworkModel`] (latency distribution +
+//!   messages (queued inline, payload and all), applies a pluggable [`NetworkModel`] (latency distribution +
 //!   drop probability + per-link heterogeneity built on [`HopLatency`]) and
 //!   dispatches deliveries, drops, timers and driver control events;
 //! * [`message`] — per-kind message counters backing every overhead number

@@ -4,10 +4,11 @@
 //! nor the queuing delays and packet losses" (§IV-A) and flags exactly that
 //! as future work (§VI). This module is that future work's substrate: a
 //! [`Network`] facade over the discrete-event [`Engine`] that owns every
-//! in-flight message, applies a pluggable [`NetworkModel`] (per-hop latency
-//! distribution, i.i.d. drop probability, deterministic per-link
-//! heterogeneity) and delivers events back to the caller in a fully
-//! deterministic order.
+//! in-flight message (queued inline in the wheel's chunks, payload and all —
+//! one write at `send`, one read at delivery), applies a pluggable
+//! [`NetworkModel`] (per-hop latency distribution, i.i.d. drop probability,
+//! deterministic per-link heterogeneity) and delivers events back to the
+//! caller in a fully deterministic order.
 //!
 //! # Determinism contract
 //!
@@ -16,9 +17,9 @@
 //! * every latency and drop draw comes from one private [`SmallRng`] seeded
 //!   at construction and consumed strictly in [`send`](Network::send) call
 //!   order — protocol RNG streams are never touched;
-//! * simultaneous events dispatch in FIFO order of scheduling (the engine's
-//!   monotone sequence number breaks timestamp ties), so zero-latency
-//!   message cascades replay exactly;
+//! * simultaneous events dispatch in FIFO order of scheduling (structural
+//!   in the timing wheel: a one-tick slot is a FIFO chain of chunks), so
+//!   zero-latency message cascades replay exactly;
 //! * per-link latency factors are a pure hash of `(seed, endpoint pair)` —
 //!   the same link is consistently fast or slow within a run, with no O(N²)
 //!   state.
@@ -37,7 +38,6 @@
 use crate::engine::{Engine, EngineStats};
 use crate::latency::HopLatency;
 use crate::message::{MessageCounter, MessageKind};
-use crate::pool::PayloadPool;
 use crate::rng::{small_rng, SplitMix64};
 use crate::time::SimTime;
 use rand::rngs::SmallRng;
@@ -264,20 +264,21 @@ pub enum NetEvent<M> {
     },
 }
 
-/// The queued form of a [`NetEvent`]: payloads park in the network's
-/// [`PayloadPool`] and travel through the wheel as `u32` handles, so every
-/// queue entry is small and fixed-size regardless of the wire format `M`.
-enum QueuedEvent {
+/// The queued form of a [`NetEvent`]: the payload travels inline through
+/// the wheel (every wire format is a few words and the wheel's chunks are
+/// the only pool), with the traffic class the delivery will be counted
+/// under.
+enum QueuedEvent<M> {
     Deliver {
         src: u32,
         dst: u32,
-        payload: u32,
+        msg: M,
         kind: MessageKind,
     },
     Drop {
         src: u32,
         dst: u32,
-        payload: u32,
+        msg: M,
         kind: MessageKind,
     },
     Timer {
@@ -294,12 +295,11 @@ enum QueuedEvent {
 /// all traffic on its internal [`MessageCounter`] — dropped messages were
 /// still sent, so the paper's overhead metric includes them.
 ///
-/// In-flight payloads live in a free-list [`PayloadPool`]; at steady state
-/// a send performs zero allocations (see [`engine_stats`](Self::engine_stats)
-/// for the measured hit rate).
+/// In-flight messages live in the engine's chunk pool and nowhere else; at
+/// steady state a send performs zero allocations (see
+/// [`engine_stats`](Self::engine_stats) for the measured hit rate).
 pub struct Network<M> {
-    engine: Engine<QueuedEvent>,
-    pool: PayloadPool<M>,
+    engine: Engine<QueuedEvent<M>>,
     model: NetworkModel,
     rng: SmallRng,
     link_salt: u64,
@@ -312,7 +312,7 @@ pub struct Network<M> {
     dropped_by_kind: MessageCounter,
     /// Reused scratch for [`pop_batch`](Self::pop_batch) (no steady-state
     /// allocation).
-    batch_buf: Vec<QueuedEvent>,
+    batch_buf: Vec<QueuedEvent<M>>,
 }
 
 /// Cap on events drained per [`Network::pop_batch`] call. Bounds the
@@ -329,7 +329,6 @@ impl<M> Network<M> {
     pub fn new(model: NetworkModel, seed: u64) -> Self {
         Network {
             engine: Engine::new(),
-            pool: PayloadPool::new(),
             model,
             rng: small_rng(seed),
             link_salt: seed,
@@ -389,13 +388,10 @@ impl<M> Network<M> {
     }
 
     /// Event-core accounting: events dispatched, peak queue depth, and the
-    /// payload pool's hit/alloc counters (the "zero steady-state
+    /// chunk pool's hit/alloc counters (the "zero steady-state
     /// allocations" evidence — see [`EngineStats::pool_hit_rate`]).
     pub fn engine_stats(&self) -> EngineStats {
-        let mut s = self.engine.stats();
-        s.pool_hits = self.pool.hits();
-        s.pool_allocs = self.pool.allocs();
-        s
+        self.engine.stats()
     }
 
     /// Reclassifies the delivery most recently popped as lost to churn:
@@ -433,19 +429,18 @@ impl<M> Network<M> {
         let base = self.model.latency.sample(&mut self.rng);
         let delay = (base * self.link_factor(src, dst)).round().max(0.0) as u64;
         let dropped = self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate;
-        let payload = self.pool.insert(msg);
         let event = if dropped {
             QueuedEvent::Drop {
                 src,
                 dst,
-                payload,
+                msg,
                 kind,
             }
         } else {
             QueuedEvent::Deliver {
                 src,
                 dst,
-                payload,
+                msg,
                 kind,
             }
         };
@@ -476,13 +471,12 @@ impl<M> Network<M> {
         let delay = ((base * self.link_factor(src, dst)).round().max(0.0) as u64).max(1);
         let dropped = self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate;
         if dropped {
-            let payload = self.pool.insert(msg);
             self.engine.schedule_in(
                 delay,
                 QueuedEvent::Drop {
                     src,
                     dst,
-                    payload,
+                    msg,
                     kind,
                 },
             );
@@ -504,13 +498,12 @@ impl<M> Network<M> {
     /// single network's. Callers must enqueue in (source-shard-index, FIFO)
     /// order — that ordering *is* the sharded determinism contract.
     pub fn enqueue_remote(&mut self, m: RemoteMsg<M>) {
-        let payload = self.pool.insert(m.msg);
         self.engine.schedule_at(
             m.at,
             QueuedEvent::Deliver {
                 src: m.src,
                 dst: m.dst,
-                payload,
+                msg: m.msg,
                 kind: m.kind,
             },
         );
@@ -534,38 +527,30 @@ impl<M> Network<M> {
         self.engine.peek_time()
     }
 
-    /// Resolves a queued event into its caller-facing form, reclaiming the
-    /// payload slot and bumping the delivery/drop counters.
+    /// Resolves a queued event into its caller-facing form, bumping the
+    /// delivery/drop counters.
     #[inline]
-    fn resolve(&mut self, ev: QueuedEvent) -> NetEvent<M> {
+    fn resolve(&mut self, ev: QueuedEvent<M>) -> NetEvent<M> {
         match ev {
             QueuedEvent::Deliver {
                 src,
                 dst,
-                payload,
+                msg,
                 kind,
             } => {
                 self.stats.delivered += 1;
                 self.delivered_by_kind.count(kind);
-                NetEvent::Deliver {
-                    src,
-                    dst,
-                    msg: self.pool.take(payload),
-                }
+                NetEvent::Deliver { src, dst, msg }
             }
             QueuedEvent::Drop {
                 src,
                 dst,
-                payload,
+                msg,
                 kind,
             } => {
                 self.stats.dropped += 1;
                 self.dropped_by_kind.count(kind);
-                NetEvent::Drop {
-                    src,
-                    dst,
-                    msg: self.pool.take(payload),
-                }
+                NetEvent::Drop { src, dst, msg }
             }
             QueuedEvent::Timer { node, tag } => NetEvent::Timer { node, tag },
             QueuedEvent::Control { tag } => NetEvent::Control { tag },
@@ -820,8 +805,8 @@ mod tests {
 
     #[test]
     fn payload_pool_reaches_steady_state() {
-        // A plateau of in-flight messages: after warm-up, every send reuses
-        // a freed slot — the pool hit rate climbs toward 1.
+        // A plateau of in-flight messages: after warm-up, every send goes
+        // into a chunk the wheel already has — the hit rate climbs toward 1.
         let mut net: Network<[u64; 4]> = Network::new(
             NetworkModel::ideal().with_latency(HopLatency::Constant(5.0)),
             8,
@@ -833,15 +818,30 @@ mod tests {
             while net.pop_until(SimTime((round + 1) * 5)).is_some() {}
         }
         let s = net.engine_stats();
-        assert_eq!(s.pool_hits + s.pool_allocs, 2_000);
+        assert_eq!(
+            s.pool_hits + s.pool_allocs,
+            2_000,
+            "one per event scheduled"
+        );
         assert!(
-            s.pool_allocs <= 20,
-            "slab must stop growing at the in-flight plateau, grew {}",
+            (1..=10).contains(&s.pool_allocs),
+            "at most a chunk per message of the in-flight plateau, got {}",
             s.pool_allocs
         );
         assert!(s.pool_hit_rate() > 0.98, "hit rate {}", s.pool_hit_rate());
         assert_eq!(s.dispatched, net.stats().delivered);
         assert!(s.peak_depth >= 10);
+    }
+
+    /// What the wheel stores per in-flight event: the timestamp plus the
+    /// queued form of a message of the largest wire format (24 bytes,
+    /// 8-aligned — `net_protocol::tests::wire_messages_fit_the_queued_entry`
+    /// holds `AggMsg`, `ScMsg` and `HsMsg` to that). A fatter entry is a
+    /// slower event core: it must show here, not on the ruler.
+    #[test]
+    fn queued_entry_is_at_most_48_bytes() {
+        use crate::engine::Entry;
+        assert!(std::mem::size_of::<Entry<QueuedEvent<[u64; 3]>>>() <= 48);
     }
 
     #[test]

@@ -1,19 +1,15 @@
-//! A free-list payload pool for in-flight messages.
+//! A free-list payload slab — kept for the ruler only.
 //!
-//! Every [`Network::send`](crate::Network::send) used to carry its payload
-//! `M` inline through the event queue: queue entries were
-//! `size_of::<NetEvent<M>>()` wide and grew the queue's buckets whenever a
-//! burst outgrew previous capacity. [`PayloadPool`] separates the two
-//! concerns: payloads park in a slab (`Vec<Option<M>>`) addressed by a
-//! `u32` handle, queue entries shrink to a fixed small footprint, and a
-//! free list recycles slots as messages resolve — so a steady-state run
-//! (in-flight population oscillating around a plateau) performs **zero
-//! allocations per send**: the slab and the wheel buckets reach their
-//! high-water capacity once and are reused forever after.
-//!
-//! The pool counts hits (slot reuse) and allocs (slab growth); the ratio is
-//! the *pool hit rate* reported through
-//! [`EngineStats`](crate::engine::EngineStats).
+//! [`Network`](crate::Network) used to park every in-flight payload here
+//! (`Vec<Option<M>>` addressed by a `u32` handle) and queue the handle.
+//! That cost each event a third, random-access trip through a slab as large
+//! as the in-flight population, so payloads now travel inline through the
+//! wheel, whose chunk pool is the only pool ([`crate::engine`]); the *pool
+//! hit rate* in [`EngineStats`](crate::engine::EngineStats) describes that
+//! one. Nothing shipped calls this module any more: it stays compiled and
+//! exported because the frozen ruler's `sim.pool.cycle_ns` probe
+//! (`benchmark/src/layers.rs`) imports [`PayloadPool`], and goes when the
+//! ruler is next unfrozen (DESIGN.md § "What has a caller").
 
 /// A slab of recyclable payload slots addressed by dense `u32` handles.
 #[derive(Debug)]

@@ -2,7 +2,7 @@
 //!
 //! The sharded runner partitions the node population across `K` shards
 //! (slot `s` lives on shard `s % K`, the same rule `p2p-node` deploys
-//! with), gives each shard its own timing wheel, payload pool and derived
+//! with), gives each shard its own timing wheel (in-flight messages included) and derived
 //! RNG streams, and runs shards on worker threads that synchronize at
 //! lookahead-window barriers. The conservative-execution argument is the
 //! classic one: every cross-shard delivery resolves at least `L` =

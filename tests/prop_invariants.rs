@@ -382,8 +382,11 @@ proptest! {
         ops in prop::collection::vec(
             // (do_pop, delay_class, raw_delay): delay class 0 pins delays
             // to {0,1,2} so timestamp ties dominate; class 1 is near
-            // future; class 2 crosses several wheel levels.
-            (any::<bool>(), 0u8..3, any::<u64>()),
+            // future; class 2 crosses several wheel levels; class 3 lands
+            // one tick either side of the next window edge of a random
+            // level (4 095 / 4 096 / 4 097, 2^18 ± 1, …); class 4 puts
+            // more than two of the wheel's 64-entry chunks on one tick.
+            (any::<bool>(), 0u8..5, any::<u64>()),
             1..300,
         ),
     ) {
@@ -400,15 +403,22 @@ proptest! {
                 let want = heap.pop().map(|Reverse(pair)| pair);
                 prop_assert_eq!(got, want, "pop order diverged from the heap oracle");
             } else {
+                let now = wheel.now().ticks();
                 let delay = match class {
-                    0 => raw % 3,
+                    0 | 4 => raw % 3,
                     1 => raw % 1_000,
-                    _ => raw % (1 << 45),
+                    2 => raw % (1 << 45),
+                    _ => {
+                        let shift = 12 + 6 * (raw % 6);
+                        (((now >> shift) + 1) << shift) - 1 + (raw >> 8) % 3 - now
+                    }
                 };
-                let t = wheel.now().ticks() + delay;
-                wheel.schedule_in(delay, seq);
-                heap.push(Reverse((t, seq)));
-                seq += 1;
+                let burst = if class == 4 { 129 + (raw >> 8) % 64 } else { 1 };
+                for _ in 0..burst {
+                    wheel.schedule_in(delay, seq);
+                    heap.push(Reverse((now + delay, seq)));
+                    seq += 1;
+                }
             }
         }
         // Drain both completely: the tail must agree too.
