@@ -15,6 +15,7 @@
 //! `Display` is shortest-round-trip, so string equality is bit equality).
 
 use p2p_size_estimation::experiments::figures::{by_number, ALL_FIGURES};
+use p2p_size_estimation::experiments::table::table1;
 use p2p_size_estimation::experiments::ExperimentScale;
 
 /// The seed the goldens were generated with (the `repro` default).
@@ -66,6 +67,17 @@ golden! {
     // The realistic-churn workload extensions; their goldens were produced
     // by the same `repro` invocation when the figures were introduced.
     golden_fig21 => 21, golden_fig22 => 22, golden_fig23 => 23,
+}
+
+/// Table I as `repro table --scale tiny --seed 20060619` writes it: the
+/// tiny scale's large overlay, 20 estimations per row.
+#[test]
+fn golden_table1() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_figures/table1.csv");
+    let golden = std::fs::read_to_string(path).expect("golden table1.csv");
+    let produced = table1(ExperimentScale::tiny().large, 20, GOLDEN_SEED).to_csv();
+    assert_eq!(produced, golden);
 }
 
 #[test]
