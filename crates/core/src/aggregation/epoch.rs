@@ -15,12 +15,18 @@
 //! [`EpochedAggregation`] implements exactly that: each epoch has a fresh
 //! initiator holding value 1; participation (and therefore message cost)
 //! spreads with the tag; estimates are read at the end of each epoch.
+//!
+//! As a [`NodeProtocol`] one step is one gossip round: drivers and
+//! [`SizeMonitor`](crate::SizeMonitor) run the epidemic class through the
+//! same contract as the other two.
 
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::{MessageCounter, MessageKind};
 use rand::rngs::SmallRng;
 
 use super::AggregationConfig;
+use crate::net_protocol::{Cx, NodeProtocol};
+use crate::protocol::StepOutcome;
 
 /// Restartable aggregation over a changing overlay.
 ///
@@ -183,6 +189,55 @@ impl EpochedAggregation {
             }
         }
         None
+    }
+}
+
+/// The epidemic class as a round-driven protocol: one step = one push-pull
+/// gossip round; a fresh epoch (new tag, new initiator) starts lazily on the
+/// first step and after each completed epoch; the epoch's estimate is
+/// reported at its final round, read per §V(p) at the initiator or a
+/// surviving participant. The round is atomic — its exchanges are charged
+/// to the network's counter, never routed — so no network model reaches it.
+impl NodeProtocol for EpochedAggregation {
+    type Msg = ();
+
+    fn name(&self) -> &'static str {
+        "Aggregation"
+    }
+
+    fn reset(&mut self) {
+        EpochedAggregation::reset(self);
+    }
+
+    fn estimate_at(&self, node: NodeId) -> Option<f64> {
+        EpochedAggregation::estimate_at(self, node)
+    }
+
+    fn on_step(&mut self, _step: u64, cx: &mut Cx<'_, ()>) {
+        let epoch_len = self.config.rounds_per_estimate;
+        if self.epoch() == 0 || self.rounds_done() >= epoch_len {
+            // First step ever, or the previous epoch completed (or could not
+            // be opened on a dead overlay — retried here): start a new tag.
+            if self.start_epoch(cx.graph, cx.rng).is_none() && self.epoch() == 0 {
+                // No epoch has ever run and none can start (empty overlay):
+                // there is no state to keep gossiping, so each step is a
+                // failed reporting period — mirroring the one-shot classes
+                // on the same timeline instead of pending forever.
+                cx.report(StepOutcome::Failed);
+                return;
+            }
+        }
+        self.run_round(cx.graph, cx.rng, cx.net.counter_mut());
+        if self.rounds_done() >= epoch_len {
+            match self.current_estimate(cx.graph, cx.rng) {
+                Some(estimate) => cx.report(StepOutcome::Estimate(estimate)),
+                None => cx.report(StepOutcome::Failed),
+            }
+        }
+    }
+
+    fn on_message(&mut self, _src: NodeId, _dst: NodeId, _msg: (), _cx: &mut Cx<'_, ()>) {
+        unreachable!("synchronous rounds send no messages");
     }
 }
 

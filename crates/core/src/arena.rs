@@ -3,10 +3,8 @@
 //! An event-driven protocol simulates *every* node from one object, so its
 //! per-node state wants a dense layout keyed by the overlay's slot index —
 //! not a boxed object per node (`Box<dyn>`-per-node costs a pointer chase
-//! and an allocator round-trip per node; the boxed round-driven path,
-//! [`ProtocolSpec::build_sync`](crate::ProtocolSpec::build_sync), remains
-//! the fallback for heterogeneous deployments, but every figure runs a
-//! homogeneous protocol and takes this arena path). The native protocols
+//! and an allocator round-trip per node; every figure runs a homogeneous
+//! protocol and takes this arena path). The native protocols
 //! already kept parallel `Vec`s; [`NodeArena`] packages that layout and
 //! adds the one thing plain vectors cannot provide once the overlay reuses
 //! slots ([`Graph::enable_slot_reuse`](p2p_overlay::Graph::enable_slot_reuse)):
@@ -23,8 +21,7 @@
 //!   re-initializing re-let slots with no O(N) sweep.
 //!
 //! [`SizeMonitor`](crate::SizeMonitor) readings of an arena-backed
-//! protocol (through [`Networked`](crate::Networked)) therefore go through
-//! generation-checked reads end to end.
+//! protocol therefore go through generation-checked reads end to end.
 
 use p2p_overlay::NodeId;
 

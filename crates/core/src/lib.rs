@@ -20,18 +20,19 @@
 //! message-level network (`p2p_sim::Network`): event-driven
 //! [`NodeProtocol`] implementations whose every hop, gossip copy and reply
 //! is a simulated message subject to latency, per-link heterogeneity, loss
-//! and churn-in-flight — plus adapters in both directions
-//! ([`SyncStep`], [`Networked`]).
+//! and churn-in-flight.
 //!
-//! ## One API for all three classes
+//! ## One contract for all three classes
 //!
-//! The one-shot algorithms implement [`SizeEstimator`]; *every* algorithm —
-//! the epoched epidemic variant included — is driven through the
-//! round-based [`EstimationProtocol`] (see [`protocol`]): a protocol is
-//! stepped, and each step reports an estimate, stays pending, or fails.
-//! `p2p_experiments::runner::run_scenario` and [`SizeMonitor`] accept any
-//! `EstimationProtocol`, so static and dynamic scenarios, monitoring and
-//! Table I all share a single driver across the three classes.
+//! Every driver runs a [`NodeProtocol`]: the event-driven classes above,
+//! [`aggregation::EpochedAggregation`] (one step = one atomic gossip
+//! round), and any one-shot [`SizeEstimator`] through the [`SyncStep`]
+//! adapter (one step = one atomic estimation). A step reports an estimate,
+//! fails, or closes nothing yet (see [`protocol`]).
+//! `p2p_experiments::runner::run_scenario_des` and [`SizeMonitor`] accept
+//! any `NodeProtocol`, so static and dynamic scenarios and monitoring share
+//! a single drive loop, [`ShardCore`], across the three classes.
+//! `SizeEstimator` stays the one-shot math Table I measures directly.
 //!
 //! All algorithms charge every simulated message to a
 //! [`p2p_sim::MessageCounter`], and draw randomness only from the caller
@@ -70,10 +71,10 @@ pub use heuristics::{Heuristic, Smoother};
 pub use hops_sampling::HopsSampling;
 pub use monitor::SizeMonitor;
 pub use net_protocol::{
-    AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Deployment, Host, Networked,
-    NodeProtocol, ShardCore, ShardView, SimHost, SyncStep,
+    AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Host, NodeProtocol, ShardCore,
+    ShardView, SimHost, SyncStep,
 };
-pub use protocol::{estimate_once, EstimationProtocol, StepOutcome};
+pub use protocol::StepOutcome;
 pub use sample_collide::SampleCollide;
 pub use spec::{AsyncProtocol, ProtocolSpec, SpecError};
 

@@ -6,17 +6,22 @@
 //! continuously the system in order to provide periodical estimations."
 //!
 //! [`SizeMonitor`] packages that loop for library users around any
-//! [`EstimationProtocol`]: it steps the protocol once per tick, applies a
-//! reporting [`Heuristic`], keeps a bounded history, and tracks the
-//! cumulative message bill — everything an application needs to expose a
-//! "current network size" gauge. Because the epidemic class implements the
-//! protocol natively, the monitor covers epoched Aggregation too: ticks map
-//! to gossip rounds, and a reading appears at each epoch boundary.
+//! [`NodeProtocol`]: each tick drives one step window of the protocol on
+//! its own event core — the one-shot estimators (through
+//! [`SyncStep`](crate::SyncStep)) finish an estimation per tick, epoched
+//! Aggregation runs one gossip round, and the event-driven classes send
+//! their messages through a network under any [`NetworkModel`] — then
+//! applies a reporting [`Heuristic`], keeps a bounded history, and tracks
+//! the cumulative message bill: everything an application needs to expose
+//! a "current network size" gauge. A reading appears whenever a tick
+//! closes a reporting period.
 
 use crate::heuristics::{Heuristic, Smoother};
-use crate::protocol::{EstimationProtocol, StepOutcome};
+use crate::net_protocol::{NodeProtocol, ShardCore, SimHost};
+use crate::protocol::StepOutcome;
 use p2p_overlay::Graph;
-use p2p_sim::MessageCounter;
+use p2p_sim::rng::small_rng;
+use p2p_sim::{MessageCounter, NetStats, Network, NetworkModel, SimTime};
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 
@@ -30,15 +35,16 @@ pub struct Reading {
     /// Heuristic-smoothed value actually reported.
     pub reported: f64,
     /// Messages the reporting period cost — for one-shot estimators that is
-    /// one tick's traffic; for round-driven protocols it spans every pending
-    /// tick since the previous report.
+    /// one tick's traffic; for protocols whose periods span several ticks
+    /// it covers every tick since the previous report.
     pub cost: u64,
 }
 
-/// A perpetual estimation loop around any [`EstimationProtocol`].
-#[derive(Debug)]
-pub struct SizeMonitor<P: EstimationProtocol> {
-    protocol: P,
+/// A perpetual estimation loop around any [`NodeProtocol`].
+pub struct SizeMonitor<P: NodeProtocol> {
+    /// The protocol on its own event core. The core's RNG slot holds the
+    /// caller's stream for the duration of each tick.
+    core: ShardCore<P>,
     smoother: Smoother,
     history: VecDeque<Reading>,
     history_cap: usize,
@@ -51,13 +57,26 @@ pub struct SizeMonitor<P: EstimationProtocol> {
     total_messages: MessageCounter,
 }
 
-impl<P: EstimationProtocol> SizeMonitor<P> {
+impl<P: NodeProtocol> SizeMonitor<P> {
     /// Wraps `protocol` with the given reporting heuristic, keeping up to
-    /// `history_cap` readings (must be ≥ 1).
+    /// `history_cap` readings (must be ≥ 1), over the ideal network.
     pub fn new(protocol: P, heuristic: Heuristic, history_cap: usize) -> Self {
+        Self::with_network(protocol, heuristic, history_cap, NetworkModel::ideal(), 0)
+    }
+
+    /// [`new`](Self::new) over a network under `model`: one tick is one
+    /// `model.step_ticks` window, and the latency/loss stream is seeded by
+    /// `net_seed`, so runs stay deterministic per `(caller RNG, net_seed)`.
+    pub fn with_network(
+        protocol: P,
+        heuristic: Heuristic,
+        history_cap: usize,
+        model: NetworkModel,
+        net_seed: u64,
+    ) -> Self {
         assert!(history_cap >= 1, "history capacity must be positive");
         SizeMonitor {
-            protocol,
+            core: ShardCore::new(protocol, Network::new(model, net_seed), small_rng(0)),
             smoother: Smoother::new(heuristic),
             history: VecDeque::with_capacity(history_cap),
             history_cap,
@@ -70,48 +89,56 @@ impl<P: EstimationProtocol> SizeMonitor<P> {
         }
     }
 
-    /// Advances the protocol by one step on the current overlay snapshot.
+    /// Drives one step window on the current overlay snapshot: the
+    /// protocol's `on_step`, then every event up to the window's end.
     ///
-    /// Returns the new reading when the step closed a reporting period with
-    /// an estimate. `None` means the step is still pending (round-driven
-    /// protocols mid-epoch) *or* the period failed — failures are counted in
-    /// [`failures`](Self::failures); the history and smoothing state are
-    /// untouched either way, so one shattered period does not poison the
-    /// report.
+    /// Returns the new reading when the window closed a reporting period
+    /// with an estimate. `None` means no period closed (a round-driven
+    /// protocol mid-epoch, an estimation still in flight) *or* the period
+    /// failed — failures are counted in [`failures`](Self::failures); the
+    /// history and smoothing state are untouched either way, so one
+    /// shattered period does not poison the report.
     pub fn tick(&mut self, graph: &Graph, rng: &mut SmallRng) -> Option<Reading> {
         self.tick += 1;
+        std::mem::swap(&mut self.core.rng, rng);
         if !self.started {
-            self.protocol.start(graph, rng);
+            self.core.init(graph);
             self.started = true;
         }
-        let mut msgs = MessageCounter::new();
-        let outcome = self.protocol.step(graph, rng, &mut msgs);
+        self.core.step(self.tick, graph);
+        let horizon = SimTime(self.tick * self.core.net.model().step_ticks);
+        self.core.run_until(horizon, &mut SimHost(graph));
+        std::mem::swap(&mut self.core.rng, rng);
+        let msgs = self.core.net.take_counter();
         self.pending_cost += msgs.total();
         self.total_messages.merge(&msgs);
-        match outcome {
-            StepOutcome::Pending => None,
-            StepOutcome::Failed => {
-                self.failures += 1;
-                // The failed period's traffic is spent; do not bill it to
-                // the next successful reading.
-                self.pending_cost = 0;
-                None
-            }
-            StepOutcome::Estimate(raw) => {
-                let reading = Reading {
-                    tick: self.tick,
-                    raw,
-                    reported: self.smoother.apply(raw),
-                    cost: std::mem::take(&mut self.pending_cost),
-                };
-                self.reports += 1;
-                if self.history.len() == self.history_cap {
-                    self.history.pop_front();
+        let mut reading = None;
+        for outcome in self.core.drain_reports() {
+            match outcome {
+                StepOutcome::Pending => {}
+                StepOutcome::Failed => {
+                    self.failures += 1;
+                    // The failed period's traffic is spent; do not bill it
+                    // to the next successful reading.
+                    self.pending_cost = 0;
                 }
-                self.history.push_back(reading);
-                Some(reading)
+                StepOutcome::Estimate(raw) => {
+                    let r = Reading {
+                        tick: self.tick,
+                        raw,
+                        reported: self.smoother.apply(raw),
+                        cost: std::mem::take(&mut self.pending_cost),
+                    };
+                    self.reports += 1;
+                    if self.history.len() == self.history_cap {
+                        self.history.pop_front();
+                    }
+                    self.history.push_back(r);
+                    reading = Some(r);
+                }
             }
         }
+        reading
     }
 
     /// The most recent reported value, if any period has succeeded.
@@ -124,7 +151,7 @@ impl<P: EstimationProtocol> SizeMonitor<P> {
         self.history.iter()
     }
 
-    /// Total ticks (protocol steps) attempted.
+    /// Total ticks (step windows) driven.
     pub fn ticks(&self) -> u64 {
         self.tick
     }
@@ -144,6 +171,12 @@ impl<P: EstimationProtocol> SizeMonitor<P> {
         &self.total_messages
     }
 
+    /// Network accounting so far (sent/delivered/dropped/churn-lost); all
+    /// zero for protocols that route no messages.
+    pub fn net_stats(&self) -> &NetStats {
+        self.core.net.stats()
+    }
+
     /// Mean cost (messages) per successful estimation so far.
     pub fn mean_cost(&self) -> Option<f64> {
         (self.reports > 0).then(|| {
@@ -155,63 +188,45 @@ impl<P: EstimationProtocol> SizeMonitor<P> {
 
     /// The underlying protocol's name.
     pub fn name(&self) -> &'static str {
-        self.protocol.name()
+        self.core.protocol.name()
     }
 
     /// Drops smoothing state, history, any pending-period cost *and* the
     /// protocol's own accumulated state — call after a known network reset
     /// (e.g. the application rejoined a different overlay). The protocol's
-    /// `start` hook runs again on the next tick.
+    /// `on_init` hook runs again on the next tick.
     pub fn reset(&mut self) {
         self.smoother.reset();
         self.history.clear();
         self.pending_cost = 0;
-        self.protocol.reset();
+        self.core.protocol.reset();
         self.started = false;
     }
-}
-
-/// Convenience constructor: the paper's most reactive monitoring setup —
-/// Sample&Collide oneShot (§IV-D(l): "Sample&Collide provides really
-/// reactive results; this could be explained by the oneShot heuristic as the
-/// algorithm does not keep any memory").
-pub fn reactive_monitor() -> SizeMonitor<crate::SampleCollide> {
-    SizeMonitor::new(crate::SampleCollide::paper(), Heuristic::OneShot, 64)
-}
-
-/// Convenience constructor: a smoother, cheaper monitor (l = 10 walks,
-/// last-10-runs reporting) for applications that prefer stability over
-/// immediacy.
-pub fn smooth_monitor() -> SizeMonitor<crate::SampleCollide> {
-    SizeMonitor::new(crate::SampleCollide::cheap(), Heuristic::last10(), 64)
-}
-
-/// Convenience constructor: the epidemic class as a perpetual gauge — each
-/// tick is one gossip round; a reading appears at each 50-round epoch
-/// boundary (§IV-D(k)). Impossible under the historic one-shot-only monitor.
-pub fn epidemic_monitor() -> SizeMonitor<crate::aggregation::EpochedAggregation> {
-    SizeMonitor::new(
-        crate::aggregation::EpochedAggregation::new(crate::aggregation::AggregationConfig::paper()),
-        Heuristic::OneShot,
-        64,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregation::{AggregationConfig, EpochedAggregation};
-    use crate::SampleCollide;
+    use crate::{AsyncAggregation, SampleCollide, SyncStep};
     use p2p_overlay::builder::{GraphBuilder, HeterogeneousRandom};
     use p2p_overlay::churn;
     use p2p_sim::rng::small_rng;
-    use p2p_sim::MessageKind;
+    use p2p_sim::{MessageKind, NetworkModel};
+
+    /// The paper's most reactive monitoring setup — Sample&Collide oneShot
+    /// (§IV-D(l): "Sample&Collide provides really reactive results; this
+    /// could be explained by the oneShot heuristic as the algorithm does
+    /// not keep any memory").
+    fn reactive_gauge() -> SizeMonitor<SyncStep<SampleCollide>> {
+        SizeMonitor::new(SyncStep(SampleCollide::paper()), Heuristic::OneShot, 64)
+    }
 
     #[test]
     fn monitor_tracks_a_static_overlay() {
         let mut rng = small_rng(600);
         let graph = HeterogeneousRandom::paper(3_000).build(&mut rng);
-        let mut mon = reactive_monitor();
+        let mut mon = reactive_gauge();
         for _ in 0..10 {
             mon.tick(&graph, &mut rng).expect("static overlay");
         }
@@ -228,7 +243,7 @@ mod tests {
     fn history_is_bounded_and_ordered() {
         let mut rng = small_rng(601);
         let graph = HeterogeneousRandom::paper(500).build(&mut rng);
-        let mut mon = SizeMonitor::new(SampleCollide::cheap(), Heuristic::OneShot, 4);
+        let mut mon = SizeMonitor::new(SyncStep(SampleCollide::cheap()), Heuristic::OneShot, 4);
         for _ in 0..10 {
             mon.tick(&graph, &mut rng);
         }
@@ -240,7 +255,11 @@ mod tests {
     fn smoothing_is_applied_to_reported_values() {
         let mut rng = small_rng(602);
         let graph = HeterogeneousRandom::paper(2_000).build(&mut rng);
-        let mut mon = SizeMonitor::new(SampleCollide::cheap(), Heuristic::LastKRuns(5), 16);
+        let mut mon = SizeMonitor::new(
+            SyncStep(SampleCollide::cheap()),
+            Heuristic::LastKRuns(5),
+            16,
+        );
         for _ in 0..12 {
             mon.tick(&graph, &mut rng);
         }
@@ -257,7 +276,7 @@ mod tests {
     fn failures_are_counted_not_fatal() {
         let mut rng = small_rng(603);
         let mut graph = HeterogeneousRandom::paper(50).build(&mut rng);
-        let mut mon = reactive_monitor();
+        let mut mon = reactive_gauge();
         mon.tick(&graph, &mut rng).unwrap();
         // Shatter the overlay completely: every estimation now fails.
         churn::remove_random_nodes(&mut graph, 50, &mut rng);
@@ -274,7 +293,7 @@ mod tests {
     fn monitor_follows_churn() {
         let mut rng = small_rng(604);
         let mut graph = HeterogeneousRandom::paper(3_000).build(&mut rng);
-        let mut mon = reactive_monitor();
+        let mut mon = reactive_gauge();
         for _ in 0..3 {
             mon.tick(&graph, &mut rng);
         }
@@ -294,7 +313,7 @@ mod tests {
     fn reset_clears_history_but_keeps_counters() {
         let mut rng = small_rng(605);
         let graph = HeterogeneousRandom::paper(500).build(&mut rng);
-        let mut mon = smooth_monitor();
+        let mut mon = SizeMonitor::new(SyncStep(SampleCollide::cheap()), Heuristic::last10(), 64);
         for _ in 0..5 {
             mon.tick(&graph, &mut rng);
         }
@@ -396,10 +415,13 @@ mod tests {
     }
 
     #[test]
-    fn epidemic_monitor_follows_growth_across_epochs() {
+    fn epoched_gauge_follows_growth_across_epochs() {
         let mut rng = small_rng(608);
         let mut graph = HeterogeneousRandom::paper(1_000).build(&mut rng);
-        let mut mon = epidemic_monitor();
+        // The epidemic class as a perpetual gauge: a reading at each
+        // 50-round epoch boundary (§IV-D(k)).
+        let agg = EpochedAggregation::new(AggregationConfig::paper());
+        let mut mon = SizeMonitor::new(agg, Heuristic::OneShot, 64);
         for _ in 0..50 {
             mon.tick(&graph, &mut rng);
         }
@@ -413,5 +435,35 @@ mod tests {
             after > 1.5 * before,
             "gauge must see the doubling: {before} → {after}"
         );
+    }
+
+    #[test]
+    fn lossy_network_readings_land_on_the_epoch_grid() {
+        // The event-driven epidemic class through a lossy WAN: lost pushes
+        // and pulls drift the mass but every epoch is still read one window
+        // after its final round; an epoch whose overlay empties under it
+        // closes as a failure.
+        let mut rng = small_rng(610);
+        let mut graph = HeterogeneousRandom::paper(1_000).build(&mut rng);
+        let model = NetworkModel::wan().with_drop_rate(0.2);
+        let agg = AsyncAggregation::new(AggregationConfig {
+            rounds_per_estimate: 10,
+        });
+        let mut mon = SizeMonitor::with_network(agg, Heuristic::OneShot, 8, model, 611);
+        let mut reading_ticks = Vec::new();
+        for tick in 1..=40 {
+            if tick == 36 {
+                let alive = graph.alive_count();
+                churn::remove_random_nodes(&mut graph, alive, &mut rng);
+            }
+            if let Some(r) = mon.tick(&graph, &mut rng) {
+                reading_ticks.push(r.tick);
+                assert!(r.raw > 0.0 && r.cost > 0, "reading {r:?}");
+            }
+        }
+        assert_eq!(reading_ticks, vec![10, 20, 30]);
+        assert_eq!((mon.reports(), mon.failures()), (3, 1));
+        assert!(mon.net_stats().dropped > 0);
+        assert_eq!(mon.name(), "Aggregation");
     }
 }

@@ -25,7 +25,7 @@
 //! network itself. Epoch restarts (§IV-D(k)) bound how long any corruption
 //! survives, exactly as they bound churn staleness.
 
-use super::{Cx, Deployment, NodeProtocol};
+use super::{Cx, NodeProtocol};
 use crate::aggregation::AggregationConfig;
 use crate::arena::NodeArena;
 use crate::protocol::StepOutcome;
@@ -79,8 +79,6 @@ struct AggState {
 pub struct AsyncAggregation {
     /// Protocol parameters (rounds per epoch).
     pub config: AggregationConfig,
-    /// Where this instance runs (DES or one cluster shard).
-    deployment: Deployment,
     nodes: NodeArena<AggState>,
     epoch: u32,
     rounds_done: u32,
@@ -93,7 +91,6 @@ impl AsyncAggregation {
     pub fn new(config: AggregationConfig) -> Self {
         AsyncAggregation {
             config,
-            deployment: Deployment::Simulated,
             nodes: NodeArena::new(),
             epoch: 0,
             rounds_done: 0,
@@ -124,7 +121,7 @@ impl AsyncAggregation {
                 // can only read slots it hosts (in the DES that is all).
                 for _ in 0..64 {
                     let n = cx.graph.random_alive(cx.rng)?;
-                    if !self.deployment.hosts(n) {
+                    if !cx.hosts(n) {
                         continue;
                     }
                     if let Some(e) = self.estimate_at(n) {
@@ -145,10 +142,6 @@ impl NodeProtocol for AsyncAggregation {
 
     fn name(&self) -> &'static str {
         "Aggregation"
-    }
-
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
     }
 
     /// Local estimate at `node` — `1 / value` for current-epoch
@@ -174,10 +167,10 @@ impl NodeProtocol for AsyncAggregation {
     fn on_step(&mut self, _step: u64, cx: &mut Cx<'_, AggMsg>) {
         self.nodes.ensure(cx.graph.num_slots());
         let epoch_len = self.config.rounds_per_estimate;
-        if self.deployment.leads() {
+        if cx.leads() {
             if self.epoch == 0 || self.rounds_done >= epoch_len {
                 self.finalize(cx); // in case the epoch's read timer has not fired yet
-                let Some(init) = self.deployment.pick_initiator(cx.graph, cx.rng) else {
+                let Some(init) = cx.pick_initiator() else {
                     cx.report(StepOutcome::Failed);
                     return;
                 };
@@ -198,7 +191,7 @@ impl NodeProtocol for AsyncAggregation {
         // initiates one push-pull exchange with a uniform random neighbor.
         let round = self.rounds_done + 1;
         for v in cx.graph.alive_nodes() {
-            if !self.deployment.hosts(v) {
+            if !cx.hosts(v) {
                 continue; // a shard paces only the slots it hosts
             }
             // The arena's generation check makes a re-let slot read as
@@ -239,7 +232,7 @@ impl NodeProtocol for AsyncAggregation {
                     // The DES instance knows the one true epoch; a cluster
                     // shard learns of a restart from the first push carrying
                     // a newer tag (§IV-D(k)) and adopts it.
-                    if self.deployment.is_simulated() || epoch < self.epoch {
+                    if cx.is_simulated() || epoch < self.epoch {
                         return; // exchange of a restarted process
                     }
                     self.epoch = epoch;

@@ -15,7 +15,7 @@
 //!   estimate. Latency and loss therefore *deepen* HopsSampling's
 //!   characteristic underestimation instead of failing it.
 
-use super::{Cx, Deployment, NodeProtocol};
+use super::{Cx, NodeProtocol};
 use crate::arena::NodeArena;
 use crate::hops_sampling::{pick_target, HopsSamplingConfig};
 use crate::protocol::StepOutcome;
@@ -72,8 +72,6 @@ pub struct AsyncHopsSampling {
     /// event-driven variant implements the paper's `gossipFor = 1` turn
     /// structure: one forwarding turn, on first contact.
     pub config: HopsSamplingConfig,
-    /// Where this instance runs (DES or one cluster shard).
-    deployment: Deployment,
     run_id: u64,
     active: bool,
     initiator: NodeId,
@@ -92,7 +90,6 @@ impl AsyncHopsSampling {
         );
         AsyncHopsSampling {
             config,
-            deployment: Deployment::Simulated,
             run_id: 0,
             active: false,
             initiator: NodeId(0),
@@ -144,21 +141,17 @@ impl NodeProtocol for AsyncHopsSampling {
         "HopsSampling"
     }
 
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
-    }
-
     fn reset(&mut self) {
         self.active = false;
         self.reached.clear();
     }
 
     fn on_step(&mut self, _step: u64, cx: &mut Cx<'_, HsMsg>) {
-        if !self.deployment.leads() {
+        if !cx.leads() {
             return; // relay shards only react to traffic
         }
         self.finalize(cx);
-        let Some(initiator) = self.deployment.pick_initiator(cx.graph, cx.rng) else {
+        let Some(initiator) = cx.pick_initiator() else {
             cx.report(StepOutcome::Failed);
             return;
         };
@@ -187,7 +180,7 @@ impl NodeProtocol for AsyncHopsSampling {
                 // published runs. A cluster shard relays any run it has not
                 // yet seen a *newer* copy for (run ids are minted by the
                 // estimator, so they are comparable across shards).
-                if self.deployment.is_simulated() {
+                if cx.is_simulated() {
                     if !self.active || run != self.run_id {
                         return; // copy of an already-published spread
                     }

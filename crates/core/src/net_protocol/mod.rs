@@ -1,13 +1,10 @@
 //! Event-driven estimation protocols on the message-level network.
 //!
-//! The round-driven [`EstimationProtocol`] executes each step atomically:
-//! a whole estimation (or a whole gossip round) happens "between ticks", so
-//! heterogeneous delays, message loss and churn hitting in-flight traffic
-//! are unrepresentable — exactly the modelling gap the paper concedes in
-//! §IV-A/§VI. [`NodeProtocol`] closes it: a protocol is a set of per-node
-//! event handlers exchanging real messages through a
+//! [`NodeProtocol`] is the one contract every driver runs: a protocol is a
+//! set of per-node event handlers exchanging real messages through a
 //! [`p2p_sim::Network`], whose [`p2p_sim::NetworkModel`] injects latency,
-//! per-link heterogeneity and loss.
+//! per-link heterogeneity and loss — the modelling gap the paper concedes
+//! in §IV-A/§VI for its round-driven simulator.
 //!
 //! Three native implementations cover the paper's three algorithm classes:
 //!
@@ -19,22 +16,19 @@
 //!   loss and churn destroy value mass in flight, corrupting the estimate —
 //!   the epidemic class's real dynamic-network failure mode.
 //!
-//! Two adapters connect the event-driven and round-driven worlds:
+//! The round-driven forms the paper's figures use run under the same
+//! contract without sending anything:
+//! [`EpochedAggregation`](crate::aggregation::EpochedAggregation) is a
+//! `NodeProtocol` whose step is one atomic gossip round, and [`SyncStep`]
+//! runs any one-shot [`SizeEstimator`] as one whose step is one atomic
+//! estimation. Their traffic is charged to the network's counter, never
+//! routed, so over *any* network model their traces are the historic
+//! round-driven ones bit for bit.
 //!
-//! * [`SyncStep`] runs any existing `EstimationProtocol` unchanged as a
-//!   `NodeProtocol` whose step handler executes one atomic step (it sends
-//!   no messages, so the network model cannot touch it) — over a
-//!   zero-latency/zero-loss network this reproduces the historic
-//!   round-driven traces bit for bit;
-//! * [`Networked`] runs any `NodeProtocol` as a [`SizeEstimator`] (and
-//!   therefore, through the blanket adapter, as an `EstimationProtocol`):
-//!   each `estimate` call drives the embedded network until the protocol
-//!   closes a reporting period. This is what routes
-//!   [`SizeMonitor`](crate::SizeMonitor) through the network.
-//!
-//! Every driver of the contract — `Networked`, the scenario runner, the
-//! sharded engine, the UDP node runtime — runs the same loop:
-//! [`ShardCore::run_until`] behind a [`Host`] (see [`shard_core`]).
+//! Every driver of the contract — the scenario runner, the sharded
+//! engine, [`SizeMonitor`](crate::SizeMonitor), the UDP node runtime —
+//! runs the same loop: [`ShardCore::run_until`] behind a [`Host`] (see
+//! [`shard_core`]).
 
 mod aggregation;
 mod hops_sampling;
@@ -46,34 +40,13 @@ pub use hops_sampling::{AsyncHopsSampling, HsMsg};
 pub use sample_collide::{AsyncSampleCollide, ScMsg};
 pub use shard_core::{Host, ShardCore, SimHost};
 
-use crate::protocol::{EstimationProtocol, StepOutcome};
+use crate::protocol::StepOutcome;
 use crate::SizeEstimator;
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::rng::{derive_seed, small_rng};
-use p2p_sim::{MessageCounter, MessageKind, NetEvent, Network, NetworkModel, SimTime};
+use p2p_sim::shard::Outbox;
+use p2p_sim::{MessageKind, NetEvent, Network};
 use rand::rngs::SmallRng;
-use std::collections::VecDeque;
-
-/// Where a protocol instance runs: the DES (one instance simulates every
-/// node) or one shard of a deployed cluster (the instance drives only the
-/// node slots its process hosts; everything else is reachable only through
-/// the network).
-///
-/// The default, [`Deployment::Simulated`], reproduces the historic DES
-/// behavior bit for bit — golden traces never see the other variant. The
-/// shard variant is what `p2p-node`'s runtime sets: per-step work iterates
-/// local slots only, estimations start from the shard's designated
-/// estimator node instead of a uniform draw (a deployed monitor initiates
-/// from itself — it cannot reach into a remote process's state), and
-/// reactive handlers accept traffic for runs they did not start.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Deployment {
-    /// The simulator: this instance hosts every node (bit-exact path).
-    #[default]
-    Simulated,
-    /// One shard of a real cluster.
-    Shard(ShardView),
-}
 
 /// A cluster shard's view of the overlay: which slots it hosts and whether
 /// it leads estimations.
@@ -120,43 +93,10 @@ impl ShardView {
     }
 }
 
-impl Deployment {
-    /// Whether this is the simulator's all-hosting instance.
-    pub fn is_simulated(&self) -> bool {
-        matches!(self, Deployment::Simulated)
-    }
-
-    /// Whether this instance hosts `node` (always true in the DES).
-    pub fn hosts(&self, node: NodeId) -> bool {
-        match self {
-            Deployment::Simulated => true,
-            Deployment::Shard(s) => s.hosts(node),
-        }
-    }
-
-    /// Whether this instance starts estimations (the DES instance always
-    /// does; a shard only if it carries the estimator role).
-    pub fn leads(&self) -> bool {
-        match self {
-            Deployment::Simulated => true,
-            Deployment::Shard(s) => s.estimator.is_some(),
-        }
-    }
-
-    /// Picks the initiator of a new estimation: a uniform alive draw in the
-    /// DES (identical to the historic behavior), the designated estimator
-    /// node on a leading shard — `None` if that node has departed.
-    pub fn pick_initiator(&self, graph: &Graph, rng: &mut SmallRng) -> Option<NodeId> {
-        match self {
-            Deployment::Simulated => graph.random_alive(rng),
-            Deployment::Shard(s) => s.estimator.filter(|&n| graph.is_alive(n)),
-        }
-    }
-}
-
 /// Everything a [`NodeProtocol`] handler may touch: the current overlay
 /// snapshot (immutable — churn is the driver's business), the network it
-/// sends through, the protocol RNG stream and the report sink.
+/// sends through, the protocol RNG stream, the report sink, and where the
+/// instance runs.
 pub struct Cx<'a, M> {
     /// The overlay as of this event.
     pub graph: &'a Graph,
@@ -166,15 +106,18 @@ pub struct Cx<'a, M> {
     /// latency/loss draws — those live on the network's own stream).
     pub rng: &'a mut SmallRng,
     reports: &'a mut Vec<StepOutcome>,
-    /// Cross-shard routing — which shard this instance executes as and the
-    /// outbox its remote sends buffer into until the next tick-barrier
-    /// exchange — set only by a [`ShardCore`] built with an outbox. `None`
-    /// is the historic single-instance path, bit for bit.
-    route: Option<(ShardView, &'a mut p2p_sim::shard::Outbox<M>)>,
+    /// The slots this instance hosts — set by a [`ShardCore`] built with
+    /// [`ShardCore::shard`]. `None` is the simulator's instance hosting
+    /// every node, the historic path bit for bit.
+    view: Option<ShardView>,
+    /// Where sends to slots hosted by another shard buffer until the next
+    /// tick-barrier exchange (the sharded simulator only).
+    outbox: Option<&'a mut Outbox<M>>,
 }
 
 impl<'a, M> Cx<'a, M> {
-    /// Assembles a context; drivers build one per dispatched event.
+    /// Assembles a context for an instance hosting every node; drivers
+    /// build one per dispatched event.
     pub fn new(
         graph: &'a Graph,
         net: &'a mut Network<M>,
@@ -186,7 +129,8 @@ impl<'a, M> Cx<'a, M> {
             net,
             rng,
             reports,
-            route: None,
+            view: None,
+            outbox: None,
         }
     }
 
@@ -196,15 +140,45 @@ impl<'a, M> Cx<'a, M> {
         self.reports.push(outcome);
     }
 
+    /// Whether this is the simulator's instance hosting every node. A
+    /// cluster shard instead paces only the slots it hosts, starts
+    /// estimations from the shard's designated estimator node (a deployed
+    /// monitor initiates from itself — it cannot reach into a remote
+    /// process's state), and accepts traffic for runs it did not start.
+    pub fn is_simulated(&self) -> bool {
+        self.view.is_none()
+    }
+
+    /// Whether this instance hosts `node` (always true in the DES).
+    pub fn hosts(&self, node: NodeId) -> bool {
+        self.view.is_none_or(|view| view.hosts(node))
+    }
+
+    /// Whether this instance starts estimations (the DES instance always
+    /// does; a shard only if it carries the estimator role).
+    pub fn leads(&self) -> bool {
+        self.view.is_none_or(|view| view.estimator.is_some())
+    }
+
+    /// Picks the initiator of a new estimation: a uniform alive draw in the
+    /// DES (identical to the historic behavior), the designated estimator
+    /// node on a leading shard — `None` if that node has departed.
+    pub fn pick_initiator(&mut self) -> Option<NodeId> {
+        match self.view {
+            None => self.graph.random_alive(self.rng),
+            Some(view) => view.estimator.filter(|&n| self.graph.is_alive(n)),
+        }
+    }
+
     /// Sends `msg` from `src` to `dst`, charged as one message of `kind`.
     ///
-    /// Under a shard route, a destination hosted by another shard goes
-    /// through [`Network::route_remote`] (latency/drop resolved here, on
-    /// this shard's stream, in send order) and is buffered toward that
-    /// shard; dropped remote sends surface as a local [`NodeProtocol::on_loss`]
+    /// With an outbox, a destination hosted by another shard goes through
+    /// [`Network::route_remote`] (latency/drop resolved here, on this
+    /// shard's stream, in send order) and is buffered toward that shard;
+    /// dropped remote sends surface as a local [`NodeProtocol::on_loss`]
     /// at the would-be delivery tick.
     pub fn send(&mut self, src: NodeId, dst: NodeId, kind: MessageKind, msg: M) {
-        if let Some((view, outbox)) = self.route.as_mut() {
+        if let (Some(view), Some(outbox)) = (self.view, self.outbox.as_deref_mut()) {
             if !view.hosts(dst) {
                 if let Some(m) = self.net.route_remote(src.0, dst.0, kind, msg) {
                     outbox.push(dst.index() % view.procs as usize, m);
@@ -232,9 +206,9 @@ impl<'a, M> Cx<'a, M> {
 /// The driver owns the overlay and the clock; the protocol owns its state
 /// (kept centrally in a [`NodeArena`](crate::arena::NodeArena) — a dense,
 /// generation-checked slab keyed by node slot; one object simulates every
-/// node). This homogeneous layout is what every figure runs; deployments
-/// mixing protocol *variants* per node fall back to the boxed round-driven
-/// path ([`ProtocolSpec::build_sync`](crate::ProtocolSpec::build_sync)).
+/// node). This homogeneous layout is what every figure runs; the boxed
+/// round-driven forms ([`ProtocolSpec::build_sync`](crate::ProtocolSpec::build_sync))
+/// run under the same contract.
 /// Handlers fire for:
 ///
 /// * `on_step` — the scenario's step grid (one estimation slot for the
@@ -243,7 +217,7 @@ impl<'a, M> Cx<'a, M> {
 /// * `on_message` — a message delivered to an **alive** node;
 /// * `on_timer` — a protocol-scheduled timer;
 /// * `on_loss` — a message that died in flight, either dropped by the
-///   [`NetworkModel`] or addressed to a node that departed before delivery.
+///   [`NetworkModel`](p2p_sim::NetworkModel) or addressed to a node that departed before delivery.
 ///   Dispatched at the would-be delivery time.
 ///
 /// Estimates are published with [`Cx::report`]; all randomness comes from
@@ -258,14 +232,12 @@ pub trait NodeProtocol {
     /// Called once before the first step, on the initial overlay snapshot.
     fn on_init(&mut self, _cx: &mut Cx<'_, Self::Msg>) {}
 
-    /// Drops all accumulated state (see
-    /// [`EstimationProtocol::reset`]).
+    /// Drops all protocol state accumulated so far — called by drivers
+    /// (e.g. `SizeMonitor::reset`) when the monitored overlay is replaced
+    /// wholesale, so no per-slot state leaks onto an unrelated graph whose
+    /// slot indices happen to alias. The default does nothing, which is
+    /// correct for stateless one-shot estimators.
     fn reset(&mut self) {}
-
-    /// Marks where this instance runs; [`ShardCore::shard`] calls it once
-    /// before driving. The default ignores it, which is correct for
-    /// protocols that only ever run as the all-hosting simulator instance.
-    fn set_deployment(&mut self, _deployment: Deployment) {}
 
     /// `node`'s current estimate, for protocols that hold one per node
     /// (the epidemic class); `None` elsewhere.
@@ -311,10 +283,6 @@ impl<P: NodeProtocol + ?Sized> NodeProtocol for &mut P {
         (**self).reset()
     }
 
-    fn set_deployment(&mut self, deployment: Deployment) {
-        (**self).set_deployment(deployment)
-    }
-
     fn estimate_at(&self, node: NodeId) -> Option<f64> {
         (**self).estimate_at(node)
     }
@@ -336,121 +304,33 @@ impl<P: NodeProtocol + ?Sized> NodeProtocol for &mut P {
     }
 }
 
-/// The synchronous adapter: any round-driven [`EstimationProtocol`] runs
-/// unchanged as a [`NodeProtocol`] whose step handler executes one atomic
-/// protocol step and reports its outcome.
+/// The synchronous adapter: a one-shot [`SizeEstimator`] runs as a
+/// [`NodeProtocol`] whose step handler executes one full estimation and
+/// reports it — `Estimate` on success, `Failed` otherwise.
 ///
 /// It sends no messages (traffic is charged straight to the network's
 /// counter), so latency and loss cannot reach it: over *any* network model
-/// its trace equals the historic round-driven one — the golden-trace
-/// equivalence behind the `run_scenario` refactor.
-pub struct SyncStep<'p, P: ?Sized> {
-    /// The wrapped round-driven protocol.
-    pub inner: &'p mut P,
-}
+/// its trace equals the historic round-driven one.
+#[derive(Clone, Debug)]
+pub struct SyncStep<E>(pub E);
 
-impl<'p, P: EstimationProtocol + ?Sized> SyncStep<'p, P> {
-    /// Wraps `inner` for one driver run.
-    pub fn new(inner: &'p mut P) -> Self {
-        SyncStep { inner }
-    }
-}
-
-impl<P: EstimationProtocol + ?Sized> NodeProtocol for SyncStep<'_, P> {
+impl<E: SizeEstimator> NodeProtocol for SyncStep<E> {
     type Msg = ();
 
     fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_init(&mut self, cx: &mut Cx<'_, ()>) {
-        self.inner.start(cx.graph, cx.rng);
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
+        self.0.name()
     }
 
     fn on_step(&mut self, _step: u64, cx: &mut Cx<'_, ()>) {
-        let outcome = self
-            .inner
-            .step(cx.graph, &mut *cx.rng, cx.net.counter_mut());
+        let outcome = match self.0.estimate(cx.graph, cx.rng, cx.net.counter_mut()) {
+            Some(estimate) => StepOutcome::Estimate(estimate),
+            None => StepOutcome::Failed,
+        };
         cx.report(outcome);
     }
 
     fn on_message(&mut self, _src: NodeId, _dst: NodeId, _msg: (), _cx: &mut Cx<'_, ()>) {
         unreachable!("the synchronous adapter never sends messages");
-    }
-}
-
-/// Runs a [`NodeProtocol`] behind the [`SizeEstimator`] interface: the
-/// adapter owns a [`Network`] under the given model and drives it, one step
-/// window at a time, until the protocol closes a reporting period.
-///
-/// Through the blanket `SizeEstimator → EstimationProtocol` adapter this
-/// plugs the event-driven protocols into every round-driven consumer —
-/// most importantly [`SizeMonitor`](crate::SizeMonitor), which thereby
-/// monitors through the message-level network: one monitor tick = one
-/// estimation under latency and loss.
-///
-/// The network's latency/loss stream is seeded by `net_seed` at
-/// construction, so runs stay deterministic per `(protocol seed,
-/// net_seed)` pair.
-pub struct Networked<P: NodeProtocol> {
-    /// Estimation slots driven without a report before `estimate` gives up
-    /// (safety valve for protocols starved by a pathological overlay).
-    pub max_steps_per_estimate: u64,
-    /// The wrapped protocol on its own event core. The core's RNG slot
-    /// holds the caller's stream for the duration of each `estimate` call.
-    core: ShardCore<P>,
-    step: u64,
-    started: bool,
-    queue: VecDeque<StepOutcome>,
-}
-
-impl<P: NodeProtocol> Networked<P> {
-    /// Wraps `protocol` over a fresh network under `model`.
-    pub fn new(protocol: P, model: NetworkModel, net_seed: u64) -> Self {
-        Networked {
-            max_steps_per_estimate: 100_000,
-            core: ShardCore::new(protocol, Network::new(model, net_seed), small_rng(0)),
-            step: 0,
-            started: false,
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Network accounting so far (sent/delivered/dropped/churn-lost).
-    pub fn net_stats(&self) -> &p2p_sim::NetStats {
-        self.core.net.stats()
-    }
-
-    /// Steps driven so far.
-    pub fn steps(&self) -> u64 {
-        self.step
-    }
-
-    /// Drives the core one step window at a time (`on_step`, then every
-    /// event up to the window's end) until a reporting period closes.
-    fn drive(&mut self, graph: &Graph) -> Option<f64> {
-        if !self.started {
-            self.started = true;
-            self.core.init(graph);
-        }
-        for _ in 0..self.max_steps_per_estimate {
-            match self.queue.pop_front() {
-                Some(StepOutcome::Estimate(e)) => return Some(e),
-                Some(StepOutcome::Failed) => return None,
-                Some(StepOutcome::Pending) => continue,
-                None => {}
-            }
-            self.step += 1;
-            self.core.step(self.step, graph);
-            let horizon = SimTime(self.step * self.core.net.model().step_ticks);
-            self.core.run_until(horizon, &mut SimHost(graph));
-            self.queue.extend(self.core.drain_reports());
-        }
-        None
     }
 }
 
@@ -470,32 +350,13 @@ pub fn dispatch<P: NodeProtocol>(
     shard_core::deliver_event(protocol, event, cx, true);
 }
 
-impl<P: NodeProtocol> SizeEstimator for Networked<P> {
-    fn name(&self) -> &'static str {
-        self.core.protocol.name()
-    }
-
-    fn estimate(
-        &mut self,
-        graph: &Graph,
-        rng: &mut SmallRng,
-        msgs: &mut MessageCounter,
-    ) -> Option<f64> {
-        std::mem::swap(&mut self.core.rng, rng);
-        let estimate = self.drive(graph);
-        std::mem::swap(&mut self.core.rng, rng);
-        msgs.merge(&self.core.net.take_counter());
-        estimate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Heuristic, SampleCollide, SizeMonitor};
     use p2p_overlay::builder::{GraphBuilder, HeterogeneousRandom};
     use p2p_sim::rng::small_rng;
-    use p2p_sim::HopLatency;
+    use p2p_sim::{HopLatency, MessageCounter, NetworkModel};
 
     fn overlay(n: usize, seed: u64) -> Graph {
         let mut rng = small_rng(seed);
@@ -521,25 +382,44 @@ mod tests {
             .with_step_ticks(2_000)
     }
 
+    /// `protocol` as a raw-reading gauge over `model`.
+    fn gauge<P: NodeProtocol>(protocol: P, model: NetworkModel, net_seed: u64) -> SizeMonitor<P> {
+        SizeMonitor::with_network(protocol, Heuristic::OneShot, 1, model, net_seed)
+    }
+
+    /// Ticks `mon` until it closes one reporting period: the raw estimate,
+    /// or `None` for a failed period.
+    fn estimate<P: NodeProtocol>(
+        mon: &mut SizeMonitor<P>,
+        graph: &Graph,
+        rng: &mut SmallRng,
+    ) -> Option<f64> {
+        let closed = mon.reports() + mon.failures();
+        let mut reading = None;
+        while mon.reports() + mon.failures() == closed {
+            assert!(mon.ticks() < 100_000, "no reporting period closed");
+            reading = mon.tick(graph, rng);
+        }
+        reading.map(|r| r.raw)
+    }
+
     #[test]
     fn sync_step_reproduces_the_round_driven_step_bit_for_bit() {
         let graph = overlay(1_500, 800);
-        // Round-driven reference.
+        // The estimator called directly.
         let mut rng_a = small_rng(801);
         let mut msgs_a = MessageCounter::new();
-        let mut reference = SampleCollide::cheap();
-        let direct = reference.step(&graph, &mut rng_a, &mut msgs_a);
+        let direct = SampleCollide::cheap().estimate(&graph, &mut rng_a, &mut msgs_a);
 
-        // The same protocol through the synchronous adapter over a network.
+        // The same estimator through the synchronous adapter over a network.
         let mut rng_b = small_rng(801);
-        let mut inner = SampleCollide::cheap();
-        let mut adapter = SyncStep::new(&mut inner);
+        let mut adapter = SyncStep(SampleCollide::cheap());
         let mut net: Network<()> = Network::new(NetworkModel::ideal(), 999);
         let mut reports = Vec::new();
         let mut cx = Cx::new(&graph, &mut net, &mut rng_b, &mut reports);
         adapter.on_init(&mut cx);
         adapter.on_step(1, &mut cx);
-        assert_eq!(reports, vec![direct]);
+        assert_eq!(reports, vec![StepOutcome::Estimate(direct.unwrap())]);
         assert_eq!(net.counter(), &msgs_a);
         assert_eq!(net.stats().sent, 0, "the adapter routes no messages");
     }
@@ -548,19 +428,18 @@ mod tests {
     fn async_sample_collide_estimates_accurately_over_an_ideal_network() {
         let graph = overlay(2_000, 810);
         let mut rng = small_rng(811);
-        let mut msgs = MessageCounter::new();
-        let mut netp = Networked::new(AsyncSampleCollide::cheap(), NetworkModel::ideal(), 812);
+        let mut mon = gauge(AsyncSampleCollide::cheap(), NetworkModel::ideal(), 812);
         let mut mean = 0.0;
         let runs = 5;
         for _ in 0..runs {
-            mean += netp.estimate(&graph, &mut rng, &mut msgs).unwrap();
+            mean += estimate(&mut mon, &graph, &mut rng).unwrap();
         }
         mean /= runs as f64;
         let q = mean / 2_000.0;
         assert!((0.7..1.3).contains(&q), "quality {q}");
         // Every hop and reply was a real network message.
-        assert_eq!(msgs.total(), netp.net_stats().sent);
-        assert!(netp.net_stats().delivered > 1_000);
+        assert_eq!(mon.total_messages().total(), mon.net_stats().sent);
+        assert!(mon.net_stats().delivered > 1_000);
     }
 
     #[test]
@@ -568,16 +447,12 @@ mod tests {
         let graph = overlay(1_000, 820);
         let run = || {
             let mut rng = small_rng(821);
-            let mut msgs = MessageCounter::new();
-            let mut netp = Networked::new(
-                AsyncSampleCollide::cheap(),
-                NetworkModel::wan().with_drop_rate(0.05),
-                822,
-            );
+            let model = NetworkModel::wan().with_drop_rate(0.05);
+            let mut mon = gauge(AsyncSampleCollide::cheap(), model, 822);
             let estimates: Vec<Option<f64>> = (0..3)
-                .map(|_| netp.estimate(&graph, &mut rng, &mut msgs))
+                .map(|_| estimate(&mut mon, &graph, &mut rng))
                 .collect();
-            (estimates, msgs)
+            (estimates, mon.total_messages().clone())
         };
         let (ea, ma) = run();
         let (eb, mb) = run();
@@ -589,19 +464,15 @@ mod tests {
     fn latency_stretches_an_estimation_over_many_step_windows() {
         let graph = overlay(500, 830);
         let mut rng = small_rng(831);
-        let mut msgs = MessageCounter::new();
-        let mut netp = Networked::new(
-            AsyncSampleCollide::cheap().with_timeout(1_000),
-            slow_net(1.0),
-            832,
-        );
-        let est = netp.estimate(&graph, &mut rng, &mut msgs).unwrap();
+        let walk = AsyncSampleCollide::cheap().with_timeout(1_000);
+        let mut mon = gauge(walk, slow_net(1.0), 832);
+        let est = estimate(&mut mon, &graph, &mut rng).unwrap();
         assert!(est > 0.0);
         // ≈ √(2·10·500) samples × ≈ 72 sequential 1 ms hops ≫ one window.
         assert!(
-            netp.steps() > 2,
+            mon.ticks() > 2,
             "a walk of thousands of sequential hops must span windows, took {}",
-            netp.steps()
+            mon.ticks()
         );
     }
 
@@ -609,33 +480,29 @@ mod tests {
     fn total_loss_fails_every_estimation() {
         let graph = overlay(300, 840);
         let mut rng = small_rng(841);
-        let mut msgs = MessageCounter::new();
-        let mut netp = Networked::new(
-            AsyncSampleCollide::cheap(),
-            NetworkModel::ideal().with_drop_rate(1.0),
-            842,
-        );
+        let model = NetworkModel::ideal().with_drop_rate(1.0);
+        let mut mon = gauge(AsyncSampleCollide::cheap(), model, 842);
         for _ in 0..3 {
-            assert!(netp.estimate(&graph, &mut rng, &mut msgs).is_none());
+            assert!(estimate(&mut mon, &graph, &mut rng).is_none());
         }
-        assert!(netp.net_stats().dropped >= 3, "first hop dropped each run");
+        assert!(mon.net_stats().dropped >= 3, "first hop dropped each run");
     }
 
     #[test]
     fn async_hops_sampling_underestimates_like_the_sync_variant() {
         let graph = overlay(5_000, 850);
         let mut rng = small_rng(851);
-        let mut msgs = MessageCounter::new();
-        let mut netp = Networked::new(AsyncHopsSampling::paper(), slow_net(1.0), 852);
+        let mut mon = gauge(AsyncHopsSampling::paper(), slow_net(1.0), 852);
         let mut mean = 0.0;
         let runs = 6;
         for _ in 0..runs {
-            mean += netp.estimate(&graph, &mut rng, &mut msgs).unwrap();
+            mean += estimate(&mut mon, &graph, &mut rng).unwrap();
         }
         let q = mean / runs as f64 / 5_000.0;
         // The membership-substrate spread reaches ≈ 80%; the poll then sits
         // below truth but well inside the paper's band.
         assert!((0.55..1.15).contains(&q), "mean quality {q}");
+        let msgs = mon.total_messages();
         assert!(msgs.get(MessageKind::GossipForward) > 0);
         assert!(msgs.get(MessageKind::PollReply) > 0);
     }
@@ -645,15 +512,11 @@ mod tests {
         let graph = overlay(3_000, 860);
         let estimate_under = |drop: f64| {
             let mut rng = small_rng(861);
-            let mut msgs = MessageCounter::new();
-            let mut netp = Networked::new(
-                AsyncHopsSampling::paper(),
-                slow_net(1.0).with_drop_rate(drop),
-                862,
-            );
+            let model = slow_net(1.0).with_drop_rate(drop);
+            let mut mon = gauge(AsyncHopsSampling::paper(), model, 862);
             let mut sum = 0.0;
             for _ in 0..5 {
-                sum += netp.estimate(&graph, &mut rng, &mut msgs).unwrap();
+                sum += estimate(&mut mon, &graph, &mut rng).unwrap();
             }
             sum
         };
@@ -669,32 +532,34 @@ mod tests {
     fn async_aggregation_converges_over_an_ideal_network() {
         let graph = overlay(1_000, 870);
         let mut rng = small_rng(871);
-        let mut msgs = MessageCounter::new();
-        let mut netp = Networked::new(AsyncAggregation::paper(), slow_net(1.0), 872);
-        let est = netp.estimate(&graph, &mut rng, &mut msgs).unwrap();
+        let mut mon = gauge(AsyncAggregation::paper(), slow_net(1.0), 872);
+        let est = estimate(&mut mon, &graph, &mut rng).unwrap();
         let q = est / 1_000.0;
         assert!((0.9..1.1).contains(&q), "epoch estimate quality {q}");
         // 50 rounds; the read timer lands on the final round's window edge.
-        assert_eq!(netp.steps(), 50);
+        assert_eq!(mon.ticks(), 50);
+        let msgs = mon.total_messages();
         assert!(msgs.get(MessageKind::AggregationPush) > 0);
         assert!(msgs.get(MessageKind::AggregationPull) > 0);
     }
 
     #[test]
     fn size_monitor_runs_through_the_network() {
-        // The monitor route the tentpole asks for: SizeMonitor around a
-        // Networked protocol = a perpetual gauge under latency and loss.
+        // A perpetual gauge under latency: one tick is one step window, and
+        // a walk spanning several windows reports when it lands.
         let graph = overlay(1_500, 880);
         let mut rng = small_rng(881);
-        let mut mon = SizeMonitor::new(
-            Networked::new(AsyncSampleCollide::cheap(), slow_net(1.0), 882),
+        let mut mon = SizeMonitor::with_network(
+            AsyncSampleCollide::cheap(),
             Heuristic::OneShot,
             16,
+            slow_net(1.0),
+            882,
         );
-        for _ in 0..5 {
+        for _ in 0..40 {
             mon.tick(&graph, &mut rng);
         }
-        assert_eq!(mon.ticks(), 5);
+        assert_eq!(mon.ticks(), 40);
         assert!(mon.reports() >= 3, "reports {}", mon.reports());
         let current = mon.current().unwrap();
         assert!((current / 1_500.0 - 1.0).abs() < 0.4, "gauge {current}");

@@ -16,7 +16,7 @@
 //! * churn can kill the node a walk currently sits on, with the same
 //!   effect.
 
-use super::{Cx, Deployment, NodeProtocol};
+use super::{Cx, NodeProtocol};
 use crate::protocol::StepOutcome;
 use crate::sample_collide::{CollisionCounter, SampleCollideConfig};
 use p2p_overlay::NodeId;
@@ -66,8 +66,6 @@ pub struct AsyncSampleCollide {
     pub config: SampleCollideConfig,
     /// Step windows before an unfinished estimation is declared failed.
     pub timeout_steps: u64,
-    /// Where this instance runs (DES or one cluster shard).
-    deployment: Deployment,
     run_id: u64,
     active: Option<ScRun>,
 }
@@ -78,7 +76,6 @@ impl AsyncSampleCollide {
         AsyncSampleCollide {
             config,
             timeout_steps: 8,
-            deployment: Deployment::Simulated,
             run_id: 0,
             active: None,
         }
@@ -133,16 +130,12 @@ impl NodeProtocol for AsyncSampleCollide {
         "Sample&Collide"
     }
 
-    fn set_deployment(&mut self, deployment: Deployment) {
-        self.deployment = deployment;
-    }
-
     fn reset(&mut self) {
         self.active = None;
     }
 
     fn on_step(&mut self, step: u64, cx: &mut Cx<'_, ScMsg>) {
-        if !self.deployment.leads() {
+        if !cx.leads() {
             return; // relay shards only react to traffic
         }
         if let Some(run) = &self.active {
@@ -151,7 +144,7 @@ impl NodeProtocol for AsyncSampleCollide {
             }
             self.fail(cx); // stranded or outpaced by latency: give up
         }
-        let Some(initiator) = self.deployment.pick_initiator(cx.graph, cx.rng) else {
+        let Some(initiator) = cx.pick_initiator() else {
             cx.report(StepOutcome::Failed);
             return;
         };
@@ -171,7 +164,7 @@ impl NodeProtocol for AsyncSampleCollide {
                 // timed-out estimations. A cluster shard cannot know about
                 // remote runs: it forwards any token (the initiator's
                 // run-id guard discards stale replies).
-                if self.deployment.is_simulated() && (self.active.is_none() || run != self.run_id) {
+                if cx.is_simulated() && (self.active.is_none() || run != self.run_id) {
                     return; // token of a timed-out estimation
                 }
                 let degree = cx.graph.degree(dst);

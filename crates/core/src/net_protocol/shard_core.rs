@@ -7,7 +7,7 @@
 //! cross-shard [`Outbox`]. [`ShardCore::run_until`] is the only place
 //! matured events are popped and mapped onto `on_message` / `on_loss` /
 //! `on_timer`; every driver (the sequential scenario runner, the sharded
-//! engine, [`Networked`](super::Networked), the UDP node runtime) is a
+//! engine, [`SizeMonitor`](crate::SizeMonitor), the UDP node runtime) is a
 //! [`Host`] around one or more cores.
 //!
 //! What differs between drivers sits behind the [`Host`] seam, which is
@@ -22,7 +22,7 @@
 //! drops and deliveries to departed nodes surface only through protocol
 //! timeouts there.
 
-use super::{Cx, Deployment, NodeProtocol, ShardView};
+use super::{Cx, NodeProtocol, ShardView};
 use crate::protocol::StepOutcome;
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::shard::Outbox;
@@ -98,19 +98,18 @@ impl<P: NodeProtocol> ShardCore<P> {
         }
     }
 
-    /// A core hosting the slots of `view`, with the matching
-    /// [`Deployment`] installed in the protocol. With an `outbox`, sends to
-    /// remote-hosted slots divert into its lanes at send time (the sharded
-    /// simulator's tick-barrier exchange); without, they ride the local
-    /// wheel and reach [`Host::forward`] at maturity.
+    /// A core hosting the slots of `view`, which every handler sees
+    /// through its [`Cx`]. With an `outbox`, sends to remote-hosted slots
+    /// divert into its lanes at send time (the sharded simulator's
+    /// tick-barrier exchange); without, they ride the local wheel and reach
+    /// [`Host::forward`] at maturity.
     pub fn shard(
-        mut protocol: P,
+        protocol: P,
         net: Network<P::Msg>,
         rng: SmallRng,
         view: ShardView,
         outbox: Option<Outbox<P::Msg>>,
     ) -> Self {
-        protocol.set_deployment(Deployment::Shard(view));
         ShardCore {
             view: Some(view),
             outbox,
@@ -129,13 +128,13 @@ impl<P: NodeProtocol> ShardCore<P> {
     }
 
     fn parts<'a>(&'a mut self, graph: &'a Graph) -> (&'a mut P, Cx<'a, P::Msg>) {
-        let route = self.view.zip(self.outbox.as_mut());
         let cx = Cx {
             graph,
             net: &mut self.net,
             rng: &mut self.rng,
             reports: &mut self.reports,
-            route,
+            view: self.view,
+            outbox: self.outbox.as_mut(),
         };
         (&mut self.protocol, cx)
     }

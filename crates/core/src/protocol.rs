@@ -1,55 +1,46 @@
-//! The round-driven estimation API unifying all three algorithm classes.
+//! What a protocol step reports — the outcome vocabulary shared by every
+//! algorithm class.
 //!
 //! The paper's comparison (§IV) drives three *structurally different*
 //! algorithm classes through identical static and dynamic scenarios: the
 //! random-walk and probabilistic-polling classes produce one estimate per
 //! invocation, while the epidemic class advances in synchronous gossip
-//! rounds and only yields an estimate at each epoch boundary. The historic
-//! [`SizeEstimator`] trait models the former only, which forced a duplicated
-//! scenario loop for Aggregation.
+//! rounds and only yields an estimate at each epoch boundary. All three run
+//! as [`NodeProtocol`](crate::NodeProtocol)s — the one contract every
+//! driver executes — and close reporting periods with a [`StepOutcome`]:
+//! an [`StepOutcome::Estimate`], or [`StepOutcome::Failed`] for a period
+//! that ended without one.
 //!
-//! [`EstimationProtocol`] is the common denominator: a protocol is *stepped*;
-//! each step either reports an [`StepOutcome::Estimate`], is still
-//! [`StepOutcome::Pending`] mid-computation, or has
-//! [`StepOutcome::Failed`] for this reporting period. One generic driver
-//! (`p2p_experiments::runner::run_scenario`) can then interleave churn with
-//! *any* protocol:
-//!
-//! * every [`SizeEstimator`] participates through a blanket adapter — one
-//!   step = one full estimation (never `Pending`);
-//! * [`EpochedAggregation`] participates natively — one step = one gossip
-//!   round, reporting at each epoch boundary (§IV-D(k)).
+//! * the one-shot estimators ([`SizeEstimator`](crate::SizeEstimator)s)
+//!   run through [`SyncStep`](crate::SyncStep): one step = one full
+//!   estimation, reported at once;
+//! * [`EpochedAggregation`](crate::aggregation::EpochedAggregation) is a
+//!   protocol itself — one step = one gossip round, reporting at each epoch
+//!   boundary (§IV-D(k));
+//! * the event-driven classes ([`net_protocol`](crate::net_protocol))
+//!   report whenever their messages complete a period.
 //!
 //! ```
 //! use p2p_estimation::aggregation::{AggregationConfig, EpochedAggregation};
-//! use p2p_estimation::{EstimationProtocol, SampleCollide, StepOutcome};
+//! use p2p_estimation::{Heuristic, SampleCollide, SizeMonitor, SyncStep};
 //! use p2p_overlay::builder::{GraphBuilder, HeterogeneousRandom};
-//! use p2p_sim::MessageCounter;
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 //! let graph = HeterogeneousRandom::paper(2_000).build(&mut rng);
-//! let mut msgs = MessageCounter::new();
 //!
 //! // A one-shot estimator: every step reports.
-//! let mut sc = SampleCollide::cheap();
-//! sc.start(&graph, &mut rng);
-//! assert!(matches!(sc.step(&graph, &mut rng, &mut msgs), StepOutcome::Estimate(_)));
+//! let mut sc = SizeMonitor::new(SyncStep(SampleCollide::cheap()), Heuristic::OneShot, 8);
+//! assert!(sc.tick(&graph, &mut rng).is_some());
 //!
 //! // The epidemic class: 50 pending rounds per reported estimate.
-//! let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-//! agg.start(&graph, &mut rng);
+//! let agg = EpochedAggregation::new(AggregationConfig::paper());
+//! let mut agg = SizeMonitor::new(agg, Heuristic::OneShot, 8);
 //! for _ in 0..49 {
-//!     assert!(matches!(agg.step(&graph, &mut rng, &mut msgs), StepOutcome::Pending));
+//!     assert!(agg.tick(&graph, &mut rng).is_none());
 //! }
-//! assert!(matches!(agg.step(&graph, &mut rng, &mut msgs), StepOutcome::Estimate(_)));
+//! assert!(agg.tick(&graph, &mut rng).is_some());
 //! ```
-
-use crate::aggregation::EpochedAggregation;
-use crate::SizeEstimator;
-use p2p_overlay::Graph;
-use p2p_sim::MessageCounter;
-use rand::rngs::SmallRng;
 
 /// What one protocol step produced.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,132 +71,39 @@ impl StepOutcome {
     }
 }
 
-/// A fully decentralized size-estimation protocol, driven step by step.
-///
-/// A *step* is the protocol's natural unit of synchronous progress: one full
-/// estimation for the one-shot classes, one gossip round for the epidemic
-/// class. Drivers call [`start`](Self::start) once on the initial overlay,
-/// then [`step`](Self::step) repeatedly, interleaving overlay churn between
-/// steps as the scenario dictates. All traffic is charged to the step's
-/// [`MessageCounter`]; all randomness comes from the caller's RNG, keeping
-/// runs deterministic per seed.
-pub trait EstimationProtocol {
-    /// Algorithm name as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
-    /// Lifecycle hook: called once before the first step, on the initial
-    /// overlay snapshot. The default does nothing — both built-in adapters
-    /// initialize lazily so that resuming after churn needs no special case.
-    fn start(&mut self, _graph: &Graph, _rng: &mut SmallRng) {}
-
-    /// Lifecycle hook: drops all protocol state accumulated so far — called
-    /// by drivers (e.g. `SizeMonitor::reset`) when the monitored overlay is
-    /// replaced wholesale, so no per-slot state leaks onto an unrelated
-    /// graph whose slot indices happen to alias. The default does nothing,
-    /// which is correct for stateless one-shot estimators.
-    fn reset(&mut self) {}
-
-    /// Advances the protocol by one step on the current overlay snapshot.
-    fn step(&mut self, graph: &Graph, rng: &mut SmallRng, msgs: &mut MessageCounter)
-        -> StepOutcome;
-}
-
-/// Blanket adapter: every one-shot [`SizeEstimator`] is a protocol whose
-/// every step runs one full estimation — `Estimate` on success, `Failed`
-/// otherwise, never `Pending`.
-impl<E: SizeEstimator> EstimationProtocol for E {
-    fn name(&self) -> &'static str {
-        SizeEstimator::name(self)
-    }
-
-    fn step(
-        &mut self,
-        graph: &Graph,
-        rng: &mut SmallRng,
-        msgs: &mut MessageCounter,
-    ) -> StepOutcome {
-        match self.estimate(graph, rng, msgs) {
-            Some(estimate) => StepOutcome::Estimate(estimate),
-            None => StepOutcome::Failed,
-        }
-    }
-}
-
-/// The epidemic class as a round-driven protocol: one step = one push-pull
-/// gossip round; a fresh epoch (new tag, new initiator) starts lazily on the
-/// first step and after each completed epoch; the epoch's estimate is
-/// reported at its final round, read per §V(p) at the initiator or a
-/// surviving participant.
-///
-/// This is what the historic `run_aggregation_scenario` loop did by hand —
-/// expressed once, here, so every scenario driver and monitor can run the
-/// epidemic class through the same code path as the other two.
-impl EstimationProtocol for EpochedAggregation {
-    fn name(&self) -> &'static str {
-        "Aggregation"
-    }
-
-    fn reset(&mut self) {
-        EpochedAggregation::reset(self);
-    }
-
-    fn step(
-        &mut self,
-        graph: &Graph,
-        rng: &mut SmallRng,
-        msgs: &mut MessageCounter,
-    ) -> StepOutcome {
-        let epoch_len = self.config.rounds_per_estimate;
-        if self.epoch() == 0 || self.rounds_done() >= epoch_len {
-            // First step ever, or the previous epoch completed (or could not
-            // be opened on a dead overlay — retried here): start a new tag.
-            if self.start_epoch(graph, rng).is_none() && self.epoch() == 0 {
-                // No epoch has ever run and none can start (empty overlay):
-                // there is no state to keep gossiping, so each step is a
-                // failed reporting period — mirroring the one-shot classes
-                // on the same timeline instead of pending forever.
-                return StepOutcome::Failed;
-            }
-        }
-        self.run_round(graph, rng, msgs);
-        if self.rounds_done() >= epoch_len {
-            match self.current_estimate(graph, rng) {
-                Some(estimate) => StepOutcome::Estimate(estimate),
-                None => StepOutcome::Failed,
-            }
-        } else {
-            StepOutcome::Pending
-        }
-    }
-}
-
-/// Steps `protocol` until it closes one reporting period, returning the
-/// estimate (or `None` on failure). `max_steps` bounds the wait for
-/// protocols that might never report on a pathological overlay.
-pub fn estimate_once<P: EstimationProtocol + ?Sized>(
+/// Runs one `on_step` of a message-free protocol on `graph`, charging its
+/// traffic to `msgs`; `Pending` when the step closed no period.
+#[cfg(test)]
+pub(crate) fn step_once<P: crate::NodeProtocol<Msg = ()> + ?Sized>(
     protocol: &mut P,
-    graph: &Graph,
-    rng: &mut SmallRng,
-    msgs: &mut MessageCounter,
-    max_steps: u64,
-) -> Option<f64> {
-    for _ in 0..max_steps {
-        match protocol.step(graph, rng, msgs) {
-            StepOutcome::Estimate(estimate) => return Some(estimate),
-            StepOutcome::Failed => return None,
-            StepOutcome::Pending => {}
-        }
-    }
-    None
+    step: u64,
+    graph: &p2p_overlay::Graph,
+    rng: &mut rand::rngs::SmallRng,
+    msgs: &mut p2p_sim::MessageCounter,
+) -> StepOutcome {
+    let mut net = p2p_sim::Network::new(p2p_sim::NetworkModel::ideal(), 0);
+    let mut reports = Vec::new();
+    protocol.on_step(
+        step,
+        &mut crate::net_protocol::Cx::new(graph, &mut net, rng, &mut reports),
+    );
+    msgs.merge(net.counter());
+    assert!(
+        reports.len() <= 1,
+        "a synchronous step closes at most one period"
+    );
+    reports.pop().unwrap_or(StepOutcome::Pending)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::{Aggregation, AggregationConfig};
-    use crate::{HopsSampling, SampleCollide};
+    use crate::aggregation::{Aggregation, AggregationConfig, EpochedAggregation};
+    use crate::{Heuristic, HopsSampling, SampleCollide, SizeEstimator, SizeMonitor, SyncStep};
     use p2p_overlay::builder::{GraphBuilder, HeterogeneousRandom};
+    use p2p_overlay::Graph;
     use p2p_sim::rng::small_rng;
+    use p2p_sim::MessageCounter;
 
     fn overlay(n: usize, seed: u64) -> Graph {
         let mut rng = small_rng(seed);
@@ -216,28 +114,27 @@ mod tests {
     fn one_shot_adapters_report_every_step() {
         let graph = overlay(2_000, 700);
         let mut rng = small_rng(701);
-        let mut msgs = p2p_sim::MessageCounter::new();
-        let mut sc = SampleCollide::cheap();
-        let mut hs = HopsSampling::paper();
-        for _ in 0..3 {
-            assert!(sc.step(&graph, &mut rng, &mut msgs).is_report());
-            assert!(hs.step(&graph, &mut rng, &mut msgs).is_report());
+        let mut msgs = MessageCounter::new();
+        let mut sc = SyncStep(SampleCollide::cheap());
+        let mut hs = SyncStep(HopsSampling::paper());
+        for step in 1..=3 {
+            assert!(step_once(&mut sc, step, &graph, &mut rng, &mut msgs).is_report());
+            assert!(step_once(&mut hs, step, &graph, &mut rng, &mut msgs).is_report());
         }
     }
 
     #[test]
     fn adapter_step_matches_direct_estimate() {
-        // The blanket adapter must not perturb the RNG stream: a step and a
-        // direct estimate from the same seed agree bit for bit.
+        // The adapter must not perturb the RNG stream: a step and a direct
+        // estimate from the same seed agree bit for bit.
         let graph = overlay(1_500, 702);
         let mut rng_a = small_rng(703);
         let mut rng_b = small_rng(703);
-        let mut msgs_a = p2p_sim::MessageCounter::new();
-        let mut msgs_b = p2p_sim::MessageCounter::new();
+        let mut msgs_a = MessageCounter::new();
+        let mut msgs_b = MessageCounter::new();
         let direct = SampleCollide::paper().estimate(&graph, &mut rng_a, &mut msgs_a);
-        let stepped = SampleCollide::paper()
-            .step(&graph, &mut rng_b, &mut msgs_b)
-            .estimate();
+        let mut adapter = SyncStep(SampleCollide::paper());
+        let stepped = step_once(&mut adapter, 1, &graph, &mut rng_b, &mut msgs_b).estimate();
         assert_eq!(direct, stepped);
         assert_eq!(msgs_a, msgs_b);
     }
@@ -246,15 +143,13 @@ mod tests {
     fn epoched_aggregation_reports_at_epoch_boundaries() {
         let graph = overlay(1_000, 704);
         let mut rng = small_rng(705);
-        let mut msgs = p2p_sim::MessageCounter::new();
+        let mut msgs = MessageCounter::new();
         let mut agg = EpochedAggregation::new(AggregationConfig {
             rounds_per_estimate: 10,
         });
-        agg.start(&graph, &mut rng);
         let mut reports = Vec::new();
-        for step in 1..=30u32 {
-            let outcome = agg.step(&graph, &mut rng, &mut msgs);
-            if outcome.is_report() {
+        for step in 1..=30u64 {
+            if step_once(&mut agg, step, &graph, &mut rng, &mut msgs).is_report() {
                 reports.push(step);
             }
         }
@@ -272,7 +167,7 @@ mod tests {
         };
 
         let mut rng_a = small_rng(707);
-        let mut msgs_a = p2p_sim::MessageCounter::new();
+        let mut msgs_a = MessageCounter::new();
         let mut manual = EpochedAggregation::new(config);
         let mut manual_estimates = Vec::new();
         for round in 0..75u32 {
@@ -286,13 +181,12 @@ mod tests {
         }
 
         let mut rng_b = small_rng(707);
-        let mut msgs_b = p2p_sim::MessageCounter::new();
+        let mut msgs_b = MessageCounter::new();
         let mut protocol = EpochedAggregation::new(config);
-        protocol.start(&graph, &mut rng_b);
         let mut protocol_estimates = Vec::new();
-        for _ in 0..75u32 {
+        for step in 1..=75u64 {
             if let outcome @ (StepOutcome::Estimate(_) | StepOutcome::Failed) =
-                protocol.step(&graph, &mut rng_b, &mut msgs_b)
+                step_once(&mut protocol, step, &graph, &mut rng_b, &mut msgs_b)
             {
                 protocol_estimates.push(outcome.estimate());
             }
@@ -303,18 +197,21 @@ mod tests {
     }
 
     #[test]
-    fn estimate_once_spans_pending_steps() {
+    fn a_monitor_reading_spans_pending_steps() {
         let graph = overlay(1_000, 708);
         let mut rng = small_rng(709);
-        let mut msgs = p2p_sim::MessageCounter::new();
-        let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-        let est = estimate_once(&mut agg, &graph, &mut rng, &mut msgs, 1_000).unwrap();
+        let agg = EpochedAggregation::new(AggregationConfig::paper());
+        let mut mon = SizeMonitor::new(agg, Heuristic::OneShot, 4);
+        let est = (0..1_000)
+            .find_map(|_| mon.tick(&graph, &mut rng))
+            .expect("an epoch closes")
+            .raw;
         let quality = est / 1_000.0;
         assert!((0.9..1.1).contains(&quality), "quality {quality}");
 
-        // One-shot path: a single step suffices.
-        let mut sc = SampleCollide::cheap();
-        assert!(estimate_once(&mut sc, &graph, &mut rng, &mut msgs, 1).is_some());
+        // One-shot path: a single tick suffices.
+        let mut sc = SizeMonitor::new(SyncStep(SampleCollide::cheap()), Heuristic::OneShot, 4);
+        assert!(sc.tick(&graph, &mut rng).is_some());
     }
 
     #[test]
@@ -324,22 +221,25 @@ mod tests {
         // an eternal `Pending` that would starve monitors and drivers.
         let graph = Graph::with_capacity(0);
         let mut rng = small_rng(714);
-        let mut msgs = p2p_sim::MessageCounter::new();
+        let mut msgs = MessageCounter::new();
         let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-        for _ in 0..3 {
-            assert_eq!(agg.step(&graph, &mut rng, &mut msgs), StepOutcome::Failed);
+        for step in 1..=3 {
+            let outcome = step_once(&mut agg, step, &graph, &mut rng, &mut msgs);
+            assert_eq!(outcome, StepOutcome::Failed);
         }
         assert_eq!(msgs.total(), 0);
     }
 
     #[test]
-    fn estimate_once_gives_up_after_max_steps() {
+    fn a_fifty_round_epoch_yields_no_reading_in_ten_ticks() {
         let graph = overlay(500, 710);
         let mut rng = small_rng(711);
-        let mut msgs = p2p_sim::MessageCounter::new();
-        let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-        // 50-round epochs cannot report within 10 steps.
-        assert!(estimate_once(&mut agg, &graph, &mut rng, &mut msgs, 10).is_none());
+        let agg = EpochedAggregation::new(AggregationConfig::paper());
+        let mut mon = SizeMonitor::new(agg, Heuristic::OneShot, 4);
+        for _ in 0..10 {
+            assert!(mon.tick(&graph, &mut rng).is_none());
+        }
+        assert_eq!((mon.reports(), mon.failures()), (0, 0));
     }
 
     #[test]
@@ -349,9 +249,9 @@ mod tests {
         // scenarios the latter.
         let graph = overlay(1_200, 712);
         let mut rng = small_rng(713);
-        let mut msgs = p2p_sim::MessageCounter::new();
-        let mut agg = Aggregation::paper();
-        let outcome = agg.step(&graph, &mut rng, &mut msgs);
+        let mut msgs = MessageCounter::new();
+        let mut agg = SyncStep(Aggregation::paper());
+        let outcome = step_once(&mut agg, 1, &graph, &mut rng, &mut msgs);
         let est = outcome.estimate().expect("static overlay");
         assert!((est / 1_200.0 - 1.0).abs() < 0.05, "estimate {est}");
         assert_eq!(msgs.total(), 1_200 * 50 * 2);

@@ -5,12 +5,12 @@
 //! and turned back into that string with `Display` (the two round-trip:
 //! `parse(display(spec)) == spec`). A spec builds either execution form:
 //!
-//! * [`build_sync`](ProtocolSpec::build_sync) — the round-driven
-//!   [`EstimationProtocol`] the paper's simulator uses;
+//! * [`build_sync`](ProtocolSpec::build_sync) — the round-driven form
+//!   the paper's simulator uses, a boxed [`NodeProtocol`] that sends no
+//!   messages;
 //! * [`build_async`](ProtocolSpec::build_async) — the event-driven
-//!   [`NodeProtocol`](crate::NodeProtocol) form for the message-level
-//!   network, returned as an [`AsyncProtocol`] enum because each protocol
-//!   has its own wire format.
+//!   [`NodeProtocol`] form for the message-level network, returned as an
+//!   [`AsyncProtocol`] enum because each protocol has its own wire format.
 //!
 //! Parsing is hand-rolled `key=value` (no serde — the grammar is three
 //! names and a handful of numeric knobs). Omitted keys default to the
@@ -24,7 +24,7 @@ use crate::aggregation::{Aggregation, AggregationConfig, EpochedAggregation};
 use crate::hops_sampling::HopsSamplingConfig;
 use crate::net_protocol::{AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide};
 use crate::sample_collide::SampleCollideConfig;
-use crate::{EstimationProtocol, HopsSampling, SampleCollide};
+use crate::{HopsSampling, NodeProtocol, SampleCollide, SyncStep};
 use std::fmt;
 
 /// Why a spec string did not parse.
@@ -309,21 +309,22 @@ impl ProtocolSpec {
     }
 
     /// Builds the round-driven form: the exact objects the figures used to
-    /// construct by hand, behind one factory.
-    pub fn build_sync(&self) -> Box<dyn EstimationProtocol> {
+    /// construct by hand, behind one factory — the one-shot estimators
+    /// through [`SyncStep`], epoched Aggregation as itself.
+    pub fn build_sync(&self) -> Box<dyn NodeProtocol<Msg = ()>> {
         match self {
-            ProtocolSpec::SampleCollide { .. } => {
-                Box::new(SampleCollide::with_config(self.sample_collide_config()))
-            }
-            ProtocolSpec::HopsSampling { .. } => Box::new(HopsSampling {
+            ProtocolSpec::SampleCollide { .. } => Box::new(SyncStep(SampleCollide::with_config(
+                self.sample_collide_config(),
+            ))),
+            ProtocolSpec::HopsSampling { .. } => Box::new(SyncStep(HopsSampling {
                 config: self.hops_sampling_config(),
-            }),
+            })),
             ProtocolSpec::Aggregation { epoched: true, .. } => {
                 Box::new(EpochedAggregation::new(self.aggregation_config()))
             }
-            ProtocolSpec::Aggregation { epoched: false, .. } => Box::new(Aggregation {
+            ProtocolSpec::Aggregation { epoched: false, .. } => Box::new(SyncStep(Aggregation {
                 config: self.aggregation_config(),
-            }),
+            })),
         }
     }
 
@@ -440,7 +441,6 @@ macro_rules! with_async_protocol {
 impl AsyncProtocol {
     /// Algorithm name as used in the paper's figure legends.
     pub fn name(&self) -> &'static str {
-        use crate::NodeProtocol as _;
         with_async_protocol!(self, p => p.name())
     }
 }
@@ -611,29 +611,28 @@ mod tests {
     fn build_sync_matches_hand_constructed_protocols() {
         // The factory must consume the RNG exactly like the hand-built
         // object the figures historically used.
+        use crate::protocol::{step_once, StepOutcome};
+        use crate::SizeEstimator;
         let mut rng = small_rng(4100);
         let graph = HeterogeneousRandom::paper(1_500).build(&mut rng);
         let mut msgs_a = MessageCounter::new();
         let mut msgs_b = MessageCounter::new();
+        let outcome = |e: Option<f64>| e.map_or(StepOutcome::Failed, StepOutcome::Estimate);
 
         let mut rng_a = small_rng(4101);
         let mut rng_b = small_rng(4101);
-        let direct = SampleCollide::paper().step(&graph, &mut rng_a, &mut msgs_a);
-        let built =
-            ProtocolSpec::sample_collide_paper()
-                .build_sync()
-                .step(&graph, &mut rng_b, &mut msgs_b);
-        assert_eq!(direct, built);
+        let direct = SampleCollide::paper().estimate(&graph, &mut rng_a, &mut msgs_a);
+        let mut built = ProtocolSpec::sample_collide_paper().build_sync();
+        let built = step_once(&mut *built, 1, &graph, &mut rng_b, &mut msgs_b);
+        assert_eq!(outcome(direct), built);
         assert_eq!(msgs_a, msgs_b);
 
         let mut rng_a = small_rng(4102);
         let mut rng_b = small_rng(4102);
-        let direct = Aggregation::paper().step(&graph, &mut rng_a, &mut msgs_a);
-        let built =
-            ProtocolSpec::aggregation_oneshot()
-                .build_sync()
-                .step(&graph, &mut rng_b, &mut msgs_b);
-        assert_eq!(direct, built);
+        let direct = Aggregation::paper().estimate(&graph, &mut rng_a, &mut msgs_a);
+        let mut built = ProtocolSpec::aggregation_oneshot().build_sync();
+        let built = step_once(&mut *built, 1, &graph, &mut rng_b, &mut msgs_b);
+        assert_eq!(outcome(direct), built);
     }
 
     #[test]

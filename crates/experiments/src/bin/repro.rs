@@ -21,7 +21,7 @@ use p2p_experiments::engine::{run_experiment, split_budget, EngineOptions, Metri
 use p2p_experiments::figures::{spec_for, ALL_FIGURES};
 use p2p_experiments::sink::{CsvSink, FigureSink, JsonLinesSink, ResultSink, Row, TeeSink};
 use p2p_experiments::spec::{
-    Backend, ExperimentSpec, NetworkSpec, Presentation, ProtocolRun, ScenarioSpec, Sweep,
+    ExperimentSpec, NetworkSpec, Presentation, ProtocolRun, ScenarioKind, ScenarioSpec, Sweep,
     SweepAxis, SweepMetric,
 };
 use p2p_experiments::table::table1;
@@ -40,8 +40,7 @@ fn usage() -> &'static str {
   repro run --protocol SPEC [--protocol SPEC ...] [--mode async|sync]
             [--scenario SC] [--network NET] [--size N] [--steps K]
             [--reps R] [--heuristic one-shot|last10] [--sweep AXIS=V1,V2,...]
-            [--metric err|completed] [--churn WORKLOAD] [--backend des]
-            [--reuse-slots]
+            [--metric err|completed] [--churn WORKLOAD] [--reuse-slots]
             [--record-trace FILE | --replay-trace FILE] [common options]
   repro table [--scale ...] [--seed ...] [--out DIR]
   repro audit [--list-rules] [--format text|jsonl] [--root DIR]
@@ -82,8 +81,7 @@ specs:
   --protocol  sample-collide[:l=200,t=10,timeout=8] | hops-sampling[:to=2,for=1,until=1,min-hops=5]
               | aggregation[:rounds=50,epoched=true]
   --scenario  static | growing | shrinking | catastrophic | catastrophic-fig15
-              [:frac=0.5,topology=heterogeneous|scale-free,backend=des|cluster]
-  --backend   des (the simulator; backend=cluster specs run under `node cluster`)
+              [:frac=0.5,topology=heterogeneous|scale-free]
   --network   ideal | wan | drop=..,latency=..,jitter=..,link-spread=..,ticks=..
   --sweep     drop=0,0.001,0.01 | spread=0,40,80   (spread: ms around a 100 ms mean)
   --churn     streamed workload churn, composable with `+`:
@@ -171,14 +169,9 @@ impl ResultSink for ProgressPrinter {
             // `pool hit rate`: the share of scheduled events the wheel
             // stored without allocating a chunk. Two CI jobs grep the token.
             eprintln!(
-                "  [stats] {} ({}): {} events dispatched, peak queue {}, {} sent, \
+                "  [stats] {}: {} events dispatched, peak queue {}, {} sent, \
                  pool hit rate {:.4}, peak RSS {rss}{sync}",
-                stats.series,
-                stats.backend,
-                stats.events,
-                stats.peak_queue,
-                stats.sent,
-                stats.pool_hit_rate
+                stats.series, stats.events, stats.peak_queue, stats.sent, stats.pool_hit_rate
             );
         }
     }
@@ -211,7 +204,6 @@ fn parse_args() -> Result<Args, String> {
     let mut sweep: Option<(SweepAxis, Vec<f64>)> = None;
     let mut metric: Option<SweepMetric> = None;
     let mut churn: Option<WorkloadSpec> = None;
-    let mut backend: Option<Backend> = None;
     let mut reuse_slots = false;
     let mut record_trace: Option<PathBuf> = None;
     let mut replay_trace: Option<PathBuf> = None;
@@ -248,7 +240,6 @@ fn parse_args() -> Result<Args, String> {
                 | "--sweep"
                 | "--metric"
                 | "--churn"
-                | "--backend"
                 | "--reuse-slots"
                 | "--record-trace"
                 | "--replay-trace"
@@ -297,7 +288,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--steps" => {
                 let v = next_value(&mut it, "--steps")?;
-                steps = Some(v.parse().map_err(|_| format!("bad steps {v}"))?);
+                let k: u64 = v.parse().map_err(|_| format!("bad steps {v}"))?;
+                if k == 0 {
+                    return Err("--steps 0 is out of range (--steps must be >= 1)".to_string());
+                }
+                steps = Some(k);
             }
             "--reps" => {
                 let v = next_value(&mut it, "--reps")?;
@@ -308,9 +303,15 @@ fn parse_args() -> Result<Args, String> {
                     "one-shot" | "oneshot" => Heuristic::OneShot,
                     "last10" => Heuristic::last10(),
                     other => match other.strip_prefix("last") {
-                        Some(k) => Heuristic::LastKRuns(
-                            k.parse().map_err(|_| format!("bad heuristic {other}"))?,
-                        ),
+                        Some(k) => match k.parse() {
+                            Ok(0) => {
+                                return Err(format!(
+                                    "--heuristic {other} is out of range (lastK needs K >= 1)"
+                                ))
+                            }
+                            Ok(k) => Heuristic::LastKRuns(k),
+                            Err(_) => return Err(format!("bad heuristic {other}")),
+                        },
                         None => return Err(format!("unknown heuristic {other}")),
                     },
                 }
@@ -328,11 +329,15 @@ fn parse_args() -> Result<Args, String> {
                     },
                     other => return Err(format!("unknown sweep axis {other} (drop | spread)")),
                 };
-                let values: Result<Vec<f64>, _> = values.split(',').map(str::parse).collect();
-                sweep = Some((
-                    axis,
-                    values.map_err(|_| format!("bad sweep values in {v}"))?,
-                ));
+                let values: Vec<f64> = values
+                    .split(',')
+                    .map(str::parse)
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("bad sweep values in {v}"))?;
+                for &value in &values {
+                    axis.check(value).map_err(|e| e.to_string())?;
+                }
+                sweep = Some((axis, values));
             }
             "--metric" => {
                 metric = Some(match next_value(&mut it, "--metric")?.as_str() {
@@ -344,12 +349,6 @@ fn parse_args() -> Result<Args, String> {
             "--churn" => {
                 churn = Some(
                     WorkloadSpec::parse(&next_value(&mut it, "--churn")?)
-                        .map_err(|e| e.to_string())?,
-                );
-            }
-            "--backend" => {
-                backend = Some(
-                    Backend::parse(&next_value(&mut it, "--backend")?)
                         .map_err(|e| e.to_string())?,
                 );
             }
@@ -451,7 +450,6 @@ fn parse_args() -> Result<Args, String> {
                 sweep,
                 metric,
                 churn,
-                backend,
                 reuse_slots,
                 record_trace,
                 replay_trace,
@@ -596,7 +594,6 @@ fn build_custom_spec(
     sweep: Option<(SweepAxis, Vec<f64>)>,
     metric: Option<SweepMetric>,
     churn: Option<WorkloadSpec>,
-    backend: Option<Backend>,
     reuse_slots: bool,
     record_trace: Option<PathBuf>,
     replay_trace: Option<PathBuf>,
@@ -605,15 +602,14 @@ fn build_custom_spec(
     let size = size.unwrap_or(scale.net_nodes);
     let steps = steps.unwrap_or(24);
     let reps = reps.unwrap_or(scale.replications);
-    // An explicit --backend wins over a `backend=` embedded in --scenario.
-    let backend = backend.unwrap_or(scenario.backend);
-    if backend == Backend::Cluster {
-        return Err(
-            "backend=cluster runs on real sockets and is driven by the `node` binary, not \
-             the repro engine; use `node cluster --nodes N --protocol ...` (repro runs \
-             backend=des)"
-                .to_string(),
-        );
+    if scenario.kind == ScenarioKind::Growing
+        && (size as f64 * scenario.fraction).round() > p2p_overlay::MAX_SLOTS as f64
+    {
+        return Err(format!(
+            "`frac={}` is out of range (growing {size} nodes, round(size × frac) must be <= {})",
+            scenario.fraction,
+            p2p_overlay::MAX_SLOTS
+        ));
     }
     let mut scenario = scenario.resolve(size, steps).with_network(network.0);
     // Past this population the append-only slot table is the memory
@@ -767,7 +763,6 @@ fn build_custom_spec(
         }
     }
     let mut spec = ExperimentSpec {
-        backend,
         id: "custom".to_string(),
         title: String::new(),
         x_label: x_label.to_string(),

@@ -21,7 +21,7 @@
 //!   protocol entry inside it derives its stream from that point seed
 //!   (Figs 19/20's per-class 1/2/3);
 //! * replication `r` of any batch uses the shared
-//!   [`replication_seeds`] convention.
+//!   [`replication_seeds`] convention (through [`map_replications`]).
 
 use crate::figures::{smooth_last_k, to_quality};
 use crate::runner::record_aggregation_convergence;
@@ -30,8 +30,8 @@ use crate::scenario::Scenario;
 use crate::sharded::{run_scenario_des_sharded, ShardSync};
 use crate::sink::{ExperimentMeta, ResultSink, Row, RunStats};
 use crate::spec::{ExecMode, ExperimentSpec, Presentation, SweepMetric};
-use p2p_estimation::{with_async_protocol, Heuristic, ProtocolSpec, SyncStep};
-use p2p_sim::parallel::{default_threads, map_ordered};
+use p2p_estimation::{with_async_protocol, Heuristic, ProtocolSpec, SizeMonitor};
+use p2p_sim::parallel::{default_threads, map_ordered, map_replications};
 use p2p_sim::rng::{derive_seed, replication_seeds, small_rng};
 use p2p_stats::series::Figure;
 use p2p_stats::Series;
@@ -200,8 +200,7 @@ fn run_one(
             // Sync steps send nothing, so a capture's network counters stay
             // zero; overlay, batch and convergence metrics are live.
             let mut p = entry_protocol.build_sync();
-            let mut p = SyncStep::new(&mut *p);
-            run_scenario_des_telemetry(&mut p, scenario, heuristic, seed, series_name, telemetry)
+            run_scenario_des_telemetry(&mut *p, scenario, heuristic, seed, series_name, telemetry)
         }
         // `with_async_protocol!` is the only per-class match; each shard runs
         // a clone of the fresh build, deployed by its `ShardCore`.
@@ -243,22 +242,6 @@ fn batch_threads(opts: &EngineOptions, reps: usize) -> usize {
 pub fn split_budget(jobs: usize, tasks: usize) -> (usize, usize) {
     let outer = jobs.min(tasks).max(1);
     (outer, (jobs / outer).max(1))
-}
-
-/// Streamed parallel replications: seeds follow the workspace-wide
-/// [`replication_seeds`] convention (so results are bit-identical to
-/// [`run_replications`](crate::runner::run_replications) at any thread
-/// count), and each finished replication reaches `emit` in replication
-/// order while later ones are still computing.
-fn replications_streamed<T: Send>(
-    threads: usize,
-    master_seed: u64,
-    replications: usize,
-    f: impl Fn(usize, u64) -> T + Sync,
-    emit: impl FnMut(usize, T),
-) {
-    let seeds: Vec<u64> = replication_seeds(master_seed, replications).collect();
-    map_ordered(seeds, threads, f, emit);
 }
 
 /// Figs 1–4/18: one sync trace on the quality axis, smoothed curve first.
@@ -344,7 +327,7 @@ fn tracking(
                 format!("{label} #{}", i + 1)
             }
         };
-        replications_streamed(
+        map_replications(
             threads,
             entry_seed,
             reps,
@@ -378,7 +361,6 @@ fn tracking(
                 if trace.net.sent > 0 {
                     sink.run_stats(&RunStats {
                         series: &trace.estimates.name,
-                        backend: spec.backend.as_str(),
                         events: trace.engine.dispatched,
                         peak_queue: trace.engine.peak_depth,
                         pool_hit_rate: trace.engine.pool_hit_rate(),
@@ -406,7 +388,7 @@ fn convergence(
     let n = spec.scenario.initial_size;
     let rounds = spec.scenario.steps as u32;
     let mut done = 0usize;
-    replications_streamed(
+    map_replications(
         threads,
         exp_seed,
         reps,
@@ -456,14 +438,13 @@ fn shared_overlay(
         let seed = entry
             .seed_stream
             .map_or(exp_seed, |s| derive_seed(master_seed, s));
-        let mut est = entry.protocol.build_sync();
+        let mut protocol = entry.protocol.build_sync();
+        let mut monitor = SizeMonitor::new(&mut *protocol, entry.heuristic, 1);
         let mut rng = small_rng(seed);
-        let mut msgs = p2p_sim::MessageCounter::new();
-        let mut smoother = p2p_estimation::Smoother::new(entry.heuristic);
         let mut raw = Series::new("raw");
-        for i in 1..=estimations {
-            if let Some(e) = est.step(&graph, &mut rng, &mut msgs).estimate() {
-                raw.push(i as f64, smoother.apply(e));
+        for _ in 0..estimations {
+            if let Some(r) = monitor.tick(&graph, &mut rng) {
+                raw.push(r.tick as f64, r.reported);
             }
         }
         emit_series(sink, &to_quality(&raw, truth, entry.series_label()));
@@ -601,12 +582,11 @@ fn sweep_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Backend, ProtocolRun, Sweep, SweepAxis};
+    use crate::spec::{ProtocolRun, Sweep, SweepAxis};
     use crate::ExperimentScale;
 
     fn tracking_spec(reps: usize) -> ExperimentSpec {
         ExperimentSpec {
-            backend: Backend::Des,
             id: "t".to_string(),
             title: "t".to_string(),
             x_label: "step".to_string(),
@@ -623,11 +603,11 @@ mod tests {
     #[test]
     fn streamed_replications_match_the_batch_helper() {
         // Streaming must use the exact seed convention of
-        // par_replications_on, in replication order, at any thread count.
-        let batch = p2p_sim::parallel::par_replications_on(3, 42, 7, |i, seed| (i, seed));
+        // replication_seeds, in replication order, at any thread count.
+        let batch: Vec<(usize, u64)> = replication_seeds(42, 7).enumerate().collect();
         for threads in [1, 2, 3, 7, 16] {
             let mut streamed = Vec::new();
-            replications_streamed(
+            map_replications(
                 threads,
                 42,
                 7,
@@ -701,7 +681,6 @@ mod tests {
         // (valid) realization than the sequential engine, which stays the
         // `shards: 0` default.
         let spec = ExperimentSpec {
-            backend: Backend::Des,
             id: "t".to_string(),
             title: "t".to_string(),
             x_label: "step".to_string(),
@@ -792,7 +771,6 @@ mod tests {
         // Epoched aggregation on a 10-step timeline schedules zero epochs:
         // no NaN row, just no point.
         let spec = ExperimentSpec {
-            backend: Backend::Des,
             id: "x".to_string(),
             title: "t".to_string(),
             x_label: "x".to_string(),
@@ -848,7 +826,6 @@ mod tests {
         // this.
         let scale = ExperimentScale::tiny();
         let spec = ExperimentSpec {
-            backend: Backend::Des,
             id: "custom".to_string(),
             title: "S&C availability under loss, catastrophic churn".to_string(),
             x_label: "drop %".to_string(),

@@ -10,9 +10,7 @@
 //! in `DESIGN.md`.
 
 use crate::scenario::{Scenario, Topology};
-use crate::spec::{
-    Backend, ExperimentSpec, Presentation, ProtocolRun, Sweep, SweepAxis, SweepMetric,
-};
+use crate::spec::{ExperimentSpec, Presentation, ProtocolRun, Sweep, SweepAxis, SweepMetric};
 use crate::ExperimentScale;
 use p2p_estimation::{Heuristic, ProtocolSpec};
 use p2p_workload::{WorkloadSource, WorkloadSpec};
@@ -36,7 +34,6 @@ const DROP_RATES: [f64; 5] = [0.0, 0.000_1, 0.001, 0.01, 0.1];
 
 fn base(n: u32, title: String, x_label: &str, y_label: &str, scenario: Scenario) -> ExperimentSpec {
     ExperimentSpec {
-        backend: Backend::Des,
         id: format!("fig{n:02}"),
         title,
         x_label: x_label.to_string(),
@@ -60,7 +57,6 @@ fn polling_static(
     count: u64,
 ) -> ExperimentSpec {
     ExperimentSpec {
-        backend: Backend::Des,
         protocols: vec![ProtocolRun::sync(protocol)],
         presentation: Presentation::StaticQuality {
             smooth: Some(10),
@@ -79,7 +75,6 @@ fn polling_static(
 /// Figs 5/6: aggregation convergence, quality per round over 100 rounds.
 fn aggregation_convergence(n: u32, size: usize, scale: &ExperimentScale) -> ExperimentSpec {
     ExperimentSpec {
-        backend: Backend::Des,
         protocols: vec![ProtocolRun::sync(ProtocolSpec::aggregation_paper())],
         replications: scale.replications,
         presentation: Presentation::Convergence,
@@ -104,7 +99,6 @@ fn dynamic(
     scale: &ExperimentScale,
 ) -> ExperimentSpec {
     ExperimentSpec {
-        backend: Backend::Des,
         protocols: vec![run],
         replications: scale.replications,
         ..base(n, title, x_label, "Estimated size", scenario)
@@ -126,7 +120,6 @@ fn network_sweep(
     let poll = Scenario::growing(scale.net_nodes, NET_STEPS, 0.5);
     let agg = Scenario::growing(scale.net_nodes, NET_AGG_ROUNDS, 0.5);
     ExperimentSpec {
-        backend: Backend::Des,
         protocols: vec![
             ProtocolRun::async_(ProtocolSpec::parse("sample-collide:l=10,timeout=12").unwrap())
                 .stream(1),
@@ -162,7 +155,6 @@ fn realistic_churn(
 ) -> ExperimentSpec {
     let spec = WorkloadSpec::parse(workload).expect("registered workload spec");
     ExperimentSpec {
-        backend: Backend::Des,
         protocols: vec![
             ProtocolRun::sync(ProtocolSpec::sample_collide_paper()).stream(1),
             ProtocolRun::sync(ProtocolSpec::hops_sampling_paper())
@@ -233,7 +225,6 @@ pub fn spec_for(n: u32, scale: &ExperimentScale) -> Option<ExperimentSpec> {
         5 => aggregation_convergence(5, scale.large, scale),
         6 => aggregation_convergence(6, scale.huge, scale),
         7 => ExperimentSpec {
-            backend: Backend::Des,
             presentation: Presentation::DegreeHistogram,
             ..base(
                 7,
@@ -248,7 +239,6 @@ pub fn spec_for(n: u32, scale: &ExperimentScale) -> Option<ExperimentSpec> {
             )
         },
         8 => ExperimentSpec {
-            backend: Backend::Des,
             protocols: vec![
                 ProtocolRun::sync(ProtocolSpec::aggregation_oneshot()).stream(81),
                 ProtocolRun::sync(sc()).stream(82).label("Sample&collide"),
@@ -368,7 +358,6 @@ pub fn spec_for(n: u32, scale: &ExperimentScale) -> Option<ExperimentSpec> {
             scale,
         ),
         18 => ExperimentSpec {
-            backend: Backend::Des,
             protocols: vec![ProtocolRun::sync(ProtocolSpec::sample_collide_cheap())],
             presentation: Presentation::StaticQuality {
                 smooth: None,

@@ -37,7 +37,7 @@ pub mod spec;
 pub mod table;
 
 pub use engine::{run_experiment, run_figure_spec, EngineOptions};
-pub use runner::{run_replications, run_scenario, Trace};
+pub use runner::{run_replications_des, run_scenario_des, Trace};
 pub use scale::ExperimentScale;
 pub use scenario::{Scenario, Topology};
 pub use sharded::run_scenario_des_sharded;

@@ -8,10 +8,11 @@
 //! popped and dispatched by the one drive loop ([`ShardCore::run_until`]);
 //! this module is its sequential [`Host`] plus the run-level half
 //! (`ScenarioRun`) it shares with the sharded driver. The round-driven
-//! entry point, [`run_scenario`], is the same driver with the protocol
-//! wrapped in the synchronous [`SyncStep`] adapter — it executes each step
-//! atomically and sends nothing, so its traces are bit-for-bit those of the
-//! historic round-driven loop (the golden-trace tests pin this).
+//! forms — one-shot estimators wrapped in [`SyncStep`](p2p_estimation::SyncStep),
+//! epoched Aggregation as itself — run through the same entry point: they
+//! execute each step atomically and send nothing, so their traces are
+//! bit-for-bit those of the historic round-driven loop (the golden-trace
+//! tests pin this).
 //!
 //! Timeline contract, identical for every class:
 //!
@@ -32,19 +33,16 @@
 //! * estimates and the ground-truth size are recorded at the steps where
 //!   the protocol closes a reporting period.
 //!
-//! [`run_replications`] (and [`run_replications_des`] for event-driven
-//! protocols) fan independent replications out over worker threads with
-//! per-replication derived seeds, so figure/table sweeps use every core
-//! while staying bit-reproducible.
+//! [`run_replications_des`] fans independent replications out over worker
+//! threads with per-replication derived seeds, so figure/table sweeps use
+//! every core while staying bit-reproducible.
 
 use crate::scenario::{Scenario, MAX_DEGREE};
 use p2p_estimation::aggregation::AveragingRun;
-use p2p_estimation::{
-    EstimationProtocol, Heuristic, Host, NodeProtocol, ShardCore, Smoother, StepOutcome, SyncStep,
-};
+use p2p_estimation::{Heuristic, Host, NodeProtocol, ShardCore, Smoother, StepOutcome};
 use p2p_overlay::churn::ChurnDelta;
 use p2p_overlay::Graph;
-use p2p_sim::parallel::{default_threads, par_replications_on};
+use p2p_sim::parallel::{default_threads, map_replications};
 use p2p_sim::rng::{derive_seed, small_rng};
 use p2p_sim::{EngineStats, MessageCounter, MessageKind, NetStats, Network, SimTime};
 use p2p_stats::{Series, SlidingWindow};
@@ -69,8 +67,8 @@ pub struct Trace {
     /// latency, or lose its state to a dropped message).
     pub completed: usize,
     /// Network accounting: sent/delivered/dropped/churn-lost messages. All
-    /// zero for protocols driven through the synchronous adapter, which
-    /// does not route its traffic message-by-message.
+    /// zero for the round-driven forms, which do not route their traffic
+    /// message-by-message.
     pub net: NetStats,
     /// Event-core accounting for the run: events dispatched, peak queue
     /// depth, and the wheel's chunk-pool hit/alloc counters (hit
@@ -126,8 +124,25 @@ macro_rules! by_kind {
 pub const SENT_BY_KIND: [&str; 7] = by_kind!("net.sent");
 const DELIVERED_BY_KIND: [&str; 7] = by_kind!("net.delivered");
 const DROPPED_BY_KIND: [&str; 7] = by_kind!("net.dropped");
-/// Per-kind in-flight gauges (`sent − delivered − dropped`).
+/// Per-kind in-flight gauges ([`in_flight_by_kind`]).
 pub const IN_FLIGHT_BY_KIND: [&str; 7] = by_kind!("net.in_flight");
+
+/// Messages of each kind still in flight on `net`, indexed like
+/// [`MessageKind::ALL`]: `sent − (delivered + dropped)`. Churn losses
+/// reclassify an already-counted delivery, so this is exactly the
+/// population in flight (per core: a cross-shard message is sent on one
+/// core and delivered on another).
+pub fn in_flight_by_kind<M>(net: &Network<M>) -> [u64; 7] {
+    let (sent, delivered, dropped) = (
+        net.counter(),
+        net.delivered_by_kind(),
+        net.dropped_by_kind(),
+    );
+    MessageKind::ALL.map(|k| {
+        sent.get(k)
+            .saturating_sub(delivered.get(k) + dropped.get(k))
+    })
+}
 
 /// One run's telemetry capture: the registry, the convergence window, and
 /// the collected interval snapshots. Metrics are *sampled* at snapshot
@@ -246,20 +261,11 @@ impl TelemetrySession {
         for (net, lens) in cores {
             es.merge_from(&net.engine_stats());
             ns.merge_from(net.stats());
-            let (s, d, x) = (
-                net.counter(),
-                net.delivered_by_kind(),
-                net.dropped_by_kind(),
-            );
-            sent.merge(s);
-            delivered.merge(d);
-            dropped.merge(x);
-            // Churn losses reclassify an already-counted delivery, so per
-            // kind `sent − delivered − dropped` is exactly the population
-            // still in flight (per core: a cross-shard message is sent on
-            // one core and delivered on another).
-            for (gauge, k) in in_flight.iter_mut().zip(MessageKind::ALL) {
-                *gauge += s.get(k).saturating_sub(d.get(k)).saturating_sub(x.get(k));
+            sent.merge(net.counter());
+            delivered.merge(net.delivered_by_kind());
+            dropped.merge(net.dropped_by_kind());
+            for (gauge, n) in in_flight.iter_mut().zip(in_flight_by_kind(net)) {
+                *gauge += n;
             }
             pending += net.pending() as u64;
             batch_lens.merge(lens);
@@ -592,9 +598,16 @@ impl<P: NodeProtocol> Host<P> for SequentialHost<'_> {
 ///
 /// Determinism: the protocol draws from a stream seeded by `seed`, the
 /// network's latency/loss draws from a stream derived from it — one seed
-/// reproduces the run bit for bit, and with the ideal model the protocol's
-/// stream consumption is identical to the round-driven driver's.
-pub fn run_scenario_des<P: NodeProtocol>(
+/// reproduces the run bit for bit.
+///
+/// The round-driven forms run here too (a boxed
+/// [`ProtocolSpec::build_sync`](p2p_estimation::ProtocolSpec::build_sync)
+/// included): each step executes atomically between ticks, so the
+/// scenario's network model cannot touch it. For one-shot estimators every
+/// step reports; for epoched Aggregation each step is one gossip round and
+/// estimates appear at epoch boundaries — pass [`Heuristic::OneShot`] to
+/// record the raw epoch estimates as the paper does.
+pub fn run_scenario_des<P: NodeProtocol + ?Sized>(
     protocol: &mut P,
     scenario: &Scenario,
     heuristic: Heuristic,
@@ -611,7 +624,7 @@ pub fn run_scenario_des<P: NodeProtocol>(
 /// or event ordering (mutators sit in statement position, enforced by the
 /// `telemetry-side-effect` audit rule), so a run's trace is bit-identical
 /// with capture on or off.
-pub fn run_scenario_des_telemetry<P: NodeProtocol>(
+pub fn run_scenario_des_telemetry<P: NodeProtocol + ?Sized>(
     protocol: &mut P,
     scenario: &Scenario,
     heuristic: Heuristic,
@@ -649,33 +662,6 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol>(
         .finish(&host.graph, vec![(&mut core.net, &host.batch_lens)])
 }
 
-/// Runs any round-driven [`EstimationProtocol`] over a scenario: one
-/// protocol step per scenario step, churn interleaved at its scheduled
-/// steps, estimates smoothed by `heuristic`.
-///
-/// This is [`run_scenario_des`] with the [`SyncStep`] adapter: each step
-/// executes atomically between ticks, so the scenario's network model
-/// cannot touch it and the produced trace is bit-for-bit the historic
-/// round-driven one. For one-shot estimators every step reports. For
-/// epoched Aggregation each step is one gossip round and estimates appear
-/// at epoch boundaries; pass [`Heuristic::OneShot`] to record the raw epoch
-/// estimates as the paper does.
-pub fn run_scenario<P: EstimationProtocol + ?Sized>(
-    protocol: &mut P,
-    scenario: &Scenario,
-    heuristic: Heuristic,
-    seed: u64,
-    series_name: impl Into<String>,
-) -> Trace {
-    run_scenario_des(
-        &mut SyncStep::new(protocol),
-        scenario,
-        heuristic,
-        seed,
-        series_name,
-    )
-}
-
 /// Worker-thread count for a replication sweep: all available cores, but at
 /// least two workers whenever there are two or more replications, so the
 /// parallel path is exercised even on single-core CI runners.
@@ -684,45 +670,15 @@ pub fn replication_threads(replications: usize) -> usize {
     default_threads(replications).max(floor)
 }
 
-/// Runs `replications` independent replications of `scenario` in parallel,
-/// one protocol instance per replication (`make(replication_index)`), with
-/// seeds derived from `master_seed` per replication index.
+/// Runs `replications` independent [`run_scenario_des`] runs of
+/// `scenario` in parallel, one protocol instance per replication
+/// (`make(replication_index)`), with seeds derived from `master_seed` per
+/// replication index.
 ///
 /// Results come back in replication order and are bit-identical regardless
 /// of thread count or scheduling: each replication's RNG stream depends only
 /// on `(master_seed, index)`. Series are named `Estimation #1..#n` as in the
 /// paper's dynamic figures.
-pub fn run_replications<P, F>(
-    make: F,
-    scenario: &Scenario,
-    heuristic: Heuristic,
-    master_seed: u64,
-    replications: usize,
-) -> Vec<Trace>
-where
-    P: EstimationProtocol,
-    F: Fn(usize) -> P + Sync,
-{
-    par_replications_on(
-        replication_threads(replications),
-        master_seed,
-        replications,
-        |i, seed| {
-            let mut protocol = make(i);
-            run_scenario(
-                &mut protocol,
-                scenario,
-                heuristic,
-                seed,
-                format!("Estimation #{}", i + 1),
-            )
-        },
-    )
-}
-
-/// [`run_replications`] for event-driven protocols: `replications`
-/// independent [`run_scenario_des`] runs in parallel, one protocol instance
-/// per replication, seeds derived per replication index.
 pub fn run_replications_des<P, F>(
     make: F,
     scenario: &Scenario,
@@ -734,7 +690,8 @@ where
     P: NodeProtocol,
     F: Fn(usize) -> P + Sync,
 {
-    par_replications_on(
+    let mut traces = Vec::with_capacity(replications);
+    map_replications(
         replication_threads(replications),
         master_seed,
         replications,
@@ -748,7 +705,9 @@ where
                 format!("Estimation #{}", i + 1),
             )
         },
-    )
+        |_, trace| traces.push(trace),
+    );
+    traces
 }
 
 /// Records one static-overlay [`AveragingRun`] round by round, as plotted in
@@ -793,14 +752,14 @@ mod tests {
     use super::*;
     use p2p_estimation::aggregation::{AggregationConfig, EpochedAggregation};
     use p2p_estimation::net_protocol::AsyncSampleCollide;
-    use p2p_estimation::SampleCollide;
+    use p2p_estimation::{SampleCollide, SyncStep};
     use p2p_overlay::churn::ChurnOp;
 
     #[test]
     fn one_shot_trace_covers_every_step_on_static_overlay() {
         let scenario = Scenario::static_network(2_000, 20);
-        let mut sc = SampleCollide::cheap();
-        let t = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 7, "one shot");
+        let mut sc = SyncStep(SampleCollide::cheap());
+        let t = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 7, "one shot");
         assert_eq!(t.completed, 20);
         assert_eq!(t.estimates.len(), 20);
         assert_eq!(t.real_size.len(), 20);
@@ -817,8 +776,8 @@ mod tests {
         scenario
             .schedule
             .push((5, ChurnOp::Catastrophe { fraction: 0.5 }));
-        let mut sc = SampleCollide::cheap();
-        let t = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 8, "x");
+        let mut sc = SyncStep(SampleCollide::cheap());
+        let t = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 8, "x");
         let at = |step: f64| {
             t.real_size
                 .points
@@ -834,8 +793,8 @@ mod tests {
     #[test]
     fn growing_scenario_truth_tracks_up() {
         let scenario = Scenario::growing(1_000, 20, 0.5);
-        let mut sc = SampleCollide::cheap();
-        let t = run_scenario(&mut sc, &scenario, Heuristic::last10(), 9, "x");
+        let mut sc = SyncStep(SampleCollide::cheap());
+        let t = run_scenario_des(&mut sc, &scenario, Heuristic::last10(), 9, "x");
         let first = t.real_size.points.first().unwrap().1;
         let last = t.real_size.points.last().unwrap().1;
         assert_eq!(first, 1_025.0); // one step of joins (500/20) already applied
@@ -846,7 +805,7 @@ mod tests {
     fn aggregation_scenario_records_epoch_estimates() {
         let scenario = Scenario::static_network(1_000, 200);
         let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-        let t = run_scenario(&mut agg, &scenario, Heuristic::OneShot, 10, "agg");
+        let t = run_scenario_des(&mut agg, &scenario, Heuristic::OneShot, 10, "agg");
         assert_eq!(t.completed, 4); // 200 rounds / 50-round epochs
         let steps: Vec<f64> = t.estimates.points.iter().map(|&(x, _)| x).collect();
         assert_eq!(steps, vec![50.0, 100.0, 150.0, 200.0]);
@@ -876,8 +835,8 @@ mod tests {
             .schedule
             .push((10, ChurnOp::Catastrophe { fraction: 0.5 }));
 
-        let mut sc = SampleCollide::cheap();
-        let polling = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 11, "sc");
+        let mut sc = SyncStep(SampleCollide::cheap());
+        let polling = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 11, "sc");
         assert_eq!(polling.real_size.points.last().unwrap(), &(10.0, 500.0));
 
         // Epoch length 5 → reports at steps 5 and 10; the op at step 10
@@ -885,7 +844,7 @@ mod tests {
         let mut agg = EpochedAggregation::new(AggregationConfig {
             rounds_per_estimate: 5,
         });
-        let epidemic = run_scenario(&mut agg, &scenario, Heuristic::OneShot, 11, "agg");
+        let epidemic = run_scenario_des(&mut agg, &scenario, Heuristic::OneShot, 11, "agg");
         assert_eq!(epidemic.real_size.points.last().unwrap(), &(10.0, 500.0));
         assert_eq!(epidemic.real_size.points.first().unwrap(), &(5.0, 1_000.0));
     }
@@ -908,10 +867,10 @@ mod tests {
     #[test]
     fn deterministic_traces_per_seed() {
         let scenario = Scenario::catastrophic(1_500, 12);
-        let mut a = SampleCollide::cheap();
-        let mut b = SampleCollide::cheap();
-        let ta = run_scenario(&mut a, &scenario, Heuristic::OneShot, 42, "x");
-        let tb = run_scenario(&mut b, &scenario, Heuristic::OneShot, 42, "x");
+        let mut a = SyncStep(SampleCollide::cheap());
+        let mut b = SyncStep(SampleCollide::cheap());
+        let ta = run_scenario_des(&mut a, &scenario, Heuristic::OneShot, 42, "x");
+        let tb = run_scenario_des(&mut b, &scenario, Heuristic::OneShot, 42, "x");
         assert_eq!(ta.estimates.points, tb.estimates.points);
         assert_eq!(ta.messages, tb.messages);
     }
@@ -919,9 +878,9 @@ mod tests {
     #[test]
     fn replications_are_ordered_named_and_seed_stable() {
         let scenario = Scenario::static_network(500, 4);
-        let make = |_: usize| SampleCollide::cheap();
-        let a = run_replications(make, &scenario, Heuristic::OneShot, 99, 4);
-        let b = run_replications(make, &scenario, Heuristic::OneShot, 99, 4);
+        let make = |_: usize| SyncStep(SampleCollide::cheap());
+        let a = run_replications_des(make, &scenario, Heuristic::OneShot, 99, 4);
+        let b = run_replications_des(make, &scenario, Heuristic::OneShot, 99, 4);
         assert_eq!(a.len(), 4);
         for (i, t) in a.iter().enumerate() {
             assert_eq!(t.estimates.name, format!("Estimation #{}", i + 1));

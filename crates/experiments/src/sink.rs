@@ -53,8 +53,6 @@ pub struct Row<'a> {
 pub struct RunStats<'a> {
     /// The series (replication) the run produced.
     pub series: &'a str,
-    /// The execution backend that ran it (`des` | `cluster`).
-    pub backend: &'a str,
     /// Events the run dispatched through the timing wheel.
     pub events: u64,
     /// Peak simultaneous pending events.
@@ -308,11 +306,10 @@ impl<W: Write> ResultSink for JsonLinesSink<W> {
         });
         self.write(format!(
             "{{\"event\":\"run_stats\",\"experiment\":\"{}\",\"series\":\"{}\",\
-             \"backend\":\"{}\",\"events\":{},\"peak_queue\":{},\"pool_hit_rate\":{},\
+             \"events\":{},\"peak_queue\":{},\"pool_hit_rate\":{},\
              \"sent\":{},\"peak_rss_kb\":{rss}{sync}}}\n",
             json_escape(&self.id),
             json_escape(stats.series),
-            json_escape(stats.backend),
             stats.events,
             stats.peak_queue,
             json_num(stats.pool_hit_rate),
@@ -459,7 +456,6 @@ mod tests {
         sink.begin(&meta());
         sink.run_stats(&RunStats {
             series: "Estimation #1",
-            backend: "des",
             events: 10,
             peak_queue: 3,
             pool_hit_rate: 0.5,
@@ -469,7 +465,6 @@ mod tests {
         });
         sink.run_stats(&RunStats {
             series: "Estimation #2",
-            backend: "des",
             events: 11,
             peak_queue: 3,
             pool_hit_rate: 0.5,
@@ -486,7 +481,7 @@ mod tests {
         assert_eq!(
             lines[1],
             "{\"event\":\"run_stats\",\"experiment\":\"fig99\",\"series\":\"Estimation #1\",\
-             \"backend\":\"des\",\"events\":10,\"peak_queue\":3,\"pool_hit_rate\":0.5,\
+             \"events\":10,\"peak_queue\":3,\"pool_hit_rate\":0.5,\
              \"sent\":7,\"peak_rss_kb\":2048}"
         );
         // A missing readout is an explicit null; a sharded run appends how

@@ -16,60 +16,19 @@
 //! CLI resolves into a concrete [`Scenario`].
 
 use crate::scenario::{Scenario, Topology};
-use p2p_estimation::spec::{parse_in_range, parse_params, parse_value};
+use p2p_estimation::spec::{parse_in_range, parse_params};
 use p2p_estimation::{Heuristic, ProtocolSpec, SpecError};
 use p2p_sim::{HopLatency, NetworkModel};
 use p2p_workload::{WorkloadSource, WorkloadSpec};
 use std::fmt;
 
-/// Which execution backend runs an experiment: the discrete-event
-/// simulator (bit-deterministic per seed, the golden-trace oracle) or the
-/// `p2p-node` loopback cluster (real sockets on the wall clock,
-/// envelope-checked against a matched DES run). The experiments engine
-/// executes `des` itself; `cluster` specs are interpreted by the `node`
-/// binary, which uses the engine only for the matched oracle run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// The discrete-event simulator.
-    #[default]
-    Des,
-    /// The `p2p-node` loopback cluster over real UDP sockets.
-    Cluster,
-}
-
-impl Backend {
-    /// Parses `des` | `cluster`.
-    pub fn parse(s: &str) -> Result<Self, SpecError> {
-        match s.trim() {
-            "des" => Ok(Backend::Des),
-            "cluster" => Ok(Backend::Cluster),
-            other => Err(SpecError(format!(
-                "unknown backend `{other}` (des | cluster)"
-            ))),
-        }
-    }
-
-    /// The spec-grammar name (`des` | `cluster`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Des => "des",
-            Backend::Cluster => "cluster",
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Which execution form of a protocol an experiment drives.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Round-driven [`EstimationProtocol`](p2p_estimation::EstimationProtocol)
-    /// through the synchronous adapter — the paper's instantaneous
-    /// simulator; the scenario's network model cannot touch it.
+    /// The round-driven form
+    /// ([`ProtocolSpec::build_sync`](p2p_estimation::ProtocolSpec::build_sync))
+    /// — the paper's instantaneous simulator; the scenario's network model
+    /// cannot touch it.
     #[default]
     Sync,
     /// Event-driven [`NodeProtocol`](p2p_estimation::NodeProtocol), message
@@ -191,6 +150,29 @@ impl SweepAxis {
         }
     }
 
+    /// Range-checks one sweep value before anything runs: a drop
+    /// probability in `[0, 1]`, a delay half-spread `≥ 0` and below the
+    /// mean (the `jitter < latency` rule [`NetworkSpec`] applies), both
+    /// finite. The error names the axis, the value and the range.
+    pub fn check(&self, v: f64) -> Result<(), SpecError> {
+        let (ok, range) = match *self {
+            SweepAxis::Drop => ((0.0..=1.0).contains(&v), "in [0, 1]".to_string()),
+            SweepAxis::DelaySpread { mean_ms, .. } => (
+                (0.0..mean_ms).contains(&v),
+                format!(">= 0 and < the {mean_ms} ms mean"),
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            let label = self.label(v);
+            let key = &label[..label.find('=').unwrap_or(0)];
+            Err(SpecError(format!(
+                "`--sweep {label}` is out of range ({key} must be finite and {range})"
+            )))
+        }
+    }
+
     /// The x coordinate a sweep value plots at.
     pub fn x(&self, v: f64) -> f64 {
         match self {
@@ -297,10 +279,6 @@ pub struct ExperimentSpec {
     pub sweep: Option<Sweep>,
     /// How results become curves.
     pub presentation: Presentation,
-    /// Which execution backend the spec targets. The engine runs
-    /// [`Backend::Des`] directly; [`Backend::Cluster`] specs are executed
-    /// by the `node` binary's loopback harness.
-    pub backend: Backend,
 }
 
 impl ExperimentSpec {
@@ -340,18 +318,9 @@ impl ExperimentSpec {
             }
             None => String::new(),
         };
-        let backend = match self.backend {
-            Backend::Des => String::new(),
-            Backend::Cluster => format!(" backend={}", self.backend),
-        };
         format!(
-            "{} · {} n={} steps={}{}{}",
-            protocols,
-            self.scenario.name,
-            self.scenario.initial_size,
-            self.scenario.steps,
-            sweep,
-            backend
+            "{} · {} n={} steps={}{}",
+            protocols, self.scenario.name, self.scenario.initial_size, self.scenario.steps, sweep,
         )
     }
 }
@@ -374,9 +343,6 @@ pub struct ScenarioSpec {
     /// Streamed churn layered on top of the kind's schedule
     /// (`static:churn=pareto:alpha=1.5,mean=50` is the common pairing).
     pub churn: Option<WorkloadSpec>,
-    /// Execution backend (`backend=des|cluster`); flows into
-    /// [`ExperimentSpec::backend`] when the CLI assembles a spec.
-    pub backend: Backend,
 }
 
 /// The churn timeline families a [`ScenarioSpec`] can name.
@@ -430,11 +396,22 @@ impl ScenarioSpec {
             fraction: 0.5,
             topology: Topology::Heterogeneous,
             churn,
-            backend: Backend::Des,
         };
         for (k, v) in params {
             match k {
-                "frac" => spec.fraction = parse_value(k, v)?,
+                // A shrinking timeline cannot remove more than everyone;
+                // how far a growing one may go depends on the size, which
+                // `resolve`'s callers check.
+                "frac" if kind == ScenarioKind::Shrinking => {
+                    spec.fraction = parse_in_range(k, v, "finite and in [0, 1]", |f: &f64| {
+                        (0.0..=1.0).contains(f)
+                    })?
+                }
+                "frac" => {
+                    spec.fraction = parse_in_range(k, v, "finite and >= 0", |f: &f64| {
+                        f.is_finite() && *f >= 0.0
+                    })?
+                }
                 "topology" => {
                     spec.topology = match v {
                         "heterogeneous" | "het" => Topology::Heterogeneous,
@@ -446,10 +423,9 @@ impl ScenarioSpec {
                         }
                     }
                 }
-                "backend" => spec.backend = Backend::parse(v)?,
                 other => {
                     return Err(SpecError(format!(
-                        "unknown scenario key `{other}` (frac | topology | backend)"
+                        "unknown scenario key `{other}` (frac | topology | churn)"
                     )))
                 }
             }
@@ -492,10 +468,6 @@ impl fmt::Display for ScenarioSpec {
         }
         if self.topology != Topology::Heterogeneous {
             write!(f, "{sep}topology={}", self.topology.key())?;
-            sep = ',';
-        }
-        if self.backend != Backend::Des {
-            write!(f, "{sep}backend={}", self.backend)?;
             sep = ',';
         }
         // Last, always: the workload grammar consumes the rest of the
@@ -817,7 +789,6 @@ mod tests {
     #[test]
     fn summary_mentions_the_cell() {
         let spec = ExperimentSpec {
-            backend: Backend::Des,
             id: "x".to_string(),
             title: "t".to_string(),
             x_label: "x".to_string(),

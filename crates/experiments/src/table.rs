@@ -2,15 +2,10 @@
 
 use crate::scenario::Scenario;
 use p2p_estimation::aggregation::Aggregation;
-use p2p_estimation::{estimate_once, EstimationProtocol, Heuristic, HopsSampling, SampleCollide};
+use p2p_estimation::{Heuristic, HopsSampling, SampleCollide, SizeEstimator};
 use p2p_sim::rng::{derive_seed, small_rng};
 use p2p_sim::MessageCounter;
 use std::fmt;
-
-/// Bound on protocol steps per estimation while measuring a table row (the
-/// epoched epidemic class needs `rounds_per_estimate` steps; one-shot
-/// estimators need one).
-const MAX_STEPS_PER_ESTIMATE: u64 = 100_000;
 
 /// One row of Table I.
 #[derive(Clone, Debug)]
@@ -86,13 +81,11 @@ impl Table1 {
 }
 
 /// Measures one configuration: `runs` estimations on a static overlay,
-/// returning (signed mean error %, mean |error| %, messages per run).
-///
-/// Generic over [`EstimationProtocol`], so the same loop measures one-shot
-/// estimators and round-driven protocols alike — one estimation is "step
-/// until the protocol closes a reporting period".
-fn measure<P: EstimationProtocol>(
-    est: &mut P,
+/// returning (signed mean error %, mean |error| %, messages per run). All
+/// four rows are one-shot, so one estimation is one
+/// [`SizeEstimator::estimate`] call.
+fn measure<E: SizeEstimator>(
+    est: &mut E,
     graph: &p2p_overlay::Graph,
     runs: usize,
     heuristic: Heuristic,
@@ -112,7 +105,8 @@ fn measure<P: EstimationProtocol>(
     };
     let mut per_run_messages = 0.0;
     for i in 0..(runs + warmup) {
-        let raw = estimate_once(est, graph, &mut rng, &mut msgs, MAX_STEPS_PER_ESTIMATE)
+        let raw = est
+            .estimate(graph, &mut rng, &mut msgs)
             .expect("static overlay estimation cannot fail");
         let value = smoother.apply(raw);
         let run_msgs = msgs.take().total() as f64;

@@ -230,3 +230,79 @@ fn a_failing_task_reports_the_first_error_in_figure_order() {
         assert!(dir.join("fig01.csv").is_file());
     }
 }
+
+#[test]
+fn out_of_range_values_are_rejected_before_anything_runs() {
+    // Each of these used to panic after the `meta` line was on stdout, or
+    // to run and exit 0 meaning something else. `(flag, value, named)`:
+    // the one stderr line must name `named`.
+    let cases = [
+        ("--sweep", "drop=1.5", "drop"),
+        ("--sweep", "drop=-0.5", "drop"),
+        ("--sweep", "drop=nan", "drop"),
+        ("--sweep", "spread=-10", "spread"),
+        ("--sweep", "spread=nan", "spread"),
+        ("--sweep", "spread=150", "spread"),
+        ("--sweep", "spread=0,40,100", "spread"),
+        ("--heuristic", "last0", "last0"),
+        ("--scenario", "growing:frac=1e30", "frac"),
+        ("--scenario", "growing:frac=-1", "frac=-1"),
+        ("--scenario", "growing:frac=nan", "frac=nan"),
+        ("--scenario", "shrinking:frac=2", "frac=2"),
+        ("--steps", "0", "--steps 0"),
+    ];
+    for (i, (flag, value, named)) in cases.into_iter().enumerate() {
+        let dir = scratch(&format!("rejected-{i}"));
+        let out = repro(&[
+            "run",
+            "--protocol",
+            "sample-collide:l=10",
+            "--scenario",
+            "growing",
+            "--size",
+            "300",
+            "--steps",
+            "4",
+            "--reps",
+            "1",
+            "--format",
+            "jsonl",
+            "--out",
+            dir.to_str().expect("UTF-8 path"),
+            flag,
+            value,
+        ]);
+        let stderr = text(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
+        assert!(stderr.contains(named), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("out of range"), "{flag} {value}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: {}",
+            text(&out.stdout)
+        );
+        assert!(!dir.exists(), "{flag} {value}: output written");
+    }
+
+    // The retired backend knob is an unknown argument now.
+    let out = repro(&["run", "--protocol", "sample-collide", "--backend", "des"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(text(&out.stderr).starts_with("unknown argument --backend\nusage:"));
+    assert!(out.stdout.is_empty());
+
+    // Every sweep value a registered figure uses stays legal — Fig 19's
+    // widest spread (99 ms around the 100 ms mean) included.
+    let scale = p2p_experiments::ExperimentScale::small();
+    for n in p2p_experiments::figures::ALL_FIGURES {
+        let spec = p2p_experiments::figures::spec_for(n, &scale).expect("registered");
+        if let Some(sweep) = &spec.sweep {
+            for &v in &sweep.values {
+                sweep
+                    .axis
+                    .check(v)
+                    .unwrap_or_else(|e| panic!("fig{n:02}: {e}"));
+            }
+        }
+    }
+}

@@ -294,7 +294,8 @@ pub fn run_cluster(
         }
         None => None,
     };
-    let class = protocol_class(&cfg.protocol);
+    // The class slug keys the per-class convergence gauges.
+    let class = cfg.protocol.key();
     let mut pending_metrics: BTreeMap<u64, Vec<Option<Snapshot>>> = BTreeMap::new();
     let mut conv_window = SlidingWindow::new(CONV_WINDOW);
     let mut eps_reached = 0u64;
@@ -503,16 +504,6 @@ pub fn run_cluster(
         mf.finish()?;
     }
     Ok(report)
-}
-
-/// The protocol's class slug, keying the coordinator's per-class
-/// convergence gauges (`conv.time_to_eps_ms.<class>`).
-fn protocol_class(spec: &ProtocolSpec) -> &'static str {
-    match spec {
-        ProtocolSpec::SampleCollide { .. } => "sample-collide",
-        ProtocolSpec::HopsSampling { .. } => "hops-sampling",
-        ProtocolSpec::Aggregation { .. } => "aggregation",
-    }
 }
 
 /// Joins or waits out every shard, killing stragglers; returns how many

@@ -32,12 +32,13 @@
 //! a shared application stream) in the same order, so the graph replicas
 //! stay identical by induction without any view-synchronization protocol.
 //! A shard *hosts* the nodes whose slot index is ≡ its shard index modulo
-//! the shard count; the protocol object knows this through its
-//! [`Deployment`](p2p_estimation::Deployment) and only acts for hosted nodes.
+//! the shard count; the protocol sees this through the [`ShardView`] its
+//! [`ShardCore`] lends every handler's context, and only acts for hosted
+//! nodes.
 
 use crate::wire::{decode_data, encode_data, read_ctrl, write_ctrl, CtrlMsg, WirePayload};
 use p2p_estimation::{with_async_protocol, Host, NodeProtocol, ProtocolSpec, ShardCore, ShardView};
-use p2p_experiments::runner::{IN_FLIGHT_BY_KIND, SENT_BY_KIND};
+use p2p_experiments::runner::{in_flight_by_kind, IN_FLIGHT_BY_KIND, SENT_BY_KIND};
 use p2p_experiments::Scenario;
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::rng::{derive_seed, small_rng};
@@ -253,15 +254,11 @@ impl ShardTelemetry {
             .counter_set_total(self.c_outbox_dropped, net.dropped);
         self.reg
             .counter_set_total(self.c_outbox_churn_lost, net.churn_lost);
-        let sent_kind = outbox.counter();
-        let delivered_kind = outbox.delivered_by_kind();
-        let dropped_kind = outbox.dropped_by_kind();
+        let in_flight = in_flight_by_kind(outbox);
         for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
-            let sent = sent_kind.get(kind);
-            self.reg.counter_set_total(self.c_sent_kind[i], sent);
-            let settled = delivered_kind.get(kind) + dropped_kind.get(kind);
             self.reg
-                .gauge_set(self.g_in_flight_kind[i], sent.saturating_sub(settled));
+                .counter_set_total(self.c_sent_kind[i], outbox.counter().get(kind));
+            self.reg.gauge_set(self.g_in_flight_kind[i], in_flight[i]);
         }
         let alive = graph.alive_count() as u64;
         self.reg.gauge_set(self.g_alive, alive);

@@ -6,8 +6,8 @@
 //! all the parallelism the workspace needs — no work stealing, no shared
 //! mutable state, results delivered in input order regardless of which
 //! thread finished first. One primitive, [`try_map_ordered`], carries every
-//! level of it: the figures of a `repro` invocation, the replications of a
-//! figure, and [`par_map`] (the same thing, collecting).
+//! level of it: the figures of a `repro` invocation and, through
+//! [`map_replications`], the replications of a figure.
 
 use crossbeam::channel;
 use std::convert::Infallible;
@@ -137,48 +137,25 @@ where
     );
 }
 
-/// Maps `f` over `items` on `threads` worker threads, returning results in
-/// input order.
-///
-/// `f` receives `(index, item)` so callers can derive per-task seeds from the
-/// index (see [`crate::rng::derive_seed`]). Panics in workers propagate.
-pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    map_ordered(items, threads, f, |_, r| out.push(r));
-    out
-}
-
 /// Runs `f(replication_index, seed)` for `replications` independent seeds
-/// derived from `master_seed`, in parallel, preserving order.
-pub fn par_replications<R, F>(master_seed: u64, replications: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, u64) -> R + Sync,
-{
-    par_replications_on(default_threads(replications), master_seed, replications, f)
-}
-
-/// [`par_replications`] with an explicit worker count — the single home of
-/// the per-replication seed-derivation convention, so callers that need a
-/// different thread policy (e.g. a floor of two workers) cannot diverge
-/// from it.
-pub fn par_replications_on<R, F>(
+/// derived from `master_seed` on `threads` workers, each result reaching
+/// `emit` in replication order as soon as its prefix is complete — the
+/// single home of the per-replication seed-derivation convention
+/// ([`replication_seeds`](crate::rng::replication_seeds)), so no caller's
+/// thread policy can diverge from it.
+pub fn map_replications<R, F, G>(
     threads: usize,
     master_seed: u64,
     replications: usize,
     f: F,
-) -> Vec<R>
-where
+    emit: G,
+) where
     R: Send,
     F: Fn(usize, u64) -> R + Sync,
+    G: FnMut(usize, R),
 {
     let seeds: Vec<u64> = crate::rng::replication_seeds(master_seed, replications).collect();
-    par_map(seeds, threads, f)
+    map_ordered(seeds, threads, f, emit);
 }
 
 #[cfg(test)]
@@ -186,35 +163,46 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// `map_ordered`, collecting.
+    fn collect<T: Send, R: Send>(
+        items: Vec<T>,
+        threads: usize,
+        f: impl Fn(usize, T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut out = Vec::new();
+        map_ordered(items, threads, f, |_, r| out.push(r));
+        out
+    }
+
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = par_map(items, 8, |_, x| x * 2);
+        let out = collect(items, 8, |_, x| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_path() {
-        let out = par_map(vec![1, 2, 3], 1, |i, x| i as i32 + x);
+        let out = collect(vec![1, 2, 3], 1, |i, x| i as i32 + x);
         assert_eq!(out, vec![1, 3, 5]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<u8> = par_map(Vec::<u8>::new(), 4, |_, x| x);
+        let out: Vec<u8> = collect(Vec::<u8>::new(), 4, |_, x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = par_map(vec![10], 64, |_, x| x + 1);
+        let out = collect(vec![10], 64, |_, x| x + 1);
         assert_eq!(out, vec![11]);
     }
 
     #[test]
     fn indices_match_items() {
         let items: Vec<usize> = (0..50).collect();
-        let out = par_map(items, 4, |i, x| (i, x));
+        let out = collect(items, 4, |i, x| (i, x));
         for (i, (idx, val)) in out.into_iter().enumerate() {
             assert_eq!(i, idx);
             assert_eq!(i, val);
@@ -223,8 +211,12 @@ mod tests {
 
     #[test]
     fn replications_are_deterministic_and_distinct() {
-        let a = par_replications(42, 8, |_, seed| seed);
-        let b = par_replications(42, 8, |_, seed| seed);
+        let run = || {
+            let mut seeds = Vec::new();
+            map_replications(8, 42, 8, |_, seed| seed, |_, seed| seeds.push(seed));
+            seeds
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b, "same master seed, same seeds");
         let mut uniq = a.clone();
         uniq.sort_unstable();
@@ -364,7 +356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn worker_panics_propagate() {
-        par_map((0..16).collect(), 3, |i, x: usize| {
+        collect((0..16).collect(), 3, |i, x: usize| {
             assert!(i != 7, "task 7 failed");
             x
         });

@@ -55,10 +55,11 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 /// The per-replication seed sequence of a sweep: replication `i` runs on
 /// `derive_seed(master, i)`.
 ///
-/// This is *the* seed-derivation convention for replication sweeps — both
-/// `p2p_sim::parallel::par_replications` and the experiment runners go
-/// through it, so a figure's replication #3 can be reproduced in isolation
-/// from `(master_seed, 2)` no matter which driver originally ran it.
+/// This is *the* seed-derivation convention for replication sweeps — every
+/// sweep fans out through [`crate::parallel::map_replications`], which
+/// derives its seeds here, so a figure's replication #3 can be reproduced
+/// in isolation from `(master_seed, 2)` no matter which driver originally
+/// ran it.
 pub fn replication_seeds(master: u64, replications: usize) -> impl Iterator<Item = u64> {
     (0..replications as u64).map(move |i| derive_seed(master, i))
 }

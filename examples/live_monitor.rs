@@ -11,14 +11,14 @@
 //!   references) keeping per-node partial views fresh under churn;
 //! * `SteadyChurn` — the paper's "constant nodes arrivals and departures";
 //! * `SizeMonitor` — the perpetual estimation loop of §IV-D, generic over
-//!   any `EstimationProtocol`. Two gauges run side by side: reactive
-//!   Sample&Collide (one reading per tick) and the round-driven epidemic
-//!   Aggregation (one tick = one gossip round; one reading per epoch) —
-//!   something the historic one-shot-only monitor could not express.
+//!   any `NodeProtocol`. Two gauges run side by side: reactive
+//!   Sample&Collide (one reading per tick, through the `SyncStep` adapter)
+//!   and the round-driven epidemic Aggregation (one tick = one gossip round;
+//!   one reading per epoch).
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
 use p2p_size_estimation::estimation::monitor::SizeMonitor;
-use p2p_size_estimation::estimation::{Heuristic, SampleCollide};
+use p2p_size_estimation::estimation::{Heuristic, SampleCollide, SyncStep};
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::churn::SteadyChurn;
 use p2p_size_estimation::overlay::membership::PeerSamplingService;
@@ -28,7 +28,11 @@ fn main() {
     let mut rng = small_rng(77);
     let mut graph = HeterogeneousRandom::paper(8_000).build(&mut rng);
     let mut membership = PeerSamplingService::bootstrap(&graph, 16, 8, &mut rng);
-    let mut walk_gauge = SizeMonitor::new(SampleCollide::cheap(), Heuristic::LastKRuns(5), 32);
+    let mut walk_gauge = SizeMonitor::new(
+        SyncStep(SampleCollide::cheap()),
+        Heuristic::LastKRuns(5),
+        32,
+    );
     // The epidemic gauge needs the paper's full 50-round epochs: shorter
     // epochs cannot even reach all ~8000 nodes (participation alone takes
     // ~log₂ N ≈ 13 rounds), let alone converge. One reading per 50 ticks.

@@ -10,10 +10,9 @@
 //! meeting a target precision — the workflow an application developer would
 //! actually follow.
 
-use p2p_size_estimation::estimation::ProtocolSpec;
+use p2p_size_estimation::estimation::{Heuristic, ProtocolSpec, SizeMonitor};
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::sim::rng::small_rng;
-use p2p_size_estimation::sim::MessageCounter;
 
 struct SweepPoint {
     l: u32,
@@ -38,19 +37,16 @@ fn main() {
         let mut sc = ProtocolSpec::parse(&format!("sample-collide:l={l}"))
             .expect("valid spec")
             .build_sync();
-        let mut msgs = MessageCounter::new();
+        let mut gauge = SizeMonitor::new(&mut *sc, Heuristic::OneShot, 1);
         let mut err = 0.0;
         for _ in 0..runs {
-            let est = sc
-                .step(&graph, &mut rng, &mut msgs)
-                .estimate()
-                .expect("static overlay");
+            let est = gauge.tick(&graph, &mut rng).expect("static overlay").raw;
             err += (est - n as f64).abs() / n as f64;
         }
         let point = SweepPoint {
             l,
             mean_abs_err_pct: 100.0 * err / runs as f64,
-            msgs_per_estimate: msgs.total() as f64 / runs as f64,
+            msgs_per_estimate: gauge.total_messages().total() as f64 / runs as f64,
         };
         println!(
             "{:>6} {:>10.2} {:>14.0}",

@@ -1,5 +1,5 @@
 //! Quickstart: estimate the size of an unstructured overlay three ways —
-//! through the one unified `EstimationProtocol` API.
+//! through the one `NodeProtocol` contract.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -8,20 +8,20 @@
 //! Builds the paper's heterogeneous random overlay (10,000 nodes, max
 //! degree 10) and runs each candidate algorithm class once, printing the
 //! estimate and what it cost in messages. All three classes — including the
-//! round-driven epidemic Aggregation — go through the same trait: a
-//! protocol is *stepped*, and each step reports an estimate, stays pending,
-//! or fails. The same protocols then run through the scenario driver
-//! `run_scenario` on a dynamic (growing) overlay.
+//! round-driven epidemic Aggregation — go through the same contract: a
+//! protocol is *stepped* (here by a `SizeMonitor`), and each step reports
+//! an estimate, closes nothing yet, or fails. The same protocols then run
+//! through the scenario driver `run_scenario_des` on a dynamic (growing)
+//! overlay.
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
-use p2p_size_estimation::estimation::{estimate_once, EstimationProtocol, Heuristic};
+use p2p_size_estimation::estimation::{Heuristic, NodeProtocol, SizeMonitor, SyncStep};
 use p2p_size_estimation::estimation::{HopsSampling, SampleCollide};
-use p2p_size_estimation::experiments::runner::run_scenario;
+use p2p_size_estimation::experiments::runner::run_scenario_des;
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::metrics::degree_stats;
 use p2p_size_estimation::sim::rng::small_rng;
-use p2p_size_estimation::sim::MessageCounter;
 
 fn main() {
     let n = 10_000;
@@ -40,13 +40,13 @@ fn main() {
         graph.alive_count()
     );
 
-    // 2. One estimation per class, all through `EstimationProtocol`:
-    //    `estimate_once` steps a protocol until it closes one reporting
-    //    period — a single step for the one-shot classes, one 50-round
+    // 2. One estimation per class, all through `NodeProtocol`: a monitor
+    //    ticks a protocol until it closes one reporting period — a single
+    //    tick for the one-shot classes (wrapped in `SyncStep`), one 50-round
     //    epoch for the epidemic class.
-    let mut protocols: Vec<Box<dyn EstimationProtocol>> = vec![
-        Box::new(SampleCollide::paper()), // random walks, l = 200
-        Box::new(HopsSampling::paper()),  // probabilistic polling
+    let protocols: Vec<Box<dyn NodeProtocol<Msg = ()>>> = vec![
+        Box::new(SyncStep(SampleCollide::paper())), // random walks, l = 200
+        Box::new(SyncStep(HopsSampling::paper())),  // probabilistic polling
         Box::new(EpochedAggregation::new(AggregationConfig::paper())), // push-pull averaging
     ];
 
@@ -54,17 +54,17 @@ fn main() {
         "{:<16} {:>12} {:>10} {:>14}",
         "algorithm", "estimate", "quality%", "messages"
     );
-    for protocol in &mut protocols {
-        let mut msgs = MessageCounter::new();
-        match estimate_once(protocol.as_mut(), &graph, &mut rng, &mut msgs, 1_000) {
-            Some(size) => println!(
+    for mut protocol in protocols {
+        let mut gauge = SizeMonitor::new(&mut *protocol, Heuristic::OneShot, 1);
+        match (0..1_000).find_map(|_| gauge.tick(&graph, &mut rng)) {
+            Some(reading) => println!(
                 "{:<16} {:>12.0} {:>10.1} {:>14}",
-                protocol.name(),
-                size,
-                100.0 * size / n as f64,
-                msgs.total()
+                gauge.name(),
+                reading.raw,
+                100.0 * reading.raw / n as f64,
+                gauge.total_messages().total()
             ),
-            None => println!("{:<16} {:>12}", protocol.name(), "failed"),
+            None => println!("{:<16} {:>12}", gauge.name(), "failed"),
         }
     }
 
@@ -74,12 +74,12 @@ fn main() {
     //    ground truth at every reporting instant.
     println!("\n--- growing overlay (+50% over the timeline), unified driver ---");
     let polling_scenario = Scenario::growing(5_000, 30, 0.5);
-    let mut sc = SampleCollide::paper();
-    let sc_trace = run_scenario(&mut sc, &polling_scenario, Heuristic::OneShot, 7, "S&C");
+    let mut sc = SyncStep(SampleCollide::paper());
+    let sc_trace = run_scenario_des(&mut sc, &polling_scenario, Heuristic::OneShot, 7, "S&C");
 
     let epidemic_scenario = Scenario::growing(5_000, 150, 0.5); // steps = gossip rounds
     let mut agg = EpochedAggregation::new(AggregationConfig::paper());
-    let agg_trace = run_scenario(&mut agg, &epidemic_scenario, Heuristic::OneShot, 7, "Agg");
+    let agg_trace = run_scenario_des(&mut agg, &epidemic_scenario, Heuristic::OneShot, 7, "Agg");
 
     for (label, trace) in [("Sample&Collide", &sc_trace), ("Aggregation", &agg_trace)] {
         let (step, last) = *trace

@@ -7,7 +7,7 @@ use p2p_size_estimation::experiments::figures;
 use p2p_size_estimation::experiments::table::table1;
 use p2p_size_estimation::experiments::ExperimentScale;
 use p2p_size_estimation::overlay::builder::{BarabasiAlbert, GraphBuilder, HeterogeneousRandom};
-use p2p_size_estimation::sim::parallel::{par_map, par_replications};
+use p2p_size_estimation::sim::parallel::map_replications;
 use p2p_size_estimation::sim::rng::small_rng;
 use p2p_size_estimation::sim::MessageCounter;
 
@@ -104,8 +104,8 @@ fn streamed_output_bytes_are_identical_across_runs() {
 
 #[test]
 fn run_replications_sweeps_seeds_across_threads() {
-    use p2p_size_estimation::estimation::{Heuristic, SampleCollide};
-    use p2p_size_estimation::experiments::runner::run_replications;
+    use p2p_size_estimation::estimation::{Heuristic, SampleCollide, SyncStep};
+    use p2p_size_estimation::experiments::runner::run_replications_des;
     use p2p_size_estimation::experiments::Scenario;
     use std::collections::HashSet;
     use std::sync::{Condvar, Mutex};
@@ -113,13 +113,13 @@ fn run_replications_sweeps_seeds_across_threads() {
 
     // Rendezvous: the first replication blocks until a second worker thread
     // checks in, proving the ≥8-replication sweep really fans out over
-    // multiple OS threads (run_replications guarantees at least two workers
+    // multiple OS threads (run_replications_des guarantees at least two workers
     // whenever there are at least two replications, even on one core).
     let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
     let both_seen = Condvar::new();
 
     let scenario = Scenario::static_network(300, 2);
-    let traces = run_replications(
+    let traces = run_replications_des(
         |_| {
             let mut seen = ids.lock().unwrap();
             seen.insert(std::thread::current().id());
@@ -133,7 +133,7 @@ fn run_replications_sweeps_seeds_across_threads() {
                     break;
                 }
             }
-            SampleCollide::cheap()
+            SyncStep(SampleCollide::cheap())
         },
         &scenario,
         Heuristic::OneShot,
@@ -148,8 +148,8 @@ fn run_replications_sweeps_seeds_across_threads() {
     );
 
     // ... while staying bit-reproducible regardless of thread scheduling.
-    let again = run_replications(
-        |_| SampleCollide::cheap(),
+    let again = run_replications_des(
+        |_| SyncStep(SampleCollide::cheap()),
         &scenario,
         Heuristic::OneShot,
         7,
@@ -172,14 +172,10 @@ fn parallel_replications_independent_of_thread_count() {
         let est = SampleCollide::cheap().estimate(&g, &mut rng, &mut msgs);
         (est.map(|e| e.to_bits()), msgs.total())
     };
-    let seeds: Vec<u64> = (0..12)
-        .map(|i| p2p_size_estimation::sim::rng::derive_seed(9, i))
-        .collect();
-    let serial = par_map(seeds.clone(), 1, work);
-    let parallel = par_map(seeds, 8, work);
-    assert_eq!(serial, parallel);
-
-    let a = par_replications(33, 6, |_, s| s);
-    let b = par_replications(33, 6, |_, s| s);
-    assert_eq!(a, b);
+    let run = |threads: usize| {
+        let mut out = Vec::new();
+        map_replications(threads, 9, 12, work, |_, r| out.push(r));
+        out
+    };
+    assert_eq!(run(1), run(8));
 }

@@ -1,4 +1,4 @@
-//! Golden-trace equivalence: the unified protocol-generic `run_scenario`
+//! Golden-trace equivalence: the unified protocol-generic `run_scenario_des`
 //! reproduces the historic dual-path runners (`run_polling_scenario` /
 //! `run_aggregation_scenario`) bit for bit at fixed seeds.
 //!
@@ -22,9 +22,9 @@
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
 use p2p_size_estimation::estimation::{
-    Heuristic, HopsSampling, SampleCollide, SizeEstimator, Smoother,
+    Heuristic, HopsSampling, SampleCollide, SizeEstimator, Smoother, SyncStep,
 };
-use p2p_size_estimation::experiments::runner::{run_scenario, Trace};
+use p2p_size_estimation::experiments::runner::{run_scenario_des, Trace};
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::churn::ChurnOp;
 use p2p_size_estimation::sim::engine::Engine;
@@ -171,8 +171,9 @@ fn sample_collide_golden_traces_match_reference() {
                 seed,
                 "x",
             );
-            let mut unified_est = SampleCollide::cheap();
-            let unified = run_scenario(&mut unified_est, scenario, Heuristic::OneShot, seed, "x");
+            let mut unified_est = SyncStep(SampleCollide::cheap());
+            let unified =
+                run_scenario_des(&mut unified_est, scenario, Heuristic::OneShot, seed, "x");
             assert_eq!(unified.completed, reference.completed, "{}", scenario.name);
             assert_eq!(unified.messages, reference.messages, "{}", scenario.name);
             assert_series_identical(&unified.estimates, &reference.estimates, &scenario.name);
@@ -189,8 +190,8 @@ fn hops_sampling_golden_trace_matches_reference_with_smoothing() {
     let mut reference_est = HopsSampling::paper();
     let reference =
         reference_polling_scenario(&mut reference_est, &scenario, Heuristic::last10(), 9, "hs");
-    let mut unified_est = HopsSampling::paper();
-    let unified = run_scenario(&mut unified_est, &scenario, Heuristic::last10(), 9, "hs");
+    let mut unified_est = SyncStep(HopsSampling::paper());
+    let unified = run_scenario_des(&mut unified_est, &scenario, Heuristic::last10(), 9, "hs");
     assert_eq!(unified.completed, reference.completed);
     assert_eq!(unified.messages, reference.messages);
     assert_series_identical(&unified.estimates, &reference.estimates, "hops sampling");
@@ -233,7 +234,8 @@ fn aggregation_golden_traces_match_reference() {
     for seed in [3u64, 77, 2024] {
         let reference = reference_aggregation_scenario(config, &reference_scenario, seed, "agg");
         let mut agg = EpochedAggregation::new(config);
-        let unified = run_scenario(&mut agg, &unified_scenario, Heuristic::OneShot, seed, "agg");
+        let unified =
+            run_scenario_des(&mut agg, &unified_scenario, Heuristic::OneShot, seed, "agg");
         assert_eq!(unified.completed, reference.completed, "seed {seed}");
         assert_eq!(unified.messages, reference.messages, "seed {seed}");
         assert_series_identical_shifted(&unified.estimates, &reference.estimates, "estimates");
@@ -256,7 +258,7 @@ fn aggregation_golden_trace_matches_on_churn_free_timeline() {
     let scenario = Scenario::static_network(900, 70);
     let reference = reference_aggregation_scenario(config, &scenario, 5, "agg");
     let mut agg = EpochedAggregation::new(config);
-    let unified = run_scenario(&mut agg, &scenario, Heuristic::OneShot, 5, "agg");
+    let unified = run_scenario_des(&mut agg, &scenario, Heuristic::OneShot, 5, "agg");
     assert_eq!(reference.completed, 3, "70 rounds / 20-round epochs");
     assert_eq!(unified.completed, reference.completed);
     assert_eq!(unified.messages, reference.messages);

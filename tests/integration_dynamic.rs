@@ -1,8 +1,8 @@
 //! Cross-crate integration: dynamic scenarios (§IV-D) end to end.
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
-use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide};
-use p2p_size_estimation::experiments::runner::run_scenario;
+use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide, SyncStep};
+use p2p_size_estimation::experiments::runner::run_scenario_des;
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::{churn, connectivity};
 use p2p_size_estimation::sim::rng::small_rng;
@@ -26,8 +26,8 @@ fn tracking_error(trace: &p2p_size_estimation::experiments::runner::Trace) -> f6
 #[test]
 fn sample_collide_tracks_catastrophic_failures() {
     let scenario = Scenario::catastrophic(N, 60);
-    let mut sc = SampleCollide::paper();
-    let trace = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 1, "est");
+    let mut sc = SyncStep(SampleCollide::paper());
+    let trace = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 1, "est");
     // §IV-D(i): "the algorithm reacts very well to changes, even brutal".
     assert!(trace.completed >= 58);
     let err = tracking_error(&trace);
@@ -40,8 +40,8 @@ fn sample_collide_tracks_growth_and_shrink() {
         Scenario::growing(N, 50, 0.5),
         Scenario::shrinking(N, 50, 0.5),
     ] {
-        let mut sc = SampleCollide::paper();
-        let trace = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 2, "est");
+        let mut sc = SyncStep(SampleCollide::paper());
+        let trace = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 2, "est");
         let err = tracking_error(&trace);
         assert!(err < 0.15, "{}: tracking error {err}", scenario.name);
     }
@@ -50,8 +50,8 @@ fn sample_collide_tracks_growth_and_shrink() {
 #[test]
 fn hops_sampling_lags_but_follows() {
     let scenario = Scenario::catastrophic(N, 60);
-    let mut hs = HopsSampling::paper();
-    let trace = run_scenario(&mut hs, &scenario, Heuristic::last10(), 3, "est");
+    let mut hs = SyncStep(HopsSampling::paper());
+    let trace = run_scenario_des(&mut hs, &scenario, Heuristic::last10(), 3, "est");
     // §IV-D(j): results remain slightly underestimated with higher variation
     // than Sample&Collide, but no breakdown.
     let err = tracking_error(&trace);
@@ -64,8 +64,8 @@ fn aggregation_follows_growth_but_breaks_under_heavy_shrink() {
     let shrink = Scenario::shrinking(N, 1_000, 0.5);
     let mut g_agg = EpochedAggregation::new(AggregationConfig::paper());
     let mut s_agg = EpochedAggregation::new(AggregationConfig::paper());
-    let g_trace = run_scenario(&mut g_agg, &grow, Heuristic::OneShot, 4, "est");
-    let s_trace = run_scenario(&mut s_agg, &shrink, Heuristic::OneShot, 4, "est");
+    let g_trace = run_scenario_des(&mut g_agg, &grow, Heuristic::OneShot, 4, "est");
+    let s_trace = run_scenario_des(&mut s_agg, &shrink, Heuristic::OneShot, 4, "est");
     let g_err = tracking_error(&g_trace);
     let s_err = tracking_error(&s_trace);
     // §IV-D(k): "fairly good adaptation to a growing network" vs "does not

@@ -5,16 +5,15 @@
 //! an ideal network.
 //!
 //! (The companion file `golden_trace.rs` pins the deeper half of the
-//! contract: the network-routed `run_scenario` reproduces the *historic*
+//! contract: the network-routed `run_scenario_des` reproduces the *historic*
 //! pre-network round-driven loops bit for bit.)
 
 use p2p_size_estimation::estimation::aggregation::AggregationConfig;
-use p2p_size_estimation::estimation::net_protocol::Networked;
 use p2p_size_estimation::estimation::{
     with_async_protocol, AsyncAggregation, AsyncHopsSampling, AsyncSampleCollide, Heuristic,
-    ProtocolSpec, SampleCollide, SizeEstimator,
+    ProtocolSpec, SampleCollide, SizeMonitor, SyncStep,
 };
-use p2p_size_estimation::experiments::runner::{run_scenario, run_scenario_des, Trace};
+use p2p_size_estimation::experiments::runner::{run_scenario_des, Trace};
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
 use p2p_size_estimation::overlay::churn;
@@ -48,7 +47,7 @@ fn assert_traces_identical(a: &Trace, b: &Trace, what: &str) {
 fn run_form(spec: ProtocolSpec, scenario: &Scenario, seed: u64, sync: bool) -> Trace {
     if sync {
         let mut p = spec.build_sync();
-        run_scenario(&mut *p, scenario, Heuristic::OneShot, seed, "x")
+        run_scenario_des(&mut *p, scenario, Heuristic::OneShot, seed, "x")
     } else {
         with_async_protocol!(spec.build_async(), mut p => {
             run_scenario_des(&mut p, scenario, Heuristic::OneShot, seed, "x")
@@ -67,10 +66,10 @@ fn sync_protocols_cannot_feel_the_network_model() {
         .clone()
         .with_network(NetworkModel::wan().with_drop_rate(0.5));
     for seed in [1u64, 99] {
-        let mut a = SampleCollide::cheap();
-        let mut b = SampleCollide::cheap();
-        let ta = run_scenario(&mut a, &ideal, Heuristic::OneShot, seed, "x");
-        let tb = run_scenario(&mut b, &hostile, Heuristic::OneShot, seed, "x");
+        let mut a = SyncStep(SampleCollide::cheap());
+        let mut b = SyncStep(SampleCollide::cheap());
+        let ta = run_scenario_des(&mut a, &ideal, Heuristic::OneShot, seed, "x");
+        let tb = run_scenario_des(&mut b, &hostile, Heuristic::OneShot, seed, "x");
         assert_traces_identical(&ta, &tb, "sync over hostile network");
         assert_eq!(tb.net.sent, 0, "the adapter routes no messages");
     }
@@ -84,10 +83,10 @@ fn step_cadence_does_not_change_ideal_traces() {
     let stretched = base
         .clone()
         .with_network(NetworkModel::ideal().with_step_ticks(250));
-    let mut a = SampleCollide::cheap();
-    let mut b = SampleCollide::cheap();
-    let ta = run_scenario(&mut a, &base, Heuristic::OneShot, 7, "x");
-    let tb = run_scenario(&mut b, &stretched, Heuristic::OneShot, 7, "x");
+    let mut a = SyncStep(SampleCollide::cheap());
+    let mut b = SyncStep(SampleCollide::cheap());
+    let ta = run_scenario_des(&mut a, &base, Heuristic::OneShot, 7, "x");
+    let tb = run_scenario_des(&mut b, &stretched, Heuristic::OneShot, 7, "x");
     assert_traces_identical(&ta, &tb, "cadence invariance");
 }
 
@@ -295,15 +294,16 @@ proptest! {
         // stay consistent through any interleaving of the two.
         let mut rng = small_rng(seed);
         let mut graph = HeterogeneousRandom::new(300, 6).build(&mut rng);
-        let mut netp = Networked::new(
+        let mut mon = SizeMonitor::with_network(
             AsyncAggregation::new(AggregationConfig { rounds_per_estimate: 4 }),
+            Heuristic::OneShot,
+            1,
             NetworkModel::ideal()
                 .with_latency(HopLatency::Uniform { lo: 10.0, hi: 250.0 })
                 .with_drop_rate(0.05)
                 .with_step_ticks(120),
             seed ^ 0xA5A5,
         );
-        let mut msgs = MessageCounter::new();
         for op in ops {
             match op {
                 Op::Join(k) => churn::join_nodes(&mut graph, k as usize, 6, &mut rng),
@@ -315,12 +315,16 @@ proptest! {
                 }
             }
             graph.check_invariants().map_err(TestCaseError::fail)?;
-            // One estimation window's worth of deliveries against the
-            // churned overlay (drives a 4-round epoch plus stragglers).
-            let _ = netp.estimate(&graph, &mut rng, &mut msgs);
+            // One estimation's worth of deliveries against the churned
+            // overlay (drives a 4-round epoch plus stragglers).
+            let closed = mon.reports() + mon.failures();
+            while mon.reports() + mon.failures() == closed {
+                prop_assert!(mon.ticks() < 100_000, "no reporting period closed");
+                mon.tick(&graph, &mut rng);
+            }
             graph.check_invariants().map_err(TestCaseError::fail)?;
         }
         // Deliveries to departed nodes were reclassified, not handled.
-        prop_assert!(netp.net_stats().in_flight() <= netp.net_stats().sent);
+        prop_assert!(mon.net_stats().in_flight() <= mon.net_stats().sent);
     }
 }

@@ -320,8 +320,8 @@ proptest! {
         protocol_kind in 0usize..3,
     ) {
         use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
-        use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide};
-        use p2p_size_estimation::experiments::runner::run_scenario;
+        use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide, SyncStep};
+        use p2p_size_estimation::experiments::runner::run_scenario_des;
         use p2p_size_estimation::experiments::Scenario;
 
         let steps = 20u64;
@@ -332,11 +332,11 @@ proptest! {
             _ => Scenario::catastrophic(300, steps),
         };
         let trace = match protocol_kind {
-            0 => run_scenario(
-                &mut SampleCollide::cheap(), &scenario, Heuristic::OneShot, seed, "t"),
-            1 => run_scenario(
-                &mut HopsSampling::paper(), &scenario, Heuristic::last10(), seed, "t"),
-            _ => run_scenario(
+            0 => run_scenario_des(
+                &mut SyncStep(SampleCollide::cheap()), &scenario, Heuristic::OneShot, seed, "t"),
+            1 => run_scenario_des(
+                &mut SyncStep(HopsSampling::paper()), &scenario, Heuristic::last10(), seed, "t"),
+            _ => run_scenario_des(
                 &mut EpochedAggregation::new(AggregationConfig { rounds_per_estimate: 5 }),
                 &scenario, Heuristic::OneShot, seed, "t"),
         };
@@ -489,7 +489,7 @@ fn empty_graph_edge_cases_do_not_panic() {
 // must reconstruct the identical experiment.
 
 use p2p_size_estimation::estimation::ProtocolSpec;
-use p2p_size_estimation::experiments::spec::{Backend, ScenarioKind};
+use p2p_size_estimation::experiments::spec::ScenarioKind;
 use p2p_size_estimation::experiments::{NetworkSpec, ScenarioSpec, Topology};
 use p2p_size_estimation::sim::{HopLatency, NetworkModel};
 
@@ -516,31 +516,24 @@ fn protocol_spec_strategy() -> impl Strategy<Value = ProtocolSpec> {
 }
 
 fn scenario_spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
-    (0u8..5, 1u32..100, any::<bool>(), any::<bool>()).prop_map(
-        |(kind, frac_pct, scale_free, cluster)| ScenarioSpec {
-            kind: match kind {
-                0 => ScenarioKind::Static,
-                1 => ScenarioKind::Growing,
-                2 => ScenarioKind::Shrinking,
-                3 => ScenarioKind::Catastrophic,
-                _ => ScenarioKind::CatastrophicFig15,
-            },
-            fraction: frac_pct as f64 / 100.0,
-            topology: if scale_free {
-                Topology::ScaleFree
-            } else {
-                Topology::Heterogeneous
-            },
-            // The workload grammar's own round-trip is property-tested in
-            // `prop_workload`; composing it here would only re-test it.
-            churn: None,
-            backend: if cluster {
-                Backend::Cluster
-            } else {
-                Backend::Des
-            },
+    (0u8..5, 1u32..100, any::<bool>()).prop_map(|(kind, frac_pct, scale_free)| ScenarioSpec {
+        kind: match kind {
+            0 => ScenarioKind::Static,
+            1 => ScenarioKind::Growing,
+            2 => ScenarioKind::Shrinking,
+            3 => ScenarioKind::Catastrophic,
+            _ => ScenarioKind::CatastrophicFig15,
         },
-    )
+        fraction: frac_pct as f64 / 100.0,
+        topology: if scale_free {
+            Topology::ScaleFree
+        } else {
+            Topology::Heterogeneous
+        },
+        // The workload grammar's own round-trip is property-tested in
+        // `prop_workload`; composing it here would only re-test it.
+        churn: None,
+    })
 }
 
 fn network_spec_strategy() -> impl Strategy<Value = NetworkSpec> {
@@ -586,7 +579,6 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("`{text}` failed to parse: {e}")))?;
         prop_assert_eq!(parsed.kind, spec.kind, "display was `{}`", &text);
         prop_assert_eq!(parsed.topology, spec.topology, "display was `{}`", &text);
-        prop_assert_eq!(parsed.backend, spec.backend, "display was `{}`", &text);
         let a = parsed.resolve(500, 20);
         let b = spec.resolve(500, 20);
         prop_assert_eq!(a.schedule, b.schedule, "display was `{}`", &text);

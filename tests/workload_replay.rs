@@ -10,8 +10,8 @@
 //!   protocol class, and replications stay deterministic per seed.
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
-use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide};
-use p2p_size_estimation::experiments::runner::{run_scenario, Trace, WORKLOAD_SEED_STREAM};
+use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide, SyncStep};
+use p2p_size_estimation::experiments::runner::{run_scenario_des, Trace, WORKLOAD_SEED_STREAM};
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::churn::ChurnOp;
 use p2p_size_estimation::overlay::Graph;
@@ -57,8 +57,8 @@ fn replaying_a_recorded_trace_reproduces_the_run_bit_for_bit() {
 
     // Record with Sample&Collide driving the run.
     let recorded = {
-        let mut sc = SampleCollide::cheap();
-        run_scenario(
+        let mut sc = SyncStep(SampleCollide::cheap());
+        run_scenario_des(
             &mut sc,
             &scenario(WorkloadSource::Record {
                 spec: spec.clone(),
@@ -74,8 +74,8 @@ fn replaying_a_recorded_trace_reproduces_the_run_bit_for_bit() {
 
     // Replay: same seed, no model → identical run.
     let replayed = {
-        let mut sc = SampleCollide::cheap();
-        run_scenario(
+        let mut sc = SyncStep(SampleCollide::cheap());
+        run_scenario_des(
             &mut sc,
             &scenario(WorkloadSource::Replay(path.clone())),
             Heuristic::OneShot,
@@ -88,8 +88,8 @@ fn replaying_a_recorded_trace_reproduces_the_run_bit_for_bit() {
     // The same trace drives the *other* classes too (same churn, their own
     // protocol draws) — and does so deterministically.
     for round in 0..2 {
-        let mut hs = HopsSampling::paper();
-        let a = run_scenario(
+        let mut hs = SyncStep(HopsSampling::paper());
+        let a = run_scenario_des(
             &mut hs,
             &scenario(WorkloadSource::Replay(path.clone())),
             Heuristic::last10(),
@@ -99,7 +99,7 @@ fn replaying_a_recorded_trace_reproduces_the_run_bit_for_bit() {
         let mut agg = EpochedAggregation::new(AggregationConfig {
             rounds_per_estimate: 10,
         });
-        let b = run_scenario(
+        let b = run_scenario_des(
             &mut agg,
             &scenario(WorkloadSource::Replay(path.clone())),
             Heuristic::OneShot,
@@ -125,8 +125,8 @@ fn replaying_a_recorded_trace_reproduces_the_run_bit_for_bit() {
 fn replaying_under_a_different_schedule_is_rejected() {
     let spec = WorkloadSpec::parse("pareto:alpha=2,mean=15").unwrap();
     let path = tmp("schedule-mismatch.jsonl");
-    let mut sc = SampleCollide::cheap();
-    run_scenario(
+    let mut sc = SyncStep(SampleCollide::cheap());
+    run_scenario_des(
         &mut sc,
         &Scenario::growing(800, 20, 0.5).with_workload(WorkloadSource::Record {
             spec,
@@ -137,8 +137,8 @@ fn replaying_under_a_different_schedule_is_rejected() {
         "x",
     );
     // Same size and steps, but a churn-free schedule: must not replay.
-    let mut sc = SampleCollide::cheap();
-    run_scenario(
+    let mut sc = SyncStep(SampleCollide::cheap());
+    run_scenario_des(
         &mut sc,
         &Scenario::static_network(800, 20).with_workload(WorkloadSource::Replay(path)),
         Heuristic::OneShot,
@@ -153,16 +153,16 @@ fn replaying_under_a_different_schedule_is_rejected() {
 fn recording_is_an_observer_generation_and_record_runs_match() {
     let spec = WorkloadSpec::parse("weibull:shape=0.6,mean=15").unwrap();
     let path = tmp("observer.jsonl");
-    let mut sc = SampleCollide::cheap();
-    let plain = run_scenario(
+    let mut sc = SyncStep(SampleCollide::cheap());
+    let plain = run_scenario_des(
         &mut sc,
         &Scenario::static_network(900, 25).with_workload(WorkloadSource::Model(spec.clone())),
         Heuristic::OneShot,
         7,
         "x",
     );
-    let mut sc = SampleCollide::cheap();
-    let recorded = run_scenario(
+    let mut sc = SyncStep(SampleCollide::cheap());
+    let recorded = run_scenario_des(
         &mut sc,
         &Scenario::static_network(900, 25).with_workload(WorkloadSource::Record {
             spec,
@@ -205,8 +205,8 @@ fn streamed_model_equals_materialized_schedule() {
     assert!(!schedule.is_empty(), "the model must have produced churn");
 
     // Path 1: the streamed model.
-    let mut sc = SampleCollide::cheap();
-    let streamed = run_scenario(
+    let mut sc = SyncStep(SampleCollide::cheap());
+    let streamed = run_scenario_des(
         &mut sc,
         &Scenario::static_network(n, steps).with_workload(WorkloadSource::Model(spec)),
         Heuristic::OneShot,
@@ -216,8 +216,9 @@ fn streamed_model_equals_materialized_schedule() {
     // Path 2: the materialized schedule through the historic scheduled path.
     let mut scheduled_scenario = Scenario::static_network(n, steps);
     scheduled_scenario.schedule = schedule;
-    let mut sc = SampleCollide::cheap();
-    let materialized = run_scenario(&mut sc, &scheduled_scenario, Heuristic::OneShot, SEED, "x");
+    let mut sc = SyncStep(SampleCollide::cheap());
+    let materialized =
+        run_scenario_des(&mut sc, &scheduled_scenario, Heuristic::OneShot, SEED, "x");
 
     assert_traces_identical(&streamed, &materialized, "streamed vs materialized");
 }
@@ -230,8 +231,8 @@ fn streamed_model_equals_materialized_schedule() {
 fn scheduled_joiners_live_sessions_under_a_session_workload() {
     let spec = WorkloadSpec::parse("pareto:alpha=2,mean=10").unwrap();
     let scenario = Scenario::growing(1_000, 200, 1.0).with_workload(WorkloadSource::Model(spec));
-    let mut sc = SampleCollide::cheap();
-    let t = run_scenario(&mut sc, &scenario, Heuristic::OneShot, 19, "x");
+    let mut sc = SyncStep(SampleCollide::cheap());
+    let t = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 19, "x");
     let final_truth = t.real_size.points.last().unwrap().1;
     // Equilibrium ≈ (balanced arrivals 100/step + scheduled 5/step) × mean
     // lifetime 10 ≈ 1050. Immortal scheduled joiners would push ≥ 2000.
@@ -253,8 +254,8 @@ fn workload_composes_with_scheduled_ops_and_is_deterministic() {
         .push((4, ChurnOp::Catastrophe { fraction: 0.25 }));
 
     let run = |seed: u64| {
-        let mut sc = SampleCollide::cheap();
-        run_scenario(&mut sc, &scenario, Heuristic::OneShot, seed, "x")
+        let mut sc = SyncStep(SampleCollide::cheap());
+        run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, seed, "x")
     };
     let a = run(11);
     let b = run(11);
