@@ -217,8 +217,8 @@ impl<'a, M> Cx<'a, M> {
 /// * `on_message` — a message delivered to an **alive** node;
 /// * `on_timer` — a protocol-scheduled timer;
 /// * `on_loss` — a message that died in flight, either dropped by the
-///   [`NetworkModel`](p2p_sim::NetworkModel) or addressed to a node that departed before delivery.
-///   Dispatched at the would-be delivery time.
+///   [`NetworkModel`](p2p_sim::NetworkModel) or addressed to a node that
+///   departed before delivery. Dispatched at the would-be delivery time.
 ///
 /// Estimates are published with [`Cx::report`]; all randomness comes from
 /// [`Cx::rng`], so runs are deterministic per seed.
