@@ -54,6 +54,8 @@
 //! assert!((n - 5_000.0).abs() / 5_000.0 < 0.25, "estimate {n}");
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod aggregation;
 pub mod arena;
 pub mod heuristics;

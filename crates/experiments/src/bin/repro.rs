@@ -43,7 +43,6 @@ fn usage() -> &'static str {
             [--metric err|completed] [--churn WORKLOAD] [--reuse-slots]
             [--record-trace FILE | --replay-trace FILE] [common options]
   repro table [--scale ...] [--seed ...] [--out DIR]
-  repro audit [--list-rules] [--format text|jsonl] [--root DIR]
   repro (--all | --fig N | --table 1) [...]        (legacy form)
 
 common options:
@@ -84,6 +83,8 @@ specs:
               [:frac=0.5,topology=heterogeneous|scale-free]
   --network   ideal | wan | drop=..,latency=..,jitter=..,link-spread=..,ticks=..
   --sweep     drop=0,0.001,0.01 | spread=0,40,80   (spread: ms around a 100 ms mean)
+              --mode sync never consults the network: it takes neither a
+              --sweep nor a --network other than ideal
   --churn     streamed workload churn, composable with `+`:
               steady:join=2,leave=2 | pareto:alpha=1.5,mean=50[,rate=R]
               | weibull:shape=0.5,mean=50[,rate=R]
@@ -97,13 +98,7 @@ specs:
   --record-trace FILE   record the run's churn ops as a JSONL trace (needs a
                         churn workload, one --protocol, --reps 1; no --sweep)
   --replay-trace FILE   replay a recorded trace (bit-for-bit under the
-                        recording's protocol and seed)
-
-audit (the determinism & safety auditor, crates/audit):
-  --list-rules          print every rule with its scope and rationale
-  --format text|jsonl   report format (jsonl follows the sink conventions)
-  --root DIR            workspace checkout to audit (default: this one)
-  exits nonzero if any violation lacks a reasoned audit:allow annotation"
+                        recording's protocol and seed)"
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -128,17 +123,9 @@ struct Args {
 
 enum Command {
     List,
-    Figures {
-        figs: Vec<u32>,
-        table: bool,
-    },
+    Figures { figs: Vec<u32>, table: bool },
     Custom(Box<ExperimentSpec>),
     Table,
-    Audit {
-        list_rules: bool,
-        jsonl: bool,
-        root: Option<PathBuf>,
-    },
 }
 
 /// Prints engine progress callbacks to stderr.
@@ -182,9 +169,6 @@ fn parse_args() -> Result<Args, String> {
     if raw.is_empty() {
         return Err(usage().to_string());
     }
-    if raw[0] == "audit" {
-        return parse_audit_args(&raw[1..]);
-    }
     let (subcommand, rest): (Option<&str>, &[String]) = match raw[0].as_str() {
         "list" | "run" | "table" => (Some(raw[0].as_str()), &raw[1..]),
         _ => (None, &raw[..]),
@@ -197,6 +181,7 @@ fn parse_args() -> Result<Args, String> {
     let mut mode_sync = false;
     let mut scenario = ScenarioSpec::parse("static").expect("static parses");
     let mut network = NetworkSpec::parse("ideal").expect("ideal parses");
+    let mut network_arg = String::from("ideal");
     let mut size: Option<usize> = None;
     let mut steps: Option<u64> = None;
     let mut reps: Option<usize> = None;
@@ -279,25 +264,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| e.to_string())?;
             }
             "--network" => {
-                network = NetworkSpec::parse(&next_value(&mut it, "--network")?)
-                    .map_err(|e| e.to_string())?;
+                network_arg = next_value(&mut it, "--network")?;
+                network = NetworkSpec::parse(&network_arg).map_err(|e| e.to_string())?;
             }
-            "--size" => {
-                let v = next_value(&mut it, "--size")?;
-                size = Some(v.parse().map_err(|_| format!("bad size {v}"))?);
-            }
-            "--steps" => {
-                let v = next_value(&mut it, "--steps")?;
-                let k: u64 = v.parse().map_err(|_| format!("bad steps {v}"))?;
-                if k == 0 {
-                    return Err("--steps 0 is out of range (--steps must be >= 1)".to_string());
-                }
-                steps = Some(k);
-            }
-            "--reps" => {
-                let v = next_value(&mut it, "--reps")?;
-                reps = Some(v.parse().map_err(|_| format!("bad reps {v}"))?);
-            }
+            "--size" => size = Some(positive(arg, next_value(&mut it, arg)?)?),
+            "--steps" => steps = Some(positive(arg, next_value(&mut it, arg)?)?),
+            "--reps" => reps = Some(positive(arg, next_value(&mut it, arg)?)?),
             "--heuristic" => {
                 heuristic = match next_value(&mut it, "--heuristic")?.as_str() {
                     "one-shot" | "oneshot" => Heuristic::OneShot,
@@ -365,22 +337,8 @@ fn parse_args() -> Result<Args, String> {
                 seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
             }
             "--out" => out = PathBuf::from(next_value(&mut it, "--out")?),
-            "--jobs" => {
-                let v = next_value(&mut it, "--jobs")?;
-                let j: usize = v.parse().map_err(|_| format!("bad job count {v}"))?;
-                if j == 0 {
-                    return Err("--jobs must be ≥ 1".to_string());
-                }
-                jobs = Some(j);
-            }
-            "--shards" => {
-                let v = next_value(&mut it, "--shards")?;
-                let k: u32 = v.parse().map_err(|_| format!("bad shard count {v}"))?;
-                if k == 0 {
-                    return Err("--shards must be ≥ 1 (1 = the sequential engine)".to_string());
-                }
-                shards = k;
-            }
+            "--jobs" => jobs = Some(positive(arg, next_value(&mut it, arg)?)?),
+            "--shards" => shards = positive(arg, next_value(&mut it, arg)?)?,
             "--format" => {
                 format = match next_value(&mut it, "--format")?.as_str() {
                     "csv" => Format::Csv,
@@ -394,16 +352,7 @@ fn parse_args() -> Result<Args, String> {
             "--metrics" => {
                 metrics = Some(PathBuf::from(next_value(&mut it, "--metrics")?));
             }
-            "--metrics-every" => {
-                let v = next_value(&mut it, "--metrics-every")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad snapshot interval {v}"))?;
-                if n == 0 {
-                    return Err("--metrics-every must be ≥ 1".to_string());
-                }
-                metrics_every = Some(n);
-            }
+            "--metrics-every" => metrics_every = Some(positive(arg, next_value(&mut it, arg)?)?),
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument {other}\n{}", usage())),
@@ -437,6 +386,19 @@ fn parse_args() -> Result<Args, String> {
                      is nothing to partition"
                         .to_string(),
                 );
+            }
+            // Sync steps deliver every message at once and never consult
+            // the network model, so these would run ideal and say otherwise.
+            if mode_sync && sweep.is_some() {
+                return Err("--sweep is out of range for --mode sync (sync steps never \
+                     consult the network, so every point would run the same; use --mode async)"
+                    .to_string());
+            }
+            if mode_sync && !network.0.is_ideal() {
+                return Err(format!(
+                    "--network {network_arg} is out of range for --mode sync (sync steps \
+                     never consult the network; use --mode async)"
+                ));
             }
             Command::Custom(Box::new(build_custom_spec(
                 protocols,
@@ -510,78 +472,25 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Parses `repro audit` flags; the shared figure/scale knobs do not apply.
-fn parse_audit_args(rest: &[String]) -> Result<Args, String> {
-    let mut list_rules = false;
-    let mut jsonl = false;
-    let mut root: Option<PathBuf> = None;
-    let mut it = rest.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        match arg {
-            "--list-rules" => list_rules = true,
-            "--format" => match it.next().ok_or("--format needs a value")? {
-                "text" => jsonl = false,
-                "jsonl" => jsonl = true,
-                other => return Err(format!("unknown audit format {other} (text | jsonl)")),
-            },
-            "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown audit argument {other}\n{}", usage())),
+/// Parses the value of a count flag; zero is out of range.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    v: String,
+) -> Result<T, String> {
+    match v.parse() {
+        Ok(n) if n == T::default() => {
+            Err(format!("{flag} 0 is out of range ({flag} must be >= 1)"))
         }
-    }
-    Ok(Args {
-        command: Command::Audit {
-            list_rules,
-            jsonl,
-            root,
-        },
-        scale: ExperimentScale::by_name("small").ok_or("small scale registered")?,
-        scale_name: "small".to_string(),
-        seed: 20060619,
-        out: PathBuf::from("target/figures"),
-        jobs: None,
-        shards: 0,
-        format: Format::Csv,
-        quiet: false,
-        metrics: None,
-    })
-}
-
-/// Runs the determinism auditor; exits nonzero on unannotated violations.
-fn run_audit(list_rules: bool, jsonl: bool, root: Option<&std::path::Path>) -> ExitCode {
-    if list_rules {
-        print!("{}", p2p_audit::list_rules());
-        return ExitCode::SUCCESS;
-    }
-    // Default to the checkout this binary was built from: two levels up
-    // from crates/experiments. Compile-time, so the env-read rule (which
-    // governs runtime `std::env` reads) is not in play.
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let default_root = manifest.ancestors().nth(2).unwrap_or(manifest);
-    let root = root.unwrap_or(default_root);
-    match p2p_audit::audit_workspace(root) {
-        Ok(report) => {
-            if jsonl {
-                print!("{}", report.to_jsonl());
-            } else {
-                print!("{}", report.to_text());
-            }
-            let _ = std::io::stdout().flush();
-            if report.unannotated().count() == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("audit: cannot walk {}: {e}", root.display());
-            ExitCode::FAILURE
-        }
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("bad {flag} value {v}")),
     }
 }
 
 /// Assembles a free-form [`ExperimentSpec`] from the CLI's parsed pieces.
-#[allow(clippy::too_many_arguments)] // one call site, mirroring the flags
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call site, mirroring the flags"
+)]
 fn build_custom_spec(
     protocols: Vec<ProtocolSpec>,
     mode_sync: bool,
@@ -804,7 +713,10 @@ fn run_task(
     jobs: Option<usize>,
     rows: &mut dyn Write,
 ) -> Result<(String, Duration), String> {
-    // audit:allow(wall-clock): elapsed-time console banner and budget summary only; figure CSVs never see it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock: elapsed-time console banner and budget summary only; figure CSVs never see it"
+    )]
     let start = Instant::now();
     let mut banner = String::new();
     match task {
@@ -912,7 +824,10 @@ fn run_tasks(args: &Args, tasks: Vec<Task<'_>>) -> Result<(), String> {
     let budget = args.jobs.unwrap_or_else(|| default_threads(usize::MAX));
     let (outer, inner) = split_budget(budget, n);
     let jobs = if n == 1 { args.jobs } else { Some(inner) };
-    // audit:allow(wall-clock): the stderr budget summary only; no sink or file sees it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock: the stderr budget summary only; no sink or file sees it"
+    )]
     let start = Instant::now();
     let mut busy = Duration::ZERO;
     let outcome = try_map_ordered(
@@ -990,11 +905,6 @@ fn main() -> ExitCode {
             run_list(&args);
             Ok(())
         }
-        Command::Audit {
-            list_rules,
-            jsonl,
-            root,
-        } => return run_audit(*list_rules, *jsonl, root.as_deref()),
         Command::Table => run_tasks(&args, vec![Task::Table]),
         Command::Custom(spec) => say(
             &args,

@@ -179,7 +179,10 @@ fn emit_series(sink: &mut dyn ResultSink, series: &Series) {
 /// protocol instance *per shard*, each deployed as its slice of the
 /// partition — and says how the run was synchronised (`None` for the
 /// sequential engine).
-#[allow(clippy::too_many_arguments)] // private; mirrors the engine options
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private; mirrors the engine options"
+)]
 fn run_one(
     entry_protocol: &ProtocolSpec,
     mode: ExecMode,

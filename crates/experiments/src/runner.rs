@@ -621,9 +621,9 @@ pub fn run_scenario_des<P: NodeProtocol + ?Sized>(
 /// is set, the run takes one [`Snapshot`] every `every` steps plus a final
 /// post-drain snapshot, and latches online time-to-ε from the windowed
 /// median of raw reported estimates. Telemetry never touches an RNG stream
-/// or event ordering (mutators sit in statement position, enforced by the
-/// `telemetry-side-effect` audit rule), so a run's trace is bit-identical
-/// with capture on or off.
+/// or event ordering (the mutators return `()`, so no value of theirs can
+/// feed a draw or a branch), so a run's trace is bit-identical with capture
+/// on or off.
 pub fn run_scenario_des_telemetry<P: NodeProtocol + ?Sized>(
     protocol: &mut P,
     scenario: &Scenario,

@@ -67,6 +67,12 @@
 //! execution, but far from the historic round semantics). A run reports
 //! its `lookahead_ticks` and `barrier_rounds` ([`ShardSync`]).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "shard-local-state: the window-barrier coordinator is one of the two \
+              designated parallel drivers; shard state crosses threads only at its barriers"
+)]
+
 use crate::runner::{ScenarioRun, TelemetryOpts, Trace, NET_SEED_STREAM};
 use crate::scenario::Scenario;
 use p2p_estimation::{Heuristic, Host, NodeProtocol, ShardCore, ShardView};
@@ -229,7 +235,10 @@ where
 /// window length, which production always derives from the model (tests
 /// pass 1 for the tick-by-tick reference and an over-stated value to trip
 /// the exchange guard).
-#[allow(clippy::too_many_arguments)] // private; the public entry plus `workers`, `lookahead`
+#[expect(
+    clippy::too_many_arguments,
+    reason = "private; the public entry plus `workers`, `lookahead`"
+)]
 fn run_sharded_on<P, F>(
     workers: usize,
     lookahead: u64,
@@ -449,6 +458,22 @@ mod tests {
     use p2p_sim::NetworkModel;
     use std::time::Duration;
 
+    /// Runs `f` on a thread of its own and returns how it ended; a run still
+    /// going after ten seconds fails the test as hung.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a watchdog channel bounds how long a test waits on a hung run"
+    )]
+    fn bounded(what: &str, f: impl FnOnce() + Send + 'static) -> Box<dyn Any + Send> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what}: the run hung"))
+            .expect_err(what)
+    }
+
     /// A small WAN scenario: realistic latencies, so the ≥ 1 tick
     /// cross-shard clamp changes nothing about hop timing and the model
     /// derives a 15-tick window.
@@ -658,27 +683,20 @@ mod tests {
     #[test]
     fn a_panicking_shard_worker_fails_the_run_instead_of_hanging_it() {
         for workers in [1, 2] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let outcome = catch_unwind(|| {
-                    run_sharded_on(
-                        workers,
-                        NetworkModel::wan().min_hop_ticks(),
-                        |shard| Bomb { armed: shard == 1 },
-                        &wan_scenario(50, 5),
-                        Heuristic::OneShot,
-                        1,
-                        "bomb".to_string(),
-                        2,
-                        None,
-                    )
-                });
-                let _ = tx.send(outcome.map(|_| ()));
+            let what = format!("{workers} worker(s): shard 1 panics at step 2");
+            let payload = bounded(&what, move || {
+                run_sharded_on(
+                    workers,
+                    NetworkModel::wan().min_hop_ticks(),
+                    |shard| Bomb { armed: shard == 1 },
+                    &wan_scenario(50, 5),
+                    Heuristic::OneShot,
+                    1,
+                    "bomb".to_string(),
+                    2,
+                    None,
+                );
             });
-            let payload = rx
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{workers} worker(s): the run hung"))
-                .expect_err("shard 1 panics at step 2");
             let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(msg.contains("shard worker blew up"), "payload {msg:?}");
         }
@@ -745,17 +763,9 @@ mod tests {
         // past a delivery still buffered for it. The exchange guard must
         // turn that into a panic (through the same bounded-time path as a
         // worker failure), never into an event scheduled in the past.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let outcome = catch_unwind(|| {
-                run_agg_on(&wan_scenario(500, 5), 2, Some(2), Some(50), 3);
-            });
-            let _ = tx.send(outcome);
+        let payload = bounded("a 50-tick window over-states the WAN bound", || {
+            run_agg_on(&wan_scenario(500, 5), 2, Some(2), Some(50), 3);
         });
-        let payload = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the run hung")
-            .expect_err("a 50-tick window over-states the WAN bound");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()

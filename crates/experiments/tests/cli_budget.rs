@@ -234,56 +234,59 @@ fn a_failing_task_reports_the_first_error_in_figure_order() {
 #[test]
 fn out_of_range_values_are_rejected_before_anything_runs() {
     // Each of these used to panic after the `meta` line was on stdout, or
-    // to run and exit 0 meaning something else. `(flag, value, named)`:
-    // the one stderr line must name `named`.
-    let cases = [
-        ("--sweep", "drop=1.5", "drop"),
-        ("--sweep", "drop=-0.5", "drop"),
-        ("--sweep", "drop=nan", "drop"),
-        ("--sweep", "spread=-10", "spread"),
-        ("--sweep", "spread=nan", "spread"),
-        ("--sweep", "spread=150", "spread"),
-        ("--sweep", "spread=0,40,100", "spread"),
-        ("--heuristic", "last0", "last0"),
-        ("--scenario", "growing:frac=1e30", "frac"),
-        ("--scenario", "growing:frac=-1", "frac=-1"),
-        ("--scenario", "growing:frac=nan", "frac=nan"),
-        ("--scenario", "shrinking:frac=2", "frac=2"),
-        ("--steps", "0", "--steps 0"),
+    // to run and exit 0 meaning something else. `(extra args, named)`: the
+    // one stderr line must name `named`.
+    let cases: [(&[&str], &str); 19] = [
+        (&["--sweep", "drop=1.5"], "drop"),
+        (&["--sweep", "drop=-0.5"], "drop"),
+        (&["--sweep", "drop=nan"], "drop"),
+        (&["--sweep", "spread=-10"], "spread"),
+        (&["--sweep", "spread=nan"], "spread"),
+        (&["--sweep", "spread=150"], "spread"),
+        (&["--sweep", "spread=0,40,100"], "spread"),
+        (&["--heuristic", "last0"], "last0"),
+        (&["--scenario", "growing:frac=1e30"], "frac"),
+        (&["--scenario", "growing:frac=-1"], "frac=-1"),
+        (&["--scenario", "growing:frac=nan"], "frac=nan"),
+        (&["--scenario", "shrinking:frac=2"], "frac=2"),
+        (&["--steps", "0"], "--steps 0"),
+        (&["--reps", "0"], "--reps 0"),
+        (&["--size", "0"], "--size 0"),
+        // Sync steps never consult the network model: a sweep or a
+        // non-ideal network would run ideal and report otherwise.
+        (&["--mode", "sync", "--sweep", "drop=0,0.5"], "--mode sync"),
+        (&["--mode", "sync", "--sweep", "spread=0,40"], "--sweep"),
+        (&["--mode", "sync", "--network", "wan"], "--network wan"),
+        (&["--mode", "sync", "--network", "drop=0.5"], "drop=0.5"),
     ];
-    for (i, (flag, value, named)) in cases.into_iter().enumerate() {
+    for (i, (extra, named)) in cases.into_iter().enumerate() {
         let dir = scratch(&format!("rejected-{i}"));
-        let out = repro(&[
-            "run",
-            "--protocol",
-            "sample-collide:l=10",
-            "--scenario",
-            "growing",
-            "--size",
-            "300",
-            "--steps",
-            "4",
-            "--reps",
-            "1",
-            "--format",
-            "jsonl",
-            "--out",
-            dir.to_str().expect("UTF-8 path"),
-            flag,
-            value,
-        ]);
+        let mut args: Vec<&str> = "run --protocol sample-collide:l=10 --scenario growing \
+                                   --size 300 --steps 4 --reps 1 --format jsonl --out"
+            .split_whitespace()
+            .collect();
+        args.push(dir.to_str().expect("UTF-8 path"));
+        args.extend_from_slice(extra);
+        let out = repro(&args);
+        let case = extra.join(" ");
         let stderr = text(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
-        assert!(stderr.contains(named), "{flag} {value}: {stderr}");
-        assert!(stderr.contains("out of range"), "{flag} {value}: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{flag} {value}: {}",
-            text(&out.stdout)
-        );
-        assert!(!dir.exists(), "{flag} {value}: output written");
+        assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{case}: {stderr}");
+        assert!(stderr.contains(named), "{case}: {stderr}");
+        assert!(stderr.contains("out of range"), "{case}: {stderr}");
+        assert!(out.stdout.is_empty(), "{case}: {}", text(&out.stdout));
+        assert!(!dir.exists(), "{case}: output written");
     }
+
+    // Sync mode stays legal on the network it actually models.
+    let dir = scratch("sync-on-ideal");
+    let mut args: Vec<&str> = "run --protocol sample-collide:l=10 --mode sync --network ideal \
+                               --size 300 --steps 4 --reps 1 --quiet --out"
+        .split_whitespace()
+        .collect();
+    args.push(dir.to_str().expect("UTF-8 path"));
+    let out = repro(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
 
     // The retired backend knob is an unknown argument now.
     let out = repro(&["run", "--protocol", "sample-collide", "--backend", "des"]);

@@ -19,6 +19,9 @@
 //! coordinator is gone), so even a coordinator killed with SIGKILL leaves
 //! no orphaned node processes behind.
 
+// panic-in-io: the coordinator reports a failed shard, never panics mid-cluster.
+#![deny(clippy::expect_used, clippy::panic)]
+
 use crate::runtime::{run_node, NodeStats, RuntimeConfig};
 use crate::wire::{read_ctrl, write_ctrl, CtrlMsg, WireOp};
 use p2p_estimation::{with_async_protocol, ProtocolSpec};
@@ -543,7 +546,10 @@ fn reap(shards: &mut Vec<Shard>, grace: Duration) -> u32 {
 
 /// Accepts `procs` control connections, reads each shard's `Hello`, and
 /// spawns one reader thread per shard feeding a single channel.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "private; the tuple is the handshake's one return shape"
+)]
 fn handshake(
     listener: &TcpListener,
     procs: u32,

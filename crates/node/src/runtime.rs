@@ -36,6 +36,9 @@
 //! [`ShardCore`] lends every handler's context, and only acts for hosted
 //! nodes.
 
+// panic-in-io: a shard reports failure through its `Bye` accounting, never panics mid-cluster.
+#![deny(clippy::expect_used, clippy::panic)]
+
 use crate::wire::{decode_data, encode_data, read_ctrl, write_ctrl, CtrlMsg, WirePayload};
 use p2p_estimation::{with_async_protocol, Host, NodeProtocol, ProtocolSpec, ShardCore, ShardView};
 use p2p_experiments::runner::{in_flight_by_kind, IN_FLIGHT_BY_KIND, SENT_BY_KIND};

@@ -18,6 +18,8 @@
 //! unknown version, of an unknown kind, or carrying trailing bytes is a
 //! [`WireError`], never a panic and never a partial value — hostile input
 //! costs the attacker one malformed-frame counter tick and nothing else.
+//! Every decode function denies `clippy::cast_possible_truncation`, so a
+//! hostile field can only error, never wrap through an `as` narrowing.
 //! There is no serde and no derive magic, by design: the format is small
 //! enough to read in one sitting, like the JSONL trace codec in
 //! `p2p-workload`.
@@ -117,6 +119,7 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
+#[deny(clippy::cast_possible_truncation)]
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
@@ -253,6 +256,7 @@ impl WirePayload for ScMsg {
         }
     }
 
+    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             SC_WALK => Ok(ScMsg::Walk {
@@ -298,6 +302,7 @@ impl WirePayload for HsMsg {
         }
     }
 
+    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             HS_FORWARD => Ok(HsMsg::Forward {
@@ -342,6 +347,7 @@ impl WirePayload for AggMsg {
         }
     }
 
+    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             AGG_PUSH => Ok(AggMsg::Push {
@@ -373,6 +379,7 @@ pub fn encode_data<M: WirePayload>(src: NodeId, dst: NodeId, msg: &M, out: &mut 
 
 /// Decodes a complete data frame. `buf` must be exactly one frame — a UDP
 /// datagram's payload.
+#[deny(clippy::cast_possible_truncation)]
 pub fn decode_data<M: WirePayload>(buf: &[u8]) -> Result<(NodeId, NodeId, M), WireError> {
     let body = check_frame(buf)?;
     let mut r = Reader::new(body);
@@ -389,6 +396,7 @@ pub fn decode_data<M: WirePayload>(buf: &[u8]) -> Result<(NodeId, NodeId, M), Wi
 }
 
 /// Validates the length prefix and returns the frame body.
+#[deny(clippy::cast_possible_truncation)]
 fn check_frame(buf: &[u8]) -> Result<&[u8], WireError> {
     if buf.len() < 4 {
         return Err(WireError::Truncated {
@@ -500,6 +508,7 @@ impl WireOp {
         }
     }
 
+    #[deny(clippy::cast_possible_truncation)]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(WireOp::Join {
@@ -657,6 +666,7 @@ pub fn encode_ctrl(msg: &CtrlMsg, out: &mut Vec<u8>) {
 }
 
 /// Decodes a complete control frame (length prefix included).
+#[deny(clippy::cast_possible_truncation)]
 pub fn decode_ctrl(buf: &[u8]) -> Result<CtrlMsg, WireError> {
     let body = check_frame(buf)?;
     let mut r = Reader::new(body);
@@ -729,6 +739,7 @@ pub fn write_ctrl<W: Write>(w: &mut W, msg: &CtrlMsg) -> io::Result<()> {
 
 /// Reads one control frame from a stream. `Ok(None)` is a clean EOF at a
 /// frame boundary; a malformed frame is an `InvalidData` error.
+#[deny(clippy::cast_possible_truncation)]
 pub fn read_ctrl<R: Read>(r: &mut R) -> io::Result<Option<CtrlMsg>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {

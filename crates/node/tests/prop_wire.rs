@@ -8,7 +8,8 @@
 
 use p2p_estimation::net_protocol::{AggMsg, HsMsg, ScMsg};
 use p2p_node::wire::{
-    decode_ctrl, decode_data, encode_ctrl, encode_data, read_ctrl, write_ctrl, CtrlMsg, WireOp,
+    decode_ctrl, decode_data, encode_ctrl, encode_data, read_ctrl, write_ctrl, CtrlMsg, WireError,
+    WireOp,
 };
 use p2p_overlay::NodeId;
 use proptest::prelude::*;
@@ -78,8 +79,63 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
     ]
 }
 
+/// Every count field the codec has, as `(frame, byte offset of the u32
+/// count, bytes per element)`; offsets include the length prefix and the
+/// version and kind bytes. Data frames carry no count; these are the
+/// control kinds' plus the one inside a (final) `LeaveNodes` op.
+fn counted_frame() -> impl Strategy<Value = (CtrlMsg, usize, u64)> {
+    let peers = prop::collection::vec(any::<u16>(), 0..16)
+        .prop_map(|ports| (CtrlMsg::Peers { ports }, 6_usize, 2_u64));
+    let churn = (any::<u64>(), prop::collection::vec(wire_op(), 0..5))
+        .prop_map(|(step, ops)| (CtrlMsg::Churn { step, ops }, 14_usize, 1_u64));
+    let leave_nodes =
+        (any::<u64>(), prop::collection::vec(node_id(), 0..8)).prop_map(|(step, ids)| {
+            let ops = vec![WireOp::LeaveNodes(ids)];
+            (CtrlMsg::Churn { step, ops }, 19_usize, 4_u64)
+        });
+    let estimates = prop::collection::vec((node_id(), 0.0f64..1.0e9), 0..12)
+        .prop_map(|entries| (CtrlMsg::Estimates { entries }, 6_usize, 12_u64));
+    let metrics = prop::collection::vec(any::<u8>(), 0..32)
+        .prop_map(|json| (CtrlMsg::Metrics { json }, 6_usize, 1_u64));
+    prop_oneof![peers, churn, leave_nodes, estimates, metrics]
+}
+
+/// An arbitrary `u32`, with small values (the ones that can fit) mixed in.
+fn count_value() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), 0u32..64]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn count_fields_never_outrun_the_body(
+        (msg, at, elem) in counted_frame(),
+        count in count_value(),
+    ) {
+        // Whatever a hostile peer writes over a count field, the strict
+        // decoder either fills exactly `count` elements that fit in the
+        // bytes after the field, or rejects the count before allocating.
+        let mut buf = Vec::new();
+        encode_ctrl(&msg, &mut buf);
+        buf[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        let fits = u64::from(count) * elem <= (buf.len() - at - 4) as u64;
+        match decode_ctrl(&buf) {
+            Ok(decoded) => {
+                // Re-encoding writes the decoded element count back into
+                // the field, so equal bytes mean exactly `count` elements.
+                let mut again = Vec::new();
+                encode_ctrl(&decoded, &mut again);
+                prop_assert_eq!(&again, &buf);
+                prop_assert!(fits);
+            }
+            Err(WireError::BadCount { count: rejected }) => {
+                prop_assert_eq!(rejected, count as usize);
+                prop_assert!(!fits);
+            }
+            Err(_) => prop_assert!(fits, "an oversized count must fail as BadCount"),
+        }
+    }
 
     #[test]
     fn sc_data_round_trips(src in node_id(), dst in node_id(), msg in sc_msg()) {

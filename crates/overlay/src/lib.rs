@@ -31,6 +31,8 @@
 //! assert!(avg > 5.0 && avg < 9.0);
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod bitset;
 pub mod builder;
 pub mod churn;

@@ -67,6 +67,8 @@
 //!    ([`network::NetEvent::Drop`]), never at send time, so protocols cannot
 //!    peek at the future.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod engine;
 pub mod latency;
 pub mod message;

@@ -9,6 +9,12 @@
 //! level of it: the figures of a `repro` invocation and, through
 //! [`map_replications`], the replications of a figure.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "shard-local-state: the replication fan-out is one of the two designated \
+              parallel drivers; its queues and stop flag carry no simulation state"
+)]
+
 use crossbeam::channel;
 use std::convert::Infallible;
 use std::num::NonZeroUsize;
@@ -43,6 +49,10 @@ pub fn default_threads(jobs: usize) -> usize {
 /// The queue is FIFO, so every task before a failed one did run: the
 /// successful prefix is emitted and the *first error in input order* is
 /// returned. Panics in workers propagate once the queue has drained.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "shard-local-state: the fan-out's task and result queues carry no simulation state"
+)]
 pub fn try_map_ordered<T, R, E, F, G>(
     items: Vec<T>,
     threads: usize,

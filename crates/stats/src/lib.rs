@@ -11,6 +11,8 @@
 //! * [`series`] — `(x, y)` data series with CSV/gnuplot-style output, the
 //!   exchange format of every figure runner.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod histogram;
 pub mod running;
 pub mod series;

@@ -13,10 +13,10 @@
 //! `crates/node` (live cluster introspection), and nothing here may pull
 //! an allocator-hungry or clock-reading crate into the sim path.
 //!
-//! Determinism contract: mutator calls (`counter_add`, `counter_set_total`,
-//! `gauge_set`, `hist_observe`, `hist_set`) must sit in *statement position* — never inside an
-//! RNG-draw or event-ordering expression — which the `telemetry-side-effect`
-//! audit rule enforces workspace-wide.
+//! Determinism contract: the mutators (`counter_add`, `counter_set_total`,
+//! `gauge_set`, `hist_observe`, `hist_set`) return `()`, so a call can only
+//! sit in *statement position* — its result can never feed an RNG draw or
+//! an event-ordering decision.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -162,10 +162,6 @@ impl Registry {
     /// core), for sampling at snapshot time.
     pub fn hist_set(&mut self, id: HistId, h: Log2Histogram) {
         self.hists[id.0 as usize] = h;
-    }
-
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize]
     }
 
     pub fn gauge_value(&self, id: GaugeId) -> u64 {

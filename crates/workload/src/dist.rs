@@ -48,9 +48,10 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> usize {
 /// 1e-10 on the arguments the lifetime distributions produce.
 pub fn gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
-    // The reference coefficient set, verbatim — some digits exceed f64
-    // precision and round on parse, which is expected.
-    #[allow(clippy::excessive_precision)]
+    #[expect(
+        clippy::excessive_precision,
+        reason = "the reference coefficients, verbatim; digits past f64 precision round"
+    )]
     const C: [f64; 9] = [
         0.999_999_999_999_809_93,
         676.520_368_121_885_1,

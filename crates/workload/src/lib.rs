@@ -17,6 +17,8 @@
 //! stream — see [`model`] for the determinism contract that makes replay
 //! exact.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod dist;
 pub mod model;
 pub mod models;

@@ -34,10 +34,13 @@ impl WallPacer {
     ///
     /// # Panics
     /// Panics if `step_ms` is zero — a zero-width grid never sleeps.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock: WallPacer IS the wall-clock boundary — it paces live cluster runs; DES runs never construct one"
+    )]
     pub fn new(step_ms: u64) -> Self {
         assert!(step_ms > 0, "the wall-clock step cadence must be positive");
         WallPacer {
-            // audit:allow(wall-clock): WallPacer IS the wall-clock boundary — it paces live cluster runs; DES runs never construct one
             start: Instant::now(),
             step: Duration::from_millis(step_ms),
             next_step: 1,
@@ -56,15 +59,21 @@ impl WallPacer {
     }
 
     /// Time remaining until the next step boundary (zero if it is due).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock: comparing against the pacer's own wall anchor; cluster-only path"
+    )]
     pub fn until_next(&self) -> Duration {
         self.deadline(self.next_step)
-            // audit:allow(wall-clock): comparing against the pacer's own wall anchor; cluster-only path
             .saturating_duration_since(Instant::now())
     }
 
     /// Yields the next step if its boundary has passed, without blocking.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock: step-boundary check against the pacer's wall anchor; cluster-only path"
+    )]
     pub fn poll(&mut self) -> Option<u64> {
-        // audit:allow(wall-clock): step-boundary check against the pacer's wall anchor; cluster-only path
         if Instant::now() < self.deadline(self.next_step) {
             return None;
         }
@@ -74,8 +83,11 @@ impl WallPacer {
     }
 
     /// Sleeps to the next step boundary and yields the step number.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-sleep: blocking to the next wall step is this type's purpose; nothing in the DES path calls it"
+    )]
     pub fn wait_next(&mut self) -> u64 {
-        // audit:allow(wall-sleep): blocking to the next wall step is this type's purpose; nothing in the DES path calls it
         std::thread::sleep(self.until_next());
         let step = self.next_step;
         self.next_step += 1;
@@ -121,6 +133,10 @@ impl<M: ChurnModel> PacedOps<M> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pacer's tests step the wall clock the pacer reads"
+)]
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;

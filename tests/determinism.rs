@@ -65,10 +65,10 @@ fn table1_is_deterministic() {
     }
 }
 
-/// Satellite of the audit PR: the auditor's sink-unordered/hashmap-iter
-/// rules statically forbid order-unstable iteration feeding output; this
-/// pins the same property dynamically — two identical runs streamed
-/// through the JSONL sink emit byte-identical output.
+/// The sim-path crates' `clippy.toml` forbids `HashMap`/`HashSet`, so no
+/// order-unstable iteration can feed output; this pins the same property
+/// dynamically — two identical runs streamed through the JSONL sink emit
+/// byte-identical output.
 #[test]
 fn streamed_output_bytes_are_identical_across_runs() {
     use p2p_size_estimation::experiments::engine::{run_experiment, EngineOptions};
