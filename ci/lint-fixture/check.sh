@@ -1,20 +1,24 @@
 #!/usr/bin/env bash
 # Runs clippy on the lint fixture and fails unless every lint of the
 # determinism contract fires on its seeded violation, and unless the
-# aliased `Clock::now()` is among the flagged calls.
+# aliased `Clock::now()` and both `UNIX_EPOCH.elapsed()` reads are among
+# the flagged calls.
 #
 #   ci/lint-fixture/check.sh        (from anywhere; needs cargo + clippy)
 set -euo pipefail
 here=$(cd "$(dirname "$0")" && pwd)
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$here/../../target/lint-fixture}"
+mkdir -p "$CARGO_TARGET_DIR"
+json="$CARGO_TARGET_DIR/clippy.json"
+log="$CARGO_TARGET_DIR/clippy.log"
 
 if cargo clippy --offline --locked --all-targets --keep-going --message-format=json \
-    --manifest-path "$here/Cargo.toml" > "$CARGO_TARGET_DIR.json" 2> "$CARGO_TARGET_DIR.log"; then
+    --manifest-path "$here/Cargo.toml" > "$json" 2> "$log"; then
     echo "clippy passed on the fixture: the contract does not bite" >&2
     exit 1
 fi
 
-python3 - "$CARGO_TARGET_DIR.json" <<'PY'
+if ! python3 - "$json" <<'PY'
 import json, sys
 
 expected = [
@@ -53,5 +57,13 @@ if missing:
     sys.exit(f"lints that never fired: {', '.join(missing)}")
 if not any("Clock::now()" in text for *_, text in fired["clippy::disallowed_methods"]):
     sys.exit("the aliased Clock::now() was not flagged")
+for call in ["std::time::UNIX_EPOCH.elapsed()", "SystemTime::UNIX_EPOCH.elapsed()"]:
+    if not any(call in text for *_, text in fired["clippy::disallowed_methods"]):
+        sys.exit(f"{call} was not flagged")
 print(f"all {len(expected)} lints fired")
 PY
+then
+    echo "--- clippy's stderr ($log):" >&2
+    cat "$log" >&2
+    exit 1
+fi

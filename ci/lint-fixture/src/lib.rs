@@ -5,12 +5,14 @@
 // print-in-lib: what the five sim-path library crates deny at their roots.
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-// wall-clock, wall-sleep, env-read (disallowed_methods): paths resolve, so
-// an alias does not hide the call. print-in-lib (print_stdout, print_stderr).
+// wall-clock, wall-sleep, env-read (disallowed_methods; naming SystemTime is
+// disallowed_types): paths resolve, so an alias does not hide the call. print-in-lib (print_stdout, print_stderr).
 pub fn wall_clock_sleep_env_print() -> Option<String> {
     use std::time::Instant as Clock;
     let _ = Clock::now();
     let _ = std::time::SystemTime::now();
+    let _ = std::time::UNIX_EPOCH.elapsed();
+    let _ = std::time::SystemTime::UNIX_EPOCH.elapsed();
     std::thread::sleep(std::time::Duration::ZERO);
     println!("row");
     eprintln!("note");

@@ -18,11 +18,14 @@
 //! unknown version, of an unknown kind, or carrying trailing bytes is a
 //! [`WireError`], never a panic and never a partial value — hostile input
 //! costs the attacker one malformed-frame counter tick and nothing else.
-//! Every decode function denies `clippy::cast_possible_truncation`, so a
-//! hostile field can only error, never wrap through an `as` narrowing.
+//! The module denies `clippy::cast_possible_truncation`, so a hostile field
+//! can only error, never wrap through an `as` narrowing; the encoders
+//! narrow through `wire_u32`, the one reasoned `#[expect]`.
 //! There is no serde and no derive magic, by design: the format is small
 //! enough to read in one sitting, like the JSONL trace codec in
 //! `p2p-workload`.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use p2p_estimation::net_protocol::{AggMsg, HsMsg, ScMsg};
 use p2p_overlay::NodeId;
@@ -119,7 +122,6 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
-#[deny(clippy::cast_possible_truncation)]
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
@@ -256,7 +258,6 @@ impl WirePayload for ScMsg {
         }
     }
 
-    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             SC_WALK => Ok(ScMsg::Walk {
@@ -302,7 +303,6 @@ impl WirePayload for HsMsg {
         }
     }
 
-    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             HS_FORWARD => Ok(HsMsg::Forward {
@@ -347,7 +347,6 @@ impl WirePayload for AggMsg {
         }
     }
 
-    #[deny(clippy::cast_possible_truncation)]
     fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
         match kind {
             AGG_PUSH => Ok(AggMsg::Push {
@@ -373,13 +372,21 @@ pub fn encode_data<M: WirePayload>(src: NodeId, dst: NodeId, msg: &M, out: &mut 
     out.extend_from_slice(&src.0.to_le_bytes());
     out.extend_from_slice(&dst.0.to_le_bytes());
     msg.encode_body(out);
-    let len = (out.len() - 4) as u32;
+    let len = wire_u32(out.len() - 4);
     out[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// A length, list count or churn size in its `u32` wire form.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "encoder side: our own lengths and node counts, far below u32::MAX"
+)]
+fn wire_u32(n: usize) -> u32 {
+    n as u32
 }
 
 /// Decodes a complete data frame. `buf` must be exactly one frame — a UDP
 /// datagram's payload.
-#[deny(clippy::cast_possible_truncation)]
 pub fn decode_data<M: WirePayload>(buf: &[u8]) -> Result<(NodeId, NodeId, M), WireError> {
     let body = check_frame(buf)?;
     let mut r = Reader::new(body);
@@ -396,7 +403,6 @@ pub fn decode_data<M: WirePayload>(buf: &[u8]) -> Result<(NodeId, NodeId, M), Wi
 }
 
 /// Validates the length prefix and returns the frame body.
-#[deny(clippy::cast_possible_truncation)]
 fn check_frame(buf: &[u8]) -> Result<&[u8], WireError> {
     if buf.len() < 4 {
         return Err(WireError::Truncated {
@@ -452,11 +458,11 @@ impl WireOp {
         use p2p_overlay::churn::ChurnOp;
         match op {
             WorkloadOp::Churn(ChurnOp::Join { count, max_degree }) => WireOp::Join {
-                count: *count as u32,
-                max_degree: *max_degree as u32,
+                count: wire_u32(*count),
+                max_degree: wire_u32(*max_degree),
             },
             WorkloadOp::Churn(ChurnOp::Leave { count }) => WireOp::Leave {
-                count: *count as u32,
+                count: wire_u32(*count),
             },
             WorkloadOp::Churn(ChurnOp::Catastrophe { fraction }) => WireOp::Catastrophe {
                 fraction: *fraction,
@@ -500,7 +506,7 @@ impl WireOp {
             }
             WireOp::LeaveNodes(ids) => {
                 out.push(4);
-                out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+                out.extend_from_slice(&wire_u32(ids.len()).to_le_bytes());
                 for id in ids {
                     out.extend_from_slice(&id.0.to_le_bytes());
                 }
@@ -508,7 +514,6 @@ impl WireOp {
         }
     }
 
-    #[deny(clippy::cast_possible_truncation)]
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             1 => Ok(WireOp::Join {
@@ -623,7 +628,7 @@ pub fn encode_ctrl(msg: &CtrlMsg, out: &mut Vec<u8>) {
             out.extend_from_slice(&udp_port.to_le_bytes());
         }
         CtrlMsg::Peers { ports } => {
-            out.extend_from_slice(&(ports.len() as u32).to_le_bytes());
+            out.extend_from_slice(&wire_u32(ports.len()).to_le_bytes());
             for p in ports {
                 out.extend_from_slice(&p.to_le_bytes());
             }
@@ -631,13 +636,13 @@ pub fn encode_ctrl(msg: &CtrlMsg, out: &mut Vec<u8>) {
         CtrlMsg::Start | CtrlMsg::EstimateQuery | CtrlMsg::Shutdown => {}
         CtrlMsg::Churn { step, ops } => {
             out.extend_from_slice(&step.to_le_bytes());
-            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+            out.extend_from_slice(&wire_u32(ops.len()).to_le_bytes());
             for op in ops {
                 op.encode(out);
             }
         }
         CtrlMsg::Estimates { entries } => {
-            out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+            out.extend_from_slice(&wire_u32(entries.len()).to_le_bytes());
             for (node, est) in entries {
                 out.extend_from_slice(&node.0.to_le_bytes());
                 out.extend_from_slice(&est.to_bits().to_le_bytes());
@@ -657,16 +662,15 @@ pub fn encode_ctrl(msg: &CtrlMsg, out: &mut Vec<u8>) {
             out.extend_from_slice(&malformed.to_le_bytes());
         }
         CtrlMsg::Metrics { json } => {
-            out.extend_from_slice(&(json.len() as u32).to_le_bytes());
+            out.extend_from_slice(&wire_u32(json.len()).to_le_bytes());
             out.extend_from_slice(json);
         }
     }
-    let len = (out.len() - 4) as u32;
+    let len = wire_u32(out.len() - 4);
     out[..4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decodes a complete control frame (length prefix included).
-#[deny(clippy::cast_possible_truncation)]
 pub fn decode_ctrl(buf: &[u8]) -> Result<CtrlMsg, WireError> {
     let body = check_frame(buf)?;
     let mut r = Reader::new(body);
@@ -739,7 +743,6 @@ pub fn write_ctrl<W: Write>(w: &mut W, msg: &CtrlMsg) -> io::Result<()> {
 
 /// Reads one control frame from a stream. `Ok(None)` is a clean EOF at a
 /// frame boundary; a malformed frame is an `InvalidData` error.
-#[deny(clippy::cast_possible_truncation)]
 pub fn read_ctrl<R: Read>(r: &mut R) -> io::Result<Option<CtrlMsg>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
@@ -998,7 +1001,7 @@ mod tests {
         // Padding *inside* the announced length: body decodes short.
         let mut inflated = buf.clone();
         inflated.push(0);
-        let len = (inflated.len() - 4) as u32;
+        let len = u32::try_from(inflated.len() - 4).unwrap();
         inflated[..4].copy_from_slice(&len.to_le_bytes());
         assert_eq!(
             decode_data::<AggMsg>(&inflated),

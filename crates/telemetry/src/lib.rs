@@ -164,6 +164,10 @@ impl Registry {
         self.hists[id.0 as usize] = h;
     }
 
+    pub fn counter_value(&self, id: CounterId) -> u64 {
+        self.counters[id.0 as usize]
+    }
+
     pub fn gauge_value(&self, id: GaugeId) -> u64 {
         self.gauges[id.0 as usize]
     }

@@ -1,7 +1,7 @@
 //! The determinism contract's configuration is in place. Clippy enforces
 //! the contract (DESIGN.md § "Determinism contract, enforced") but runs
 //! only in CI; these checks keep tier-1 failing when its configuration is
-//! deleted or drifts, or when an exception bypasses `#[expect]`.
+//! deleted or unlinked, or when an exception bypasses `#[expect]`.
 
 use std::fs;
 use std::path::Path;
@@ -24,14 +24,15 @@ fn rust_lines_containing(dir: &Path, needle: &str, hits: &mut Vec<String>) {
 }
 
 #[test]
-fn every_sim_path_crate_carries_the_same_contract() {
-    let read = |path: &str| {
-        fs::read_to_string(Path::new(ROOT).join(path))
+fn every_sim_path_crate_links_the_one_contract() {
+    let resolve = |path: &str| {
+        fs::canonicalize(Path::new(ROOT).join(path))
             .unwrap_or_else(|e| panic!("{path} is missing: {e}"))
     };
-    let contract = read("crates/sim/clippy.toml");
-    assert!(contract.contains("disallowed-methods") && contract.contains("disallowed-types"));
-    for copy in [
+    let contract = resolve("crates/sim/clippy.toml");
+    let text = fs::read_to_string(&contract).expect("readable contract");
+    assert!(text.contains("disallowed-methods") && text.contains("disallowed-types"));
+    for link in [
         "crates/core/clippy.toml",
         "crates/overlay/clippy.toml",
         "crates/experiments/clippy.toml",
@@ -39,9 +40,10 @@ fn every_sim_path_crate_carries_the_same_contract() {
         "crates/stats/clippy.toml",
         "ci/lint-fixture/clippy.toml",
     ] {
-        assert!(
-            read(copy) == contract,
-            "{copy} drifted from crates/sim/clippy.toml"
+        assert_eq!(
+            resolve(link),
+            contract,
+            "{link} must be a link to crates/sim/clippy.toml"
         );
     }
 }
