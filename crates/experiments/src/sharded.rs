@@ -587,6 +587,21 @@ mod tests {
     }
 
     #[test]
+    fn scheduled_churn_realization_matches_the_stored_golden() {
+        // The seven constants above all run the static `wan_scenario`; this
+        // one pins where scheduled churn lands in a sharded run. Recorded
+        // while the coordinator still scheduled churn as control ticks of
+        // their own.
+        let scenario = Scenario::catastrophic(2_000, 60).with_network(NetworkModel::wan());
+        let (t, s, _) = run_agg_on(&scenario, 2, None, None, 77);
+        assert_eq!(
+            fnv1a(&fingerprint(&t, &s)),
+            0xab35_ddee_9a11_c843,
+            "aggregation, K=2, catastrophic"
+        );
+    }
+
+    #[test]
     fn sharded_runs_are_byte_identical_across_reruns_and_worker_counts() {
         let (t1, s1) = run_agg(4, Some(1), 77);
         let (t2, s2) = run_agg(4, Some(2), 77);

@@ -158,6 +158,9 @@ fn sample_collide_golden_traces_match_reference() {
     let scenarios = [
         Scenario::static_network(800, 10),
         Scenario::catastrophic(1_500, 15),
+        // Ops at steps 0, 1 and 2: the reference applies step-0 ops at
+        // tick 0, ahead of step 1's estimate.
+        Scenario::catastrophic(1_500, 3),
         Scenario::growing(1_000, 12, 0.4),
         Scenario::shrinking(1_000, 12, 0.3),
     ];
