@@ -1,10 +1,10 @@
 //! Scenario execution: interleaving churn with estimation on the DES.
 //!
 //! One generic message-level driver, [`run_scenario_des`], runs *any*
-//! [`NodeProtocol`] over a [`Scenario`]: the scenario's churn timeline and
-//! the protocol's step grid are control events on the scenario's
-//! [`p2p_sim::Network`], whose model injects latency, per-link
-//! heterogeneity and loss between the protocol's messages. The events are
+//! [`NodeProtocol`] over a [`Scenario`]: the protocol's step grid is the
+//! only kind of control event on the scenario's [`p2p_sim::Network`], whose
+//! model injects latency, per-link heterogeneity and loss between the
+//! protocol's messages; churn lands at the step boundaries. The events are
 //! popped and dispatched by the one drive loop ([`ShardCore::run_until`]);
 //! this module is its sequential [`Host`] plus the run-level half
 //! (`ScenarioRun`) it shares with the sharded driver. The round-driven
@@ -18,14 +18,16 @@
 //!
 //! * protocol steps execute at ticks `step × step_ticks` for steps
 //!   `1..=scenario.steps`;
-//! * a churn op scheduled at step `s` executes *before* that step's
-//!   `on_step` (FIFO order among same-tick events), and **every** scheduled
-//!   op executes;
+//! * a churn op scheduled at step `s` executes at the start of step `s`,
+//!   *before* that step's `on_step` (ops at step 0 at the start of step 1),
+//!   and **every** scheduled op executes — a schedule entry past the final
+//!   step fails the run at its start;
 //! * a streamed [`WorkloadSource`] (model, recording, or trace replay) is
-//!   asked for its ops at each step and applies them at the same
-//!   churn-before-step position; model draws consume a dedicated stream
-//!   derived from the run seed, op application the main stream — so a
-//!   recorded trace replays the run bit for bit without the model;
+//!   asked for its ops at each step and applies them right after the
+//!   step's scheduled ops, still before `on_step`; model draws consume a
+//!   dedicated stream derived from the run seed, op application the main
+//!   stream — so a recorded trace replays the run bit for bit without the
+//!   model;
 //! * a message delivered to a node that departed while it was in flight is
 //!   lost ([`NodeProtocol::on_loss`]), never handled;
 //! * after the final step the queue drains: in-flight estimations may still
@@ -75,10 +77,6 @@ pub struct Trace {
     /// rate ≈ 1 ⇔ zero steady-state allocations per send).
     pub engine: EngineStats,
 }
-
-/// Control tag bit marking a protocol step (the rest is the step number);
-/// tags without it index into the scenario's churn schedule.
-const STEP_TAG: u64 = 1 << 63;
 
 /// Telemetry capture options for one DES run (`repro run --metrics`).
 #[derive(Clone, Copy, Debug)]
@@ -421,12 +419,14 @@ impl WorkloadRuntime {
 }
 
 /// The run-level half of a scenario execution — everything that is not an
-/// event core: the streamed/scheduled churn, the report → [`Smoother`] →
+/// event core: the scheduled and streamed churn, the report → [`Smoother`] →
 /// series recording, the telemetry session and the final [`Trace`]
 /// assembly. The sequential driver below wraps one [`ShardCore`] in it;
 /// the sharded driver ([`crate::sharded`]) wraps `K`.
 pub(crate) struct ScenarioRun<'s> {
     scenario: &'s Scenario,
+    /// The first entry of `scenario.schedule` not yet applied.
+    next_op: usize,
     workload: Option<WorkloadRuntime>,
     smoother: Smoother,
     estimates: Series,
@@ -439,6 +439,10 @@ pub(crate) struct ScenarioRun<'s> {
 impl<'s> ScenarioRun<'s> {
     /// Builds the scenario's overlay off `rng` — the run's main stream,
     /// which afterwards applies every churn op — and starts the workload.
+    ///
+    /// # Panics
+    /// Panics if the schedule is not sorted by step, or holds an op past
+    /// the final step (it would never be applied).
     pub(crate) fn new(
         scenario: &'s Scenario,
         heuristic: Heuristic,
@@ -447,11 +451,22 @@ impl<'s> ScenarioRun<'s> {
         telemetry: Option<TelemetryOpts>,
         rng: &mut SmallRng,
     ) -> (Self, Graph) {
+        let (name, steps) = (&scenario.name, scenario.steps);
+        assert!(
+            scenario.schedule.is_sorted_by_key(|&(at, _)| at),
+            "scenario `{name}`: the churn schedule is not sorted by step"
+        );
+        let last = scenario.schedule.last().map_or(0, |&(at, _)| at);
+        assert!(
+            last <= steps,
+            "scenario `{name}`: churn scheduled at step {last}, outside the run's steps 0..={steps}"
+        );
         let graph = scenario.build_overlay(rng);
         let workload = (scenario.workload.as_ref())
             .map(|source| WorkloadRuntime::new(source, scenario, seed, &graph));
         let run = ScenarioRun {
             scenario,
+            next_op: 0,
             workload,
             smoother: Smoother::new(heuristic),
             tel: telemetry.map(|o| TelemetrySession::new(o, series_name.clone())),
@@ -463,31 +478,32 @@ impl<'s> ScenarioRun<'s> {
         (run, graph)
     }
 
-    /// The scenario's `i`-th scheduled churn op fires.
-    pub(crate) fn scheduled(&mut self, i: usize, graph: &mut Graph, rng: &mut SmallRng) {
-        let (at, op) = self.scenario.schedule[i];
-        match self.workload.as_mut() {
-            Some(w) => w.observe_scheduled(at, &op, graph, rng),
-            None => {
-                op.apply(graph, rng);
-            }
-        }
-    }
-
-    /// Step `step` begins: streamed churn lands before the step's protocol
-    /// step — the same "churn at s precedes step s" contract scheduled ops
-    /// get from FIFO control ordering.
+    /// Step `step` begins, before its protocol step: every scheduled op due
+    /// by now (at `step`, or at step 0 when `step` is 1) applies in schedule
+    /// order, then the streamed workload's ops for `step`. This is the only
+    /// place a run applies churn.
     pub(crate) fn begin_step(&mut self, step: u64, graph: &mut Graph, rng: &mut SmallRng) {
         self.current_step = step;
+        let due = &self.scenario.schedule[self.next_op..];
+        let due = &due[..due.partition_point(|&(at, _)| at <= step)];
+        self.next_op += due.len();
+        for &(at, op) in due {
+            match self.workload.as_mut() {
+                Some(w) => w.observe_scheduled(at, &op, graph, rng),
+                None => {
+                    op.apply(graph, rng);
+                }
+            }
+        }
         if let Some(w) = self.workload.as_mut() {
             w.step(step, graph, rng);
         }
     }
 
     /// Records closed reporting periods against the current step and
-    /// `graph`'s size. Both only change in [`scheduled`](Self::scheduled) /
-    /// [`begin_step`](Self::begin_step), so harvesting a core's buffer right
-    /// before those calls is equivalent to harvesting after every event.
+    /// `graph`'s size. Both only change in [`begin_step`](Self::begin_step),
+    /// so harvesting a core's buffer right before that call is equivalent
+    /// to harvesting after every event.
     /// Post-timeline completions (the queue drains after the last step)
     /// land at the final step's x position.
     pub(crate) fn record(&mut self, reports: impl Iterator<Item = StepOutcome>, graph: &Graph) {
@@ -558,8 +574,8 @@ impl<'s> ScenarioRun<'s> {
 }
 
 /// The sequential driver's [`Host`]: the overlay and the run-level state.
-/// The scenario's churn timeline and step grid are control events on the
-/// core's own wheel.
+/// The core's only control events are the step grid, tagged with the bare
+/// step number; each one lands the step's churn, then steps the protocol.
 struct SequentialHost<'s> {
     run: ScenarioRun<'s>,
     graph: Graph,
@@ -571,21 +587,15 @@ impl<P: NodeProtocol> Host<P> for SequentialHost<'_> {
         &self.graph
     }
 
-    fn control(&mut self, tag: u64, core: &mut ShardCore<P>) {
+    fn control(&mut self, step: u64, core: &mut ShardCore<P>) {
         self.run.record(core.drain_reports(), &self.graph);
-        if tag & STEP_TAG == 0 {
-            self.run
-                .scheduled(tag as usize, &mut self.graph, &mut core.rng);
-        } else {
-            let step = tag & !STEP_TAG;
-            self.run.begin_step(step, &mut self.graph, &mut core.rng);
-            core.step(step, &self.graph);
-            // Interval snapshots land at step boundaries, after the step's
-            // own sends and reports.
-            self.run.record(core.drain_reports(), &self.graph);
-            let cores = [(&core.net, &self.batch_lens)];
-            self.run.interval_snapshot(step, &self.graph, cores);
-        }
+        self.run.begin_step(step, &mut self.graph, &mut core.rng);
+        core.step(step, &self.graph);
+        // Interval snapshots land at step boundaries, after the step's own
+        // sends and reports.
+        self.run.record(core.drain_reports(), &self.graph);
+        let cores = [(&core.net, &self.batch_lens)];
+        self.run.interval_snapshot(step, &self.graph, cores);
     }
 
     fn batch(&mut self, len: usize) {
@@ -639,13 +649,8 @@ pub fn run_scenario_des_telemetry<P: NodeProtocol + ?Sized>(
     let step_ticks = scenario.network.step_ticks;
     let mut net: Network<P::Msg> =
         Network::new(scenario.network, derive_seed(seed, NET_SEED_STREAM));
-    // Churn first, then the step grid: FIFO tie-breaking puts an op
-    // scheduled at step `s` before that step's protocol step.
-    for (i, &(step, _)) in scenario.schedule.iter().enumerate() {
-        net.schedule_control_at(SimTime(step * step_ticks), i as u64);
-    }
     for step in 1..=scenario.steps {
-        net.schedule_control_at(SimTime(step * step_ticks), STEP_TAG | step);
+        net.schedule_control_at(SimTime(step * step_ticks), step);
     }
 
     let mut core = ShardCore::new(protocol, net, rng);
@@ -847,6 +852,19 @@ mod tests {
         let epidemic = run_scenario_des(&mut agg, &scenario, Heuristic::OneShot, 11, "agg");
         assert_eq!(epidemic.real_size.points.last().unwrap(), &(10.0, 500.0));
         assert_eq!(epidemic.real_size.points.first().unwrap(), &(5.0, 1_000.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "churn scheduled at step 11, outside the run's steps 0..=10")]
+    fn churn_scheduled_past_the_final_step_fails_the_run() {
+        // No step 11 exists to land the op at; the run refuses to start
+        // rather than silently dropping it.
+        let mut scenario = Scenario::static_network(100, 10);
+        scenario
+            .schedule
+            .push((11, ChurnOp::Catastrophe { fraction: 0.5 }));
+        let mut sc = SyncStep(SampleCollide::cheap());
+        run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, 11, "sc");
     }
 
     #[test]

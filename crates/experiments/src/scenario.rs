@@ -175,7 +175,8 @@ impl Scenario {
     }
 
     /// Same scenario with a streamed churn source (in addition to any
-    /// scheduled ops).
+    /// scheduled ops): each step, its ops apply right after the step's
+    /// scheduled ops and before the protocol steps.
     pub fn with_workload(mut self, workload: WorkloadSource) -> Self {
         self.workload = Some(workload);
         self

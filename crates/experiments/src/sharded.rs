@@ -26,18 +26,19 @@
 //! ## The window
 //!
 //! Each round the coordinator picks `T` = the earliest pending tick over
-//! every wheel, every inbox and the next control tick (step boundary or
-//! scheduled churn), and lets the shards run `[T, T + L − 1]`, clipped by
-//! two rules that keep every observable where a tick-by-tick run puts it:
-//! a window **never reaches the next control tick** (churn is applied and
-//! reports are stamped only between rounds), and **a round that carries a
-//! control tick is that one tick** (an interval snapshot for step `s`
-//! still means "state after tick `s · step_ticks`"). `L` is derived from
-//! the model, never set: `wan` gives 15; `ideal` and `Exponential`
-//! latencies give 1 and run through the same loop as one-tick windows. At
-//! every exchange the coordinator asserts that nothing buffered is due
-//! inside the window just run, so an over-stated bound fails the run
-//! instead of scheduling an event into a shard's past.
+//! every wheel, every inbox and the next control tick — the next step
+//! boundary, where `ScenarioRun::begin_step` lands that step's scheduled
+//! and streamed churn — and lets the shards run `[T, T + L − 1]`, clipped
+//! by two rules that keep every observable where a tick-by-tick run puts
+//! it: a window **never reaches the next control tick** (churn is applied
+//! and reports are stamped only between rounds), and **a round that
+//! carries a control tick is that one tick** (an interval snapshot for
+//! step `s` still means "state after tick `s · step_ticks`"). `L` is
+//! derived from the model, never set: `wan` gives 15; `ideal` and
+//! `Exponential` latencies give 1 and run through the same loop as
+//! one-tick windows. At every exchange the coordinator asserts that
+//! nothing buffered is due inside the window just run, so an over-stated
+//! bound fails the run instead of scheduling an event into a shard's past.
 //!
 //! ## Determinism boundary
 //!
@@ -296,12 +297,9 @@ where
     }
     exchange(&mut grid, &mut shards, 0);
 
-    // Control ticks: the step grid plus any scheduled churn outside it.
-    let scheduled = scenario.schedule.iter().map(|&(s, _)| s);
-    let mut ctrl: Vec<u64> = (1..=scenario.steps).chain(scheduled).collect();
-    ctrl.sort_unstable();
-    ctrl.dedup();
-    let mut ctrl = ctrl.into_iter().peekable();
+    // Control ticks are the step grid: step `next_step` begins at tick
+    // `next_step · step_ticks`, and the step's churn lands with it.
+    let mut next_step = 1u64;
 
     let graph_lock = RwLock::new(graph);
     let plan = Mutex::new(Plan {
@@ -353,7 +351,7 @@ where
         // the workers, then harvests reports and runs the cross-shard
         // exchange.
         let rounds = catch_unwind(AssertUnwindSafe(|| loop {
-            let ctrl_tick = ctrl.peek().map(|&s| s * step_ticks);
+            let ctrl_tick = (next_step <= scenario.steps).then(|| next_step * step_ticks);
             let next = shards
                 .iter()
                 .flat_map(|st| [st.core.net.next_event_time(), st.inbox.min_at()])
@@ -373,17 +371,10 @@ where
             };
             let mut step_of_round = None;
             if ctrl_tick == Some(tick) {
-                let s = ctrl.next().expect("peeked");
                 let mut graph = graph_lock.write().expect("workers only read");
-                for (i, &(at, _)) in scenario.schedule.iter().enumerate() {
-                    if at == s {
-                        run.scheduled(i, &mut graph, &mut rng);
-                    }
-                }
-                if (1..=scenario.steps).contains(&s) {
-                    run.begin_step(s, &mut graph, &mut rng);
-                    step_of_round = Some(s);
-                }
+                run.begin_step(next_step, &mut graph, &mut rng);
+                step_of_round = Some(next_step);
+                next_step += 1;
             }
 
             let p = Plan {

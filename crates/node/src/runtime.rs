@@ -57,10 +57,6 @@ use std::time::{Duration, Instant};
 /// Seed stream for a process's outbox network (latency/loss draws).
 const OUTBOX_SEED_STREAM: u64 = 0x6F75_7462_6F78; // "outbox"
 
-/// Control tag carrying the step grid through the outbox (the tag's low
-/// bits are the step number).
-const STEP_TAG: u64 = 1 << 63;
-
 /// Static configuration one node process runs under. Every field must be
 /// identical across the cluster (same seed → same overlay replica) except
 /// `proc`.
@@ -320,16 +316,14 @@ where
     /// The step grid rides the outbox: fire `on_step`, schedule the next
     /// boundary, and let telemetry ride along (ticks are step numbers, no
     /// extra wall-clock reads; the snapshot ships as a control frame).
-    fn control(&mut self, tag: u64, core: &mut ShardCore<P>) {
+    fn control(&mut self, step: u64, core: &mut ShardCore<P>) {
         let cfg = self.cfg;
-        let step = tag & !STEP_TAG;
         self.stats.steps = step;
         core.step(step, &self.graph);
         if step < cfg.scenario.steps {
             let next = step + 1;
             let step_ms = cfg.scenario.network.step_ticks.max(1);
-            core.net
-                .schedule_control_at(SimTime(next * step_ms), STEP_TAG | next);
+            core.net.schedule_control_at(SimTime(next * step_ms), next);
         }
         if let Some(t) = self.tel.as_mut() {
             if step.is_multiple_of(cfg.metrics_every) || step == cfg.scenario.steps {
@@ -453,7 +447,7 @@ where
     };
 
     core.init(&host.graph);
-    core.net.schedule_control_at(SimTime(step_ms), STEP_TAG | 1);
+    core.net.schedule_control_at(SimTime(step_ms), 1);
 
     'main: loop {
         let now_ms = start.elapsed().as_millis() as u64;

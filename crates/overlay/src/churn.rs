@@ -136,37 +136,6 @@ pub fn catastrophic_failure<R: Rng + ?Sized>(
     remove_random_nodes(g, victims, rng)
 }
 
-/// A steady churn mixer: per step, `arrival_rate` joins and `departure_rate`
-/// departures (expected values; fractional parts are resolved by Bernoulli
-/// draws). Models the paper's "constant nodes arrivals and departures".
-#[derive(Clone, Copy, Debug)]
-pub struct SteadyChurn {
-    /// Expected joins per step.
-    pub arrival_rate: f64,
-    /// Expected departures per step.
-    pub departure_rate: f64,
-    /// Degree cap for newly wired nodes.
-    pub max_degree: usize,
-}
-
-impl SteadyChurn {
-    /// Applies one step of churn; returns net population change.
-    pub fn step<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R) -> i64 {
-        let joins = sample_rate(self.arrival_rate, rng);
-        let leaves = sample_rate(self.departure_rate, rng);
-        join_nodes(g, joins, self.max_degree, rng);
-        let left = remove_random_nodes(g, leaves, rng).len();
-        joins as i64 - left as i64
-    }
-}
-
-fn sample_rate<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> usize {
-    debug_assert!(rate >= 0.0);
-    let base = rate.floor() as usize;
-    let frac = rate - rate.floor();
-    base + usize::from(rng.gen::<f64>() < frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,33 +255,5 @@ mod tests {
             -150
         );
         assert_eq!(g.alive_count(), 150);
-    }
-
-    #[test]
-    fn steady_churn_tracks_expected_drift() {
-        let (mut g, mut rng) = overlay(2_000, 56);
-        let churn = SteadyChurn {
-            arrival_rate: 2.5,
-            departure_rate: 0.5,
-            max_degree: 10,
-        };
-        for _ in 0..500 {
-            churn.step(&mut g, &mut rng);
-        }
-        // expected net drift: +2 per step => ~+1000; allow wide slack
-        let n = g.alive_count() as i64;
-        assert!((2_700..=3_300).contains(&n), "population {n}");
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn sample_rate_handles_integer_and_fractional() {
-        let mut rng = SmallRng::seed_from_u64(57);
-        assert_eq!(sample_rate(3.0, &mut rng), 3);
-        let mean: f64 = (0..10_000)
-            .map(|_| sample_rate(0.3, &mut rng) as f64)
-            .sum::<f64>()
-            / 10_000.0;
-        assert!((0.25..0.35).contains(&mean), "mean {mean}");
     }
 }

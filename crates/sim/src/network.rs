@@ -257,7 +257,7 @@ pub enum NetEvent<M> {
         /// Protocol-defined discriminator.
         tag: u64,
     },
-    /// A driver-level control event (churn ops, step boundaries).
+    /// A driver-level control event (the drivers' step boundaries).
     Control {
         /// Driver-defined discriminator.
         tag: u64,

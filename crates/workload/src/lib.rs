@@ -28,7 +28,7 @@ pub mod spec;
 pub mod trace;
 
 pub use dist::LifetimeDist;
-pub use model::{ChurnModel, CompositeModel, ScheduleModel};
+pub use model::{ChurnModel, CompositeModel};
 pub use models::{DiurnalModel, FlashCrowd, RegionalFailure, SessionModel, SteadyModel};
 pub use op::WorkloadOp;
 pub use pace::{PacedOps, WallPacer};

@@ -68,51 +68,6 @@ impl<T: ChurnModel + ?Sized> ChurnModel for Box<T> {
     }
 }
 
-/// A materialized `(step, op)` schedule as a [`ChurnModel`] — the bridge
-/// from the paper's three stylized timelines (growing / shrinking /
-/// catastrophic, all plain sorted schedules) onto the model interface.
-///
-/// Emitting a schedule through the model path is *equivalent* to the
-/// scheduled path: ops land before the same step's protocol step and apply
-/// off the same stream, so the produced traces are bit-identical (pinned by
-/// the workload integration tests).
-#[derive(Clone, Debug)]
-pub struct ScheduleModel {
-    schedule: Vec<(u64, ChurnOp)>,
-    cursor: usize,
-}
-
-impl ScheduleModel {
-    /// Wraps a schedule (sorted by step internally).
-    pub fn new(mut schedule: Vec<(u64, ChurnOp)>) -> Self {
-        schedule.sort_by_key(|&(step, _)| step);
-        ScheduleModel {
-            schedule,
-            cursor: 0,
-        }
-    }
-}
-
-impl ChurnModel for ScheduleModel {
-    fn ops_at(
-        &mut self,
-        step: u64,
-        _graph: &Graph,
-        _rng: &mut SmallRng,
-        out: &mut Vec<WorkloadOp>,
-    ) {
-        // `<=` so entries at step 0 (legal in hand-built schedules) fire at
-        // the first model step rather than silently never.
-        while let Some(&(at, op)) = self.schedule.get(self.cursor) {
-            if at > step {
-                break;
-            }
-            out.push(WorkloadOp::Churn(op));
-            self.cursor += 1;
-        }
-    }
-}
-
 /// Several models sharing one timeline: ops concatenate in sub-model
 /// order. Built from `+`-joined workload specs
 /// (`flash:at=25,frac=0.5+regional:at=75`).
@@ -192,40 +147,21 @@ mod tests {
     use p2p_overlay::builder::{GraphBuilder, HeterogeneousRandom};
     use p2p_sim::rng::small_rng;
 
-    #[test]
-    fn schedule_model_streams_in_order_including_step_zero() {
-        let mut rng = small_rng(7);
-        let g = HeterogeneousRandom::paper(50).build(&mut rng);
-        let mut m = ScheduleModel::new(vec![
-            (3, ChurnOp::Leave { count: 2 }),
-            (0, ChurnOp::Leave { count: 1 }),
-            (
-                3,
-                ChurnOp::Join {
-                    count: 5,
-                    max_degree: 10,
-                },
-            ),
-        ]);
-        let mut out = Vec::new();
-        m.ops_at(1, &g, &mut rng, &mut out);
-        assert_eq!(out, vec![WorkloadOp::Churn(ChurnOp::Leave { count: 1 })]);
-        out.clear();
-        m.ops_at(2, &g, &mut rng, &mut out);
-        assert!(out.is_empty());
-        m.ops_at(3, &g, &mut rng, &mut out);
-        assert_eq!(out.len(), 2);
-        out.clear();
-        m.ops_at(4, &g, &mut rng, &mut out);
-        assert!(out.is_empty());
+    /// Emits one fixed op every step.
+    struct Every(ChurnOp);
+
+    impl ChurnModel for Every {
+        fn ops_at(&mut self, _: u64, _: &Graph, _: &mut SmallRng, out: &mut Vec<WorkloadOp>) {
+            out.push(WorkloadOp::Churn(self.0));
+        }
     }
 
     #[test]
     fn composite_concatenates_in_submodel_order() {
         let mut rng = small_rng(8);
         let g = HeterogeneousRandom::paper(50).build(&mut rng);
-        let a = ScheduleModel::new(vec![(1, ChurnOp::Leave { count: 1 })]);
-        let b = ScheduleModel::new(vec![(1, ChurnOp::Leave { count: 2 })]);
+        let a = Every(ChurnOp::Leave { count: 1 });
+        let b = Every(ChurnOp::Leave { count: 2 });
         let mut c = CompositeModel::new(vec![Box::new(a), Box::new(b)]);
         let mut out = Vec::new();
         c.ops_at(1, &g, &mut rng, &mut out);

@@ -1,8 +1,7 @@
 //! The concrete churn models.
 //!
-//! * [`SteadyModel`] — Poisson arrivals/departures per step (the
-//!   [`SteadyChurn`](p2p_overlay::churn::SteadyChurn) workload on the model
-//!   interface, with proper Poisson counts).
+//! * [`SteadyModel`] — Poisson arrivals/departures per step, the paper's
+//!   "constant nodes arrivals and departures".
 //! * [`SessionModel`] — heavy-tailed per-node session lengths
 //!   (Pareto/Weibull), the IPFS-measurement-style workload: every node gets
 //!   a lifetime at join, a min-heap streams the expiries out as targeted

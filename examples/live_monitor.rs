@@ -9,7 +9,8 @@
 //! Combines three pieces of the workspace:
 //! * `PeerSamplingService` — the membership substrate (§II's peer-sampling
 //!   references) keeping per-node partial views fresh under churn;
-//! * `SteadyChurn` — the paper's "constant nodes arrivals and departures";
+//! * `SteadyModel` — the paper's "constant nodes arrivals and departures"
+//!   as Poisson joins and leaves per tick;
 //! * `SizeMonitor` — the perpetual estimation loop of §IV-D, generic over
 //!   any `NodeProtocol`. Two gauges run side by side: reactive
 //!   Sample&Collide (one reading per tick, through the `SyncStep` adapter)
@@ -20,9 +21,10 @@ use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAgg
 use p2p_size_estimation::estimation::monitor::SizeMonitor;
 use p2p_size_estimation::estimation::{Heuristic, SampleCollide, SyncStep};
 use p2p_size_estimation::overlay::builder::{GraphBuilder, HeterogeneousRandom};
-use p2p_size_estimation::overlay::churn::SteadyChurn;
+use p2p_size_estimation::overlay::churn::ChurnDelta;
 use p2p_size_estimation::overlay::membership::PeerSamplingService;
 use p2p_size_estimation::sim::rng::small_rng;
+use p2p_size_estimation::workload::{ChurnModel, SteadyModel};
 
 fn main() {
     let mut rng = small_rng(77);
@@ -43,24 +45,30 @@ fn main() {
     );
 
     // Net drift: +8/tick for the first half (growth), then -16/tick (decline).
-    let growth = SteadyChurn {
+    let mut growth = SteadyModel {
         arrival_rate: 12.0,
         departure_rate: 4.0,
         max_degree: 10,
     };
-    let decline = SteadyChurn {
+    let mut decline = SteadyModel {
         arrival_rate: 4.0,
         departure_rate: 20.0,
         max_degree: 10,
     };
+    let (mut ops, mut delta) = (Vec::new(), ChurnDelta::default());
 
     println!(
         "{:>5} {:>10} {:>10} {:>8} {:>10} {:>10} {:>9}",
         "tick", "true size", "walk gauge", "err %", "msgs/est", "epidemic", "views ok"
     );
     for tick in 0..150u32 {
-        let churn = if tick < 75 { growth } else { decline };
-        churn.step(&mut graph, &mut rng);
+        let churn = if tick < 75 { &mut growth } else { &mut decline };
+        ops.clear();
+        delta.clear();
+        churn.ops_at(u64::from(tick) + 1, &graph, &mut rng, &mut ops);
+        for op in &ops {
+            op.apply(&mut graph, &mut rng, &mut delta);
+        }
         // The membership service shuffles continuously (a few rounds per
         // monitoring tick), healing views around departed nodes.
         for _ in 0..3 {

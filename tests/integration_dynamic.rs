@@ -4,8 +4,9 @@ use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAgg
 use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide, SyncStep};
 use p2p_size_estimation::experiments::runner::run_scenario_des;
 use p2p_size_estimation::experiments::Scenario;
-use p2p_size_estimation::overlay::{churn, connectivity};
+use p2p_size_estimation::overlay::{churn::ChurnDelta, connectivity};
 use p2p_size_estimation::sim::rng::small_rng;
+use p2p_size_estimation::workload::{ChurnModel, SteadyModel};
 
 const N: usize = 4_000;
 
@@ -122,13 +123,18 @@ fn catastrophe_then_rejoin_recovers_population() {
 fn steady_churn_preserves_graph_invariants() {
     let mut rng = small_rng(7);
     let mut graph = Scenario::static_network(1_000, 1).build_overlay(&mut rng);
-    let churn = churn::SteadyChurn {
+    let mut churn = SteadyModel {
         arrival_rate: 3.0,
         departure_rate: 3.0,
         max_degree: 10,
     };
-    for _ in 0..300 {
-        churn.step(&mut graph, &mut rng);
+    let (mut ops, mut delta) = (Vec::new(), ChurnDelta::default());
+    for step in 1..=300 {
+        ops.clear();
+        churn.ops_at(step, &graph, &mut rng, &mut ops);
+        for op in &ops {
+            op.apply(&mut graph, &mut rng, &mut delta);
+        }
     }
     graph.check_invariants().unwrap();
     // Population stays near 1000 under balanced churn.
