@@ -52,6 +52,8 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
+    let grammar = ProtocolSpec::grammar();
+    let network = NetworkSpec(default_cluster_network());
     eprintln!(
         "\
 node — run the size-estimation protocols on real UDP sockets
@@ -64,7 +66,7 @@ CLUSTER OPTIONS:
   --nodes N              overlay size (required)
   --procs K              shard/process count            [default: 4]
   --protocol SPEC        protocol spec                  [default: aggregation:rounds=30]
-  --network SPEC         latency/loss model             [default: latency=const:2,step=25]
+  --network SPEC         latency/loss model             [default: {network}]
   --steps S              run length in steps            [default: 75]
   --seed S               cluster seed                   [default: 20060619]
   --churn SPEC           wall-clock-paced workload spec (e.g. steady:join=2,leave=2)
@@ -83,8 +85,8 @@ HOST OPTIONS (all required unless noted):
   --proc P --procs K --nodes N --steps S --protocol SPEC --network SPEC
   --seed S --coordinator ADDR [--port UDP_PORT] [--metrics-every N]
 
-Protocol specs: sample-collide:walks=32 | hops-sampling:probes=16 |
-aggregation:rounds=30 (same grammar as `repro --protocol`)."
+Protocol specs (same grammar as `repro --protocol`):
+  {grammar}"
     );
 }
 
