@@ -5,9 +5,8 @@
 //! ops and the node runtimes fire protocol steps on a shared real-time
 //! cadence of one step per `step_ms` milliseconds (matching the network
 //! model's one-tick-per-millisecond convention). [`WallPacer`] is that
-//! metronome — anchored once, then queried either blockingly
-//! ([`wait_next`](WallPacer::wait_next)) or from an event loop
-//! ([`poll`](WallPacer::poll) / [`until_next`](WallPacer::until_next)).
+//! metronome — anchored once, then polled from an event loop
+//! ([`poll`](WallPacer::poll)).
 //!
 //! A pacer never skips steps: if the process falls behind (a long handler,
 //! a stopped laptop), due steps are yielded back-to-back until the grid is
@@ -47,28 +46,13 @@ impl WallPacer {
         }
     }
 
-    /// The step [`poll`](Self::poll)/[`wait_next`](Self::wait_next) yields
-    /// next (steps count from 1, like the DES timeline).
-    pub fn next_step(&self) -> u64 {
-        self.next_step
-    }
-
     /// The wall-clock deadline of `step`.
     pub fn deadline(&self, step: u64) -> Instant {
         self.start + self.step.saturating_mul(step.min(u32::MAX as u64) as u32)
     }
 
-    /// Time remaining until the next step boundary (zero if it is due).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall-clock: comparing against the pacer's own wall anchor; cluster-only path"
-    )]
-    pub fn until_next(&self) -> Duration {
-        self.deadline(self.next_step)
-            .saturating_duration_since(Instant::now())
-    }
-
     /// Yields the next step if its boundary has passed, without blocking.
+    /// Steps count from 1, like the DES timeline.
     #[expect(
         clippy::disallowed_methods,
         reason = "wall-clock: step-boundary check against the pacer's wall anchor; cluster-only path"
@@ -80,18 +64,6 @@ impl WallPacer {
         let step = self.next_step;
         self.next_step += 1;
         Some(step)
-    }
-
-    /// Sleeps to the next step boundary and yields the step number.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "wall-sleep: blocking to the next wall step is this type's purpose; nothing in the DES path calls it"
-    )]
-    pub fn wait_next(&mut self) -> u64 {
-        std::thread::sleep(self.until_next());
-        let step = self.next_step;
-        self.next_step += 1;
-        step
     }
 }
 
@@ -114,11 +86,6 @@ impl<M: ChurnModel> PacedOps<M> {
             model,
             pacer: WallPacer::new(step_ms),
         }
-    }
-
-    /// The underlying metronome.
-    pub fn pacer(&self) -> &WallPacer {
-        &self.pacer
     }
 
     /// If a step boundary has passed, returns `(step, ops)` for it —
@@ -146,19 +113,11 @@ mod tests {
     fn pacer_yields_the_dense_step_sequence() {
         let mut pacer = WallPacer::new(1);
         std::thread::sleep(Duration::from_millis(5));
-        // Behind by several steps: they come back-to-back, never skipped.
-        let a = pacer.poll().unwrap();
-        let b = pacer.poll().unwrap();
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(pacer.next_step(), 3);
-    }
-
-    #[test]
-    fn wait_next_blocks_until_the_boundary() {
-        let mut pacer = WallPacer::new(10);
-        let t0 = Instant::now();
-        assert_eq!(pacer.wait_next(), 1);
-        assert!(t0.elapsed() >= Duration::from_millis(9));
+        // Behind by several steps: they come back-to-back, never skipped,
+        // until the grid has caught up with the clock.
+        let due: Vec<u64> = std::iter::from_fn(|| pacer.poll()).collect();
+        assert!(due.len() >= 5, "steps due after 5 ms: {due:?}");
+        assert!(due.iter().copied().eq(1..=due.len() as u64), "{due:?}");
     }
 
     #[test]
