@@ -45,9 +45,8 @@ pub trait Host<P: NodeProtocol> {
     }
 
     /// A [`NetEvent::Control`] the host scheduled on the core's wheel
-    /// popped. The hosts that schedule any (the sequential runner, the node
-    /// runtime) schedule only their step grid, tagged with the bare step
-    /// number.
+    /// popped. The one host that schedules any, the sequential runner,
+    /// schedules only its step grid, tagged with the bare step number.
     fn control(&mut self, _tag: u64, _core: &mut ShardCore<P>) {
         unreachable!("this host schedules no control events")
     }

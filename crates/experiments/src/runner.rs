@@ -94,9 +94,53 @@ impl Default for TelemetryOpts {
     }
 }
 
-/// Estimates the convergence telemetry medians over — the paper's
-/// last-10-runs smoothing horizon.
-const CONV_WINDOW: usize = 10;
+/// Online time-to-ε: the first instant the windowed median of reported
+/// estimates lies within `truth × (1 ± eps)`. The DES latches the step, the
+/// loopback cluster's coordinator the wall millisecond.
+#[derive(Clone, Debug)]
+pub struct ConvergenceLatch {
+    eps: f64,
+    window: SlidingWindow,
+    reached_at: Option<u64>,
+}
+
+impl ConvergenceLatch {
+    /// Estimates the median runs over — the paper's last-10-runs smoothing
+    /// horizon.
+    const WINDOW: usize = 10;
+
+    /// A latch for the ±`eps` band, not yet reached.
+    pub fn new(eps: f64) -> Self {
+        ConvergenceLatch {
+            eps,
+            window: SlidingWindow::new(Self::WINDOW),
+            reached_at: None,
+        }
+    }
+
+    /// An estimate reported at `at` while the true size was `truth`: feed
+    /// the window and latch `at` (at least 1) the first time the windowed
+    /// median enters the band.
+    pub fn observe(&mut self, estimate: f64, truth: f64, at: u64) {
+        self.window.push(estimate);
+        if self.reached_at.is_none() && truth > 0.0 {
+            let median = self.window.median();
+            if (median - truth).abs() <= self.eps * truth {
+                self.reached_at = Some(at.max(1));
+            }
+        }
+    }
+
+    /// Estimates currently in the window.
+    pub fn window_len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// The latched instant, once the band was reached.
+    pub fn reached_at(&self) -> Option<u64> {
+        self.reached_at
+    }
+}
 
 /// Per-kind metric keys under one prefix, indexed like
 /// [`MessageKind::ALL`] (suffixes are the kinds' `Display` names). Static
@@ -142,7 +186,7 @@ pub fn in_flight_by_kind<M>(net: &Network<M>) -> [u64; 7] {
     })
 }
 
-/// One run's telemetry capture: the registry, the convergence window, and
+/// One run's telemetry capture: the registry, the convergence latch, and
 /// the collected interval snapshots. Metrics are *sampled* at snapshot
 /// boundaries from accounting the engine/network/overlay already keep —
 /// the only per-event-path observation is the batch-size histogram each
@@ -177,7 +221,7 @@ struct TelemetrySession {
     g_eps_reached: GaugeId,
     g_time_to_eps: GaugeId,
     h_batch_len: HistId,
-    window: SlidingWindow,
+    conv: ConvergenceLatch,
     reports_seen: u64,
     series: String,
     snapshots: Vec<Snapshot>,
@@ -214,7 +258,7 @@ impl TelemetrySession {
             h_batch_len: reg.histogram("engine.batch_len"),
             reg,
             opts,
-            window: SlidingWindow::new(CONV_WINDOW),
+            conv: ConvergenceLatch::new(opts.eps),
             reports_seen: 0,
             series,
             snapshots: Vec::new(),
@@ -222,19 +266,15 @@ impl TelemetrySession {
     }
 
     /// A reporting period closed with raw estimate `raw` while the true
-    /// size was `truth`: feed the convergence window and latch time-to-ε
-    /// the first time the windowed median enters the ±ε band.
+    /// size was `truth`: feed the convergence latch.
     fn on_report(&mut self, raw: f64, truth: f64, step: u64) {
         self.reports_seen += 1;
-        self.window.push(raw);
-        self.reg
-            .gauge_set(self.g_window_len, self.window.len() as u64);
-        if self.reg.gauge_value(self.g_eps_reached) == 0 && truth > 0.0 {
-            let median = self.window.median();
-            if (median - truth).abs() <= self.opts.eps * truth {
-                self.reg.gauge_set(self.g_eps_reached, 1);
-                self.reg.gauge_set(self.g_time_to_eps, step.max(1));
-            }
+        self.conv.observe(raw, truth, step);
+        let reg = &mut self.reg;
+        reg.gauge_set(self.g_window_len, self.conv.window_len() as u64);
+        if let Some(at) = self.conv.reached_at() {
+            reg.gauge_set(self.g_eps_reached, 1);
+            reg.gauge_set(self.g_time_to_eps, at);
         }
     }
 
@@ -316,8 +356,11 @@ pub(crate) const NET_SEED_STREAM: u64 = 0x006E_6574_776F_726B; // "network"
 /// re-derived in isolation from `derive_seed(run_seed, this)`.
 pub const WORKLOAD_SEED_STREAM: u64 = 0x776F_726B_6C6F_6164; // "workload"
 
-/// The per-run execution state of a scenario's streamed churn source.
-struct WorkloadRuntime {
+/// The per-run execution state of a scenario's streamed churn source: the
+/// one generate → apply → observe loop in the workspace. Both DES drivers
+/// step it from `ScenarioRun::begin_step`; the loopback cluster's
+/// coordinator steps it on the wall clock and broadcasts [`ops`](Self::ops).
+pub struct WorkloadRuntime {
     model: Box<dyn ChurnModel>,
     rng: SmallRng,
     recorder: Option<TraceWriter<BufWriter<File>>>,
@@ -332,7 +375,7 @@ impl WorkloadRuntime {
     /// Resolves the scenario's source: builds the model (or opens the
     /// replay trace), derives the dedicated workload stream and shows the
     /// model the initial overlay.
-    fn new(source: &WorkloadSource, scenario: &Scenario, seed: u64, graph: &Graph) -> Self {
+    pub fn new(source: &WorkloadSource, scenario: &Scenario, seed: u64, graph: &Graph) -> Self {
         let (mut model, recorder): (Box<dyn ChurnModel>, _) = match source {
             WorkloadSource::Model(spec) => (spec.build(MAX_DEGREE), None),
             WorkloadSource::Record { spec, path } => {
@@ -379,7 +422,7 @@ impl WorkloadRuntime {
     /// One step of streamed churn: generate → record → apply → observe.
     /// Op application draws from `apply_rng` (the run's main stream),
     /// exactly like scheduled ops do.
-    fn step(&mut self, step: u64, graph: &mut Graph, apply_rng: &mut SmallRng) {
+    pub fn step(&mut self, step: u64, graph: &mut Graph, apply_rng: &mut SmallRng) {
         self.ops.clear();
         self.model.ops_at(step, graph, &mut self.rng, &mut self.ops);
         if let Some(rec) = self.recorder.as_mut() {
@@ -409,6 +452,12 @@ impl WorkloadRuntime {
         op.apply_into(graph, apply_rng, &mut self.delta);
         self.model
             .observe_external(step, &self.delta, &mut self.rng);
+    }
+
+    /// The ops the last [`step`](Self::step) generated, in application
+    /// order.
+    pub fn ops(&self) -> &[WorkloadOp] {
+        &self.ops
     }
 
     fn finish(&mut self) {

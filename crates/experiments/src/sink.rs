@@ -18,6 +18,7 @@
 use crate::sharded::ShardSync;
 use p2p_stats::series::Figure;
 use p2p_stats::Series;
+use p2p_telemetry::json_escape_into;
 use std::io::{self, Write};
 
 /// Identity of the experiment a row stream belongs to.
@@ -200,21 +201,10 @@ impl<W: Write> ResultSink for CsvSink<W> {
     }
 }
 
-/// Escapes a string for a JSON string literal (hand-rolled; the subset the
-/// workspace emits needs no surrogate handling).
+/// `s` escaped for a JSON string literal, by the workspace's one escaper.
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json_escape_into(&mut out, s);
     out
 }
 

@@ -348,10 +348,13 @@ fn cmd_host(args: &[String]) -> Result<ExitCode, String> {
     };
     match run_node(&cfg) {
         Ok(stats) => {
-            eprintln!(
-                "[host {proc}] done: {} sent, {} received, {} malformed, {} steps",
+            // One write, so the shards' lines never interleave on the
+            // stderr they share with the coordinator.
+            let line = format!(
+                "[host {proc}] done: {} sent, {} received, {} malformed, {} steps\n",
                 stats.sent, stats.received, stats.malformed, stats.steps
             );
+            let _ = std::io::stderr().write_all(line.as_bytes());
             Ok(ExitCode::SUCCESS)
         }
         Err(e) => Err(format!("shard {proc} failed: {e}")),

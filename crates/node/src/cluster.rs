@@ -1,17 +1,20 @@
 //! The loopback cluster harness: a coordinator that launches N node
-//! shards (threads or child processes), wires them up, paces churn on the
-//! wall clock, streams estimates to a [`ResultSink`], and shuts the whole
-//! thing down without leaving orphans.
+//! shards (threads or child processes), wires them up, drives their steps
+//! and churn on its wall clock, streams estimates to a [`ResultSink`], and
+//! shuts the whole thing down without leaving orphans.
 //!
 //! Lifecycle:
 //!
 //! 1. bind a TCP control listener, launch the shards;
 //! 2. collect `Hello{proc, udp_port}` from every shard, broadcast the
 //!    assembled `Peers` table, then `Start` — wall-clock time zero;
-//! 3. run: churn ops generated by the (coordinator-owned) workload model
-//!    are broadcast and applied to every replica off the shared
-//!    application stream; `Report` frames stream to the sink as they
-//!    arrive; periodic `EstimateQuery` rounds sample per-node trajectories;
+//! 3. run: the coordinator is the cluster's only clock. At each step
+//!    `1..=steps` its [`WallPacer`] yields, it steps the DES's own streamed
+//!    churn ([`WorkloadRuntime`], on the `--shards K` coordinator's
+//!    streams) on its replica and broadcasts `Step { step, ops }`; every
+//!    shard lands the ops off the shared application stream, then steps.
+//!    `Report` frames stream to the sink as they arrive; periodic
+//!    `EstimateQuery` rounds sample per-node trajectories;
 //! 4. after the configured horizon: a final estimate query, `Shutdown`,
 //!    `Bye` collection, and a bounded join/kill of every shard.
 //!
@@ -23,16 +26,17 @@
 #![deny(clippy::expect_used, clippy::panic)]
 
 use crate::runtime::{run_node, NodeStats, RuntimeConfig};
-use crate::wire::{read_ctrl, write_ctrl, CtrlMsg, WireOp};
+use crate::wire::{read_ctrl, write_ctrl, CtrlMsg};
 use p2p_estimation::{with_async_protocol, ProtocolSpec};
-use p2p_experiments::runner::run_replications_des;
+use p2p_experiments::runner::{
+    run_replications_des, ConvergenceLatch, TelemetryOpts, WorkloadRuntime,
+};
 use p2p_experiments::sink::{ExperimentMeta, ResultSink};
 use p2p_experiments::Scenario;
-use p2p_sim::rng::{derive_seed, small_rng};
+use p2p_sim::rng::small_rng;
 use p2p_sim::NetworkModel;
-use p2p_stats::SlidingWindow;
 use p2p_telemetry::{Snapshot, TelemetrySink};
-use p2p_workload::{PacedOps, WorkloadSpec};
+use p2p_workload::{WallPacer, WorkloadSource, WorkloadSpec};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -42,13 +46,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Relative tolerance of the coordinator's online time-to-ε readout: the
-/// first wall-clock moment the windowed median of reported estimates lands
-/// within ±ε of the coordinator replica's ground truth.
-const CLUSTER_EPS: f64 = 0.1;
-/// Reports in the convergence median window.
-const CONV_WINDOW: usize = 10;
 
 /// Everything a cluster run needs. The `Default`-ish constructor
 /// [`ClusterConfig::new`] fills in the tuned loopback defaults.
@@ -67,7 +64,8 @@ pub struct ClusterConfig {
     pub steps: u64,
     /// Cluster seed: overlay replicas, churn, injected latency/loss.
     pub seed: u64,
-    /// Wall-clock-paced churn fed to every replica; `None` → static.
+    /// Streamed churn the coordinator steps and broadcasts to every
+    /// replica; `None` → static.
     pub churn: Option<WorkloadSpec>,
     /// Preferred base UDP port (shard `p` tries `base + p`); `0` →
     /// ephemeral ports everywhere.
@@ -103,9 +101,15 @@ impl ClusterConfig {
     }
 
     /// The scenario both the shards' replicas and the DES oracle resolve
-    /// from this config — the "matched run" of the cross-validation.
+    /// from this config — the "matched run" of the cross-validation. The
+    /// churn rides as its streamed workload; shards ignore it (the
+    /// coordinator steps it and broadcasts the ops).
     pub fn scenario(&self) -> Scenario {
-        Scenario::static_network(self.nodes, self.steps).with_network(self.network)
+        let scenario = Scenario::static_network(self.nodes, self.steps).with_network(self.network);
+        match &self.churn {
+            Some(spec) => scenario.with_workload(WorkloadSource::Model(spec.clone())),
+            None => scenario,
+        }
     }
 }
 
@@ -267,18 +271,16 @@ pub fn run_cluster(
         write_ctrl(w, &CtrlMsg::Start)?;
     }
     let start = Instant::now();
+    let mut pacer = WallPacer::new(step_ms);
+    let mut last_step = 0;
 
     // The coordinator's own replica: truth for the report, and the graph
-    // the workload model draws against.
+    // the workload model draws against — the streams of the `--shards K`
+    // DES coordinator, so both drivers churn the overlay identically.
     let mut apply_rng = small_rng(cfg.seed);
     let mut graph = scenario.build_overlay(&mut apply_rng);
-    let mut wl_rng = workload_rng(cfg.seed);
-    let mut workload = cfg.churn.as_ref().map(|spec| {
-        let mut paced = PacedOps::new(spec.build(crate::MAX_DEGREE), step_ms);
-        paced.model.on_init(&graph, &mut wl_rng);
-        paced
-    });
-    let mut delta = p2p_overlay::churn::ChurnDelta::default();
+    let mut workload = (scenario.workload.as_ref())
+        .map(|source| WorkloadRuntime::new(source, &scenario, cfg.seed, &graph));
 
     let horizon = Duration::from_millis(cfg.steps * step_ms + 2 * step_ms + 100);
     let mut report = ClusterReport {
@@ -300,38 +302,30 @@ pub fn run_cluster(
     // The class slug keys the per-class convergence gauges.
     let class = cfg.protocol.key();
     let mut pending_metrics: BTreeMap<u64, Vec<Option<Snapshot>>> = BTreeMap::new();
-    let mut conv_window = SlidingWindow::new(CONV_WINDOW);
-    let mut eps_reached = 0u64;
-    let mut time_to_eps_ms = 0u64;
+    // Time-to-ε in wall milliseconds, in the DES's default ±ε band.
+    let mut conv = ConvergenceLatch::new(TelemetryOpts::default().eps);
     let mut next_query = if cfg.query_every == 0 {
         u64::MAX
     } else {
         cfg.query_every * step_ms
     };
 
-    // Main loop: churn pacing + estimate queries on deadlines, shard
-    // traffic as it arrives.
-    while start.elapsed() < horizon {
-        if let Some(paced) = workload.as_mut() {
-            while let Some((step, ops)) = paced.ops_due(&graph, &mut wl_rng) {
-                if ops.is_empty() {
-                    continue;
+    // Main loop: steps and estimate queries on deadlines, shard traffic
+    // as it arrives. Every step is sent, however late the loop runs.
+    while last_step < cfg.steps || start.elapsed() < horizon {
+        while last_step < cfg.steps {
+            let Some(step) = pacer.poll() else { break };
+            last_step = step;
+            let ops = match workload.as_mut() {
+                Some(w) => {
+                    w.step(step, &mut graph, &mut apply_rng);
+                    w.ops().to_vec()
                 }
-                let wire_ops: Vec<WireOp> = ops.iter().map(WireOp::from_op).collect();
-                for (w, _) in ctrl_writers.iter_mut() {
-                    write_ctrl(
-                        w,
-                        &CtrlMsg::Churn {
-                            step,
-                            ops: wire_ops.clone(),
-                        },
-                    )?;
-                }
-                for op in &ops {
-                    delta.clear();
-                    op.apply(&mut graph, &mut apply_rng, &mut delta);
-                }
-                paced.model.observe(step, &delta, &mut wl_rng);
+                None => Vec::new(),
+            };
+            let msg = CtrlMsg::Step { step, ops };
+            for (w, _) in ctrl_writers.iter_mut() {
+                write_ctrl(w, &msg)?;
             }
         }
         let now_ms = start.elapsed().as_millis() as u64;
@@ -347,15 +341,7 @@ pub fn run_cluster(
             Ok((proc, CtrlMsg::Report { wall_ms, estimate })) => {
                 report.reports.push((proc, wall_ms, estimate));
                 if estimate.is_finite() {
-                    conv_window.push(estimate);
-                    if eps_reached == 0 {
-                        let truth = graph.alive_count() as f64;
-                        let med = conv_window.median();
-                        if truth > 0.0 && (med - truth).abs() <= CLUSTER_EPS * truth {
-                            eps_reached = 1;
-                            time_to_eps_ms = wall_ms.max(1);
-                        }
-                    }
+                    conv.observe(estimate, graph.alive_count() as f64, wall_ms);
                 }
                 sink.row(&p2p_experiments::sink::Row {
                     series: &format!("proc{proc}"),
@@ -391,10 +377,15 @@ pub fn run_cluster(
                             }
                             if let Some(mut m) = merged {
                                 m.series = "cluster".to_string();
-                                m.gauges
-                                    .push((format!("conv.eps_reached.{class}"), eps_reached));
-                                m.gauges
-                                    .push((format!("conv.time_to_eps_ms.{class}"), time_to_eps_ms));
+                                let reached = conv.reached_at();
+                                m.gauges.push((
+                                    format!("conv.eps_reached.{class}"),
+                                    reached.is_some() as u64,
+                                ));
+                                m.gauges.push((
+                                    format!("conv.time_to_eps_ms.{class}"),
+                                    reached.unwrap_or(0),
+                                ));
                                 m.gauges.push((
                                     "cluster.truth".to_string(),
                                     graph.alive_count() as u64,
@@ -623,11 +614,6 @@ fn handshake(
         }
     }
     Ok((streams, rx))
-}
-
-/// The per-cluster workload-model RNG stream (coordinator-only draws).
-fn workload_rng(seed: u64) -> rand::rngs::SmallRng {
-    small_rng(derive_seed(seed, 0x0077_6C6F_6164)) // "wload"
 }
 
 /// Renders a network model back into the `NetworkSpec` grammar for a child

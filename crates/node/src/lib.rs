@@ -19,8 +19,9 @@
 //!   [`NodeProtocol`](p2p_estimation::NodeProtocol) instances, pumping the
 //!   shared-seed outbox against the wall clock;
 //! * [`cluster`] — the coordinator that launches shards (threads or
-//!   subprocesses), paces churn, streams estimate trajectories to JSONL,
-//!   and reaps everything on the way out.
+//!   subprocesses), drives every shard's steps and churn on its one wall
+//!   clock, streams estimate trajectories to JSONL, and reaps everything on
+//!   the way out.
 //!
 //! The `node` binary fronts it: `node cluster --nodes 64 --procs 4
 //! --protocol aggregation:rounds=30` runs a full loopback deployment.
@@ -35,7 +36,3 @@ pub use cluster::{
 };
 pub use runtime::{bind_with_retry, run_node, NodeStats, RuntimeConfig};
 pub use wire::{CtrlMsg, WireError, WirePayload, MAX_FRAME, WIRE_VERSION};
-
-/// The overlay degree cap shared with the DES scenarios (re-exported so
-/// the cluster builds workload models against the same substrate).
-pub use p2p_experiments::scenario::MAX_DEGREE;

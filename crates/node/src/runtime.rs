@@ -16,7 +16,10 @@
 //! encoded as a wire frame and sent over UDP to the shard owning it; a
 //! `Drop` is silently discarded — injected loss, like real loss, is
 //! observed only through protocol timeouts, never through the DES's
-//! omniscient `on_loss` callback; `Control` events carry the step grid.
+//! omniscient `on_loss` callback. The wheel carries only protocol events:
+//! steps arrive as the coordinator's [`CtrlMsg::Step`] frames, and each one
+//! pumps the outbox to the current wall millisecond, lands the step's
+//! churn, then runs `on_step`.
 //!
 //! The result: injected latency/loss rides the same model and the same
 //! per-process stream as in the simulator, stacked on top of whatever the
@@ -46,7 +49,7 @@ use p2p_experiments::Scenario;
 use p2p_overlay::{Graph, NodeId};
 use p2p_sim::rng::{derive_seed, small_rng};
 use p2p_sim::{network::NetEvent, MessageKind, Network, SimTime};
-use p2p_telemetry::{CounterId, GaugeId, Registry, Snapshot};
+use p2p_telemetry::{CounterId, GaugeId, Registry};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,7 +96,7 @@ pub struct NodeStats {
     pub received: u64,
     /// Received datagrams that failed to decode.
     pub malformed: u64,
-    /// Steps driven on the local step grid.
+    /// [`CtrlMsg::Step`] frames handled.
     pub steps: u64,
 }
 
@@ -229,52 +232,10 @@ impl ShardTelemetry {
             series: format!("shard{proc}"),
         }
     }
-
-    /// Samples every metric and renders the interval snapshot for `step`.
-    fn sample<M>(
-        &mut self,
-        step: u64,
-        stats: &NodeStats,
-        outbox: &Network<M>,
-        graph: &Graph,
-        procs: u32,
-        proc: u32,
-    ) -> Snapshot {
-        self.reg.counter_set_total(self.c_frames_sent, stats.sent);
-        self.reg
-            .counter_set_total(self.c_frames_received, stats.received);
-        self.reg
-            .counter_set_total(self.c_frames_malformed, stats.malformed);
-        let net = outbox.stats();
-        self.reg.counter_set_total(self.c_outbox_sent, net.sent);
-        self.reg
-            .counter_set_total(self.c_outbox_delivered, net.delivered);
-        self.reg
-            .counter_set_total(self.c_outbox_dropped, net.dropped);
-        self.reg
-            .counter_set_total(self.c_outbox_churn_lost, net.churn_lost);
-        let in_flight = in_flight_by_kind(outbox);
-        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
-            self.reg
-                .counter_set_total(self.c_sent_kind[i], outbox.counter().get(kind));
-            self.reg.gauge_set(self.g_in_flight_kind[i], in_flight[i]);
-        }
-        let alive = graph.alive_count() as u64;
-        self.reg.gauge_set(self.g_alive, alive);
-        let hosted = graph
-            .alive_nodes()
-            .filter(|n| n.index() as u32 % procs == proc)
-            .count() as u64;
-        self.reg.gauge_set(self.g_hosted, hosted);
-        self.reg.gauge_set(self.g_pending, outbox.pending() as u64);
-        let mut snap = self.reg.snapshot(step);
-        snap.series = self.series.clone();
-        snap
-    }
 }
 
 /// The socket [`Host`]: the overlay replica, the UDP data socket, the
-/// coordinator's control stream and what the step grid feeds.
+/// coordinator's control stream and the shard's telemetry.
 struct UdpHost<'a> {
     cfg: &'a RuntimeConfig,
     graph: Graph,
@@ -295,6 +256,42 @@ impl UdpHost<'_> {
             self.failed = outcome;
         }
     }
+
+    /// Samples every metric at the step boundary when a snapshot is due
+    /// (ticks are step numbers, no extra wall-clock reads) and ships it.
+    fn sample<M>(&mut self, step: u64, outbox: &Network<M>) -> io::Result<()> {
+        let (cfg, stats, graph) = (self.cfg, &self.stats, &self.graph);
+        let Some(t) = self.tel.as_mut() else {
+            return Ok(());
+        };
+        if !step.is_multiple_of(cfg.metrics_every) && step != cfg.scenario.steps {
+            return Ok(());
+        }
+        let reg = &mut t.reg;
+        reg.counter_set_total(t.c_frames_sent, stats.sent);
+        reg.counter_set_total(t.c_frames_received, stats.received);
+        reg.counter_set_total(t.c_frames_malformed, stats.malformed);
+        let net = outbox.stats();
+        reg.counter_set_total(t.c_outbox_sent, net.sent);
+        reg.counter_set_total(t.c_outbox_delivered, net.delivered);
+        reg.counter_set_total(t.c_outbox_dropped, net.dropped);
+        reg.counter_set_total(t.c_outbox_churn_lost, net.churn_lost);
+        let in_flight = in_flight_by_kind(outbox);
+        for (i, kind) in MessageKind::ALL.into_iter().enumerate() {
+            reg.counter_set_total(t.c_sent_kind[i], outbox.counter().get(kind));
+            reg.gauge_set(t.g_in_flight_kind[i], in_flight[i]);
+        }
+        reg.gauge_set(t.g_alive, graph.alive_count() as u64);
+        let hosted = (graph.alive_nodes())
+            .filter(|n| n.index() as u32 % cfg.procs == cfg.proc)
+            .count();
+        reg.gauge_set(t.g_hosted, hosted as u64);
+        reg.gauge_set(t.g_pending, outbox.pending() as u64);
+        let mut snap = reg.snapshot(step);
+        snap.series = t.series.clone();
+        let json = snap.to_jsonl().into_bytes();
+        write_ctrl(&mut self.ctrl, &CtrlMsg::Metrics { json })
+    }
 }
 
 impl<P> Host<P> for UdpHost<'_>
@@ -311,35 +308,6 @@ where
     /// work.
     fn observes_loss(&self) -> bool {
         false
-    }
-
-    /// The step grid rides the outbox: fire `on_step`, schedule the next
-    /// boundary, and let telemetry ride along (ticks are step numbers, no
-    /// extra wall-clock reads; the snapshot ships as a control frame).
-    fn control(&mut self, step: u64, core: &mut ShardCore<P>) {
-        let cfg = self.cfg;
-        self.stats.steps = step;
-        core.step(step, &self.graph);
-        if step < cfg.scenario.steps {
-            let next = step + 1;
-            let step_ms = cfg.scenario.network.step_ticks.max(1);
-            core.net.schedule_control_at(SimTime(next * step_ms), next);
-        }
-        if let Some(t) = self.tel.as_mut() {
-            if step.is_multiple_of(cfg.metrics_every) || step == cfg.scenario.steps {
-                let snap = t.sample(
-                    step,
-                    &self.stats,
-                    &core.net,
-                    &self.graph,
-                    cfg.procs,
-                    cfg.proc,
-                );
-                let json = snap.to_jsonl().into_bytes();
-                let shipped = write_ctrl(&mut self.ctrl, &CtrlMsg::Metrics { json });
-                self.note(shipped);
-            }
-        }
     }
 
     /// Latency was served on this (the sender's) outbox; the frame leaves
@@ -379,7 +347,6 @@ where
     );
     // No send-time lanes: remote sends mature on this wheel, then `forward`.
     let mut core = ShardCore::shard(protocol, outbox, proto_rng, view, None);
-    let step_ms = cfg.scenario.network.step_ticks.max(1);
 
     let (tx, rx) = mpsc::channel::<Event<P::Msg>>();
     let running = Arc::new(AtomicBool::new(true));
@@ -447,7 +414,6 @@ where
     };
 
     core.init(&host.graph);
-    core.net.schedule_control_at(SimTime(step_ms), 1);
 
     'main: loop {
         let now_ms = start.elapsed().as_millis() as u64;
@@ -482,12 +448,19 @@ where
                 core.handle(NetEvent::Deliver { src, dst, msg }, &mut host);
             }
             Ok(Event::Malformed) => host.stats.malformed += 1,
-            Ok(Event::Ctrl(CtrlMsg::Churn { ops, .. })) => {
+            Ok(Event::Ctrl(CtrlMsg::Step { step, ops })) => {
+                // The coordinator's clock says step `step` begins: what
+                // matured before it runs first, then the step's churn lands,
+                // then the protocol steps on the churned overlay.
+                let now_ms = start.elapsed().as_millis() as u64;
+                core.run_until(SimTime(now_ms), &mut host);
+                delta.clear();
                 for op in &ops {
-                    delta.clear();
-                    op.to_op()
-                        .apply(&mut host.graph, &mut apply_rng, &mut delta);
+                    op.apply(&mut host.graph, &mut apply_rng, &mut delta);
                 }
+                core.step(step, &host.graph);
+                host.stats.steps += 1;
+                host.sample(step, &core.net)?;
             }
             Ok(Event::Ctrl(CtrlMsg::EstimateQuery)) => {
                 let entries = (host.graph.alive_nodes())

@@ -28,6 +28,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use p2p_estimation::net_protocol::{AggMsg, HsMsg, ScMsg};
+use p2p_overlay::churn::ChurnOp;
 use p2p_overlay::NodeId;
 use p2p_sim::MessageKind;
 use p2p_workload::WorkloadOp;
@@ -35,7 +36,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 /// The one wire version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Hard ceiling on a frame's post-prefix length. Far above anything the
 /// protocols emit (the largest data frame is 30 bytes); its job is to bound
@@ -203,7 +204,7 @@ const AGG_PULL: u8 = 0x06;
 const CTRL_HELLO: u8 = 0x10;
 const CTRL_PEERS: u8 = 0x11;
 const CTRL_START: u8 = 0x12;
-const CTRL_CHURN: u8 = 0x13;
+const CTRL_STEP: u8 = 0x13;
 const CTRL_ESTIMATE_QUERY: u8 = 0x14;
 const CTRL_ESTIMATES: u8 = 0x15;
 const CTRL_REPORT: u8 = 0x16;
@@ -426,112 +427,57 @@ fn check_frame(buf: &[u8]) -> Result<&[u8], WireError> {
     }
 }
 
-/// A churn op in wire form. Count-based ops apply with draws from the
-/// replicas' shared application stream, so broadcasting the *op* (not the
-/// victim list) still yields identical replicas on every process.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WireOp {
-    /// `count` nodes join, wired with `max_degree`.
-    Join {
-        /// Joining node count.
-        count: u32,
-        /// Wiring degree per joiner.
-        max_degree: u32,
-    },
-    /// `count` uniformly chosen alive nodes leave.
-    Leave {
-        /// Departure count.
-        count: u32,
-    },
-    /// `fraction` of the current population dies at once.
-    Catastrophe {
-        /// Dying fraction.
-        fraction: f64,
-    },
-    /// Exactly these nodes leave.
-    LeaveNodes(Vec<NodeId>),
+/// Appends a churn op in wire form: a tag byte (1 join, 2 leave,
+/// 3 catastrophe, 4 named departures) and its fields. Count-based ops apply
+/// with draws from the replicas' shared application stream, so broadcasting
+/// the *op* (not the victim list) still yields identical replicas on every
+/// process.
+fn encode_op(op: &WorkloadOp, out: &mut Vec<u8>) {
+    match op {
+        WorkloadOp::Churn(ChurnOp::Join { count, max_degree }) => {
+            out.push(1);
+            out.extend_from_slice(&wire_u32(*count).to_le_bytes());
+            out.extend_from_slice(&wire_u32(*max_degree).to_le_bytes());
+        }
+        WorkloadOp::Churn(ChurnOp::Leave { count }) => {
+            out.push(2);
+            out.extend_from_slice(&wire_u32(*count).to_le_bytes());
+        }
+        WorkloadOp::Churn(ChurnOp::Catastrophe { fraction }) => {
+            out.push(3);
+            out.extend_from_slice(&fraction.to_bits().to_le_bytes());
+        }
+        WorkloadOp::LeaveNodes(ids) => {
+            out.push(4);
+            out.extend_from_slice(&wire_u32(ids.len()).to_le_bytes());
+            for id in ids {
+                out.extend_from_slice(&id.0.to_le_bytes());
+            }
+        }
+    }
 }
 
-impl WireOp {
-    /// Converts a workload op to wire form.
-    pub fn from_op(op: &WorkloadOp) -> Self {
-        use p2p_overlay::churn::ChurnOp;
-        match op {
-            WorkloadOp::Churn(ChurnOp::Join { count, max_degree }) => WireOp::Join {
-                count: wire_u32(*count),
-                max_degree: wire_u32(*max_degree),
-            },
-            WorkloadOp::Churn(ChurnOp::Leave { count }) => WireOp::Leave {
-                count: wire_u32(*count),
-            },
-            WorkloadOp::Churn(ChurnOp::Catastrophe { fraction }) => WireOp::Catastrophe {
-                fraction: *fraction,
-            },
-            WorkloadOp::LeaveNodes(ids) => WireOp::LeaveNodes(ids.clone()),
+fn decode_op(r: &mut Reader<'_>) -> Result<WorkloadOp, WireError> {
+    match r.u8()? {
+        1 => Ok(WorkloadOp::Churn(ChurnOp::Join {
+            count: r.u32()? as usize,
+            max_degree: r.u32()? as usize,
+        })),
+        2 => Ok(WorkloadOp::Churn(ChurnOp::Leave {
+            count: r.u32()? as usize,
+        })),
+        3 => Ok(WorkloadOp::Churn(ChurnOp::Catastrophe {
+            fraction: r.f64()?,
+        })),
+        4 => {
+            let n = r.count(4)?;
+            let mut ids = Vec::with_capacity(n);
+            for _ in 0..n {
+                ids.push(NodeId(r.u32()?));
+            }
+            Ok(WorkloadOp::LeaveNodes(ids))
         }
-    }
-
-    /// Converts back to the workload op the replicas apply.
-    pub fn to_op(&self) -> WorkloadOp {
-        use p2p_overlay::churn::ChurnOp;
-        match self {
-            WireOp::Join { count, max_degree } => WorkloadOp::Churn(ChurnOp::Join {
-                count: *count as usize,
-                max_degree: *max_degree as usize,
-            }),
-            WireOp::Leave { count } => WorkloadOp::Churn(ChurnOp::Leave {
-                count: *count as usize,
-            }),
-            WireOp::Catastrophe { fraction } => WorkloadOp::Churn(ChurnOp::Catastrophe {
-                fraction: *fraction,
-            }),
-            WireOp::LeaveNodes(ids) => WorkloadOp::LeaveNodes(ids.clone()),
-        }
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WireOp::Join { count, max_degree } => {
-                out.push(1);
-                out.extend_from_slice(&count.to_le_bytes());
-                out.extend_from_slice(&max_degree.to_le_bytes());
-            }
-            WireOp::Leave { count } => {
-                out.push(2);
-                out.extend_from_slice(&count.to_le_bytes());
-            }
-            WireOp::Catastrophe { fraction } => {
-                out.push(3);
-                out.extend_from_slice(&fraction.to_bits().to_le_bytes());
-            }
-            WireOp::LeaveNodes(ids) => {
-                out.push(4);
-                out.extend_from_slice(&wire_u32(ids.len()).to_le_bytes());
-                for id in ids {
-                    out.extend_from_slice(&id.0.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            1 => Ok(WireOp::Join {
-                count: r.u32()?,
-                max_degree: r.u32()?,
-            }),
-            2 => Ok(WireOp::Leave { count: r.u32()? }),
-            3 => Ok(WireOp::Catastrophe { fraction: r.f64()? }),
-            4 => {
-                let n = r.count(4)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(NodeId(r.u32()?));
-                }
-                Ok(WireOp::LeaveNodes(ids))
-            }
-            other => Err(WireError::BadKind(other)),
-        }
+        other => Err(WireError::BadKind(other)),
     }
 }
 
@@ -553,13 +499,15 @@ pub enum CtrlMsg {
     },
     /// All shards are wired: define wall-clock time zero and begin.
     Start,
-    /// Churn ops generated for step `step`; every replica applies them in
-    /// order off the shared application stream.
-    Churn {
-        /// The workload step that emitted the ops.
+    /// Step `step` begins, sent for every step `1..=steps` on the
+    /// coordinator's clock: every replica applies `ops` (the step's churn,
+    /// possibly none) in order off the shared application stream, then the
+    /// shard runs the step.
+    Step {
+        /// The step number.
         step: u64,
-        /// The ops, in application order.
-        ops: Vec<WireOp>,
+        /// The step's churn ops, in application order.
+        ops: Vec<WorkloadOp>,
     },
     /// Asks a shard for every hosted node's current estimate.
     EstimateQuery,
@@ -604,7 +552,7 @@ impl CtrlMsg {
             CtrlMsg::Hello { .. } => CTRL_HELLO,
             CtrlMsg::Peers { .. } => CTRL_PEERS,
             CtrlMsg::Start => CTRL_START,
-            CtrlMsg::Churn { .. } => CTRL_CHURN,
+            CtrlMsg::Step { .. } => CTRL_STEP,
             CtrlMsg::EstimateQuery => CTRL_ESTIMATE_QUERY,
             CtrlMsg::Estimates { .. } => CTRL_ESTIMATES,
             CtrlMsg::Report { .. } => CTRL_REPORT,
@@ -634,11 +582,11 @@ pub fn encode_ctrl(msg: &CtrlMsg, out: &mut Vec<u8>) {
             }
         }
         CtrlMsg::Start | CtrlMsg::EstimateQuery | CtrlMsg::Shutdown => {}
-        CtrlMsg::Churn { step, ops } => {
+        CtrlMsg::Step { step, ops } => {
             out.extend_from_slice(&step.to_le_bytes());
             out.extend_from_slice(&wire_u32(ops.len()).to_le_bytes());
             for op in ops {
-                op.encode(out);
+                encode_op(op, out);
             }
         }
         CtrlMsg::Estimates { entries } => {
@@ -693,14 +641,14 @@ pub fn decode_ctrl(buf: &[u8]) -> Result<CtrlMsg, WireError> {
             CtrlMsg::Peers { ports }
         }
         CTRL_START => CtrlMsg::Start,
-        CTRL_CHURN => {
+        CTRL_STEP => {
             let step = r.u64()?;
             let n = r.count(1)?; // ops are ≥ 1 byte each
             let mut ops = Vec::with_capacity(n.min(r.remaining()));
             for _ in 0..n {
-                ops.push(WireOp::decode(&mut r)?);
+                ops.push(decode_op(&mut r)?);
             }
-            CtrlMsg::Churn { step, ops }
+            CtrlMsg::Step { step, ops }
         }
         CTRL_ESTIMATE_QUERY => CtrlMsg::EstimateQuery,
         CTRL_ESTIMATES => {
@@ -838,17 +786,21 @@ mod tests {
                 ports: vec![40000, 40001, 40002],
             },
             CtrlMsg::Start,
-            CtrlMsg::Churn {
+            CtrlMsg::Step {
                 step: 17,
                 ops: vec![
-                    WireOp::Join {
+                    WorkloadOp::Churn(ChurnOp::Join {
                         count: 5,
                         max_degree: 10,
-                    },
-                    WireOp::Leave { count: 3 },
-                    WireOp::Catastrophe { fraction: 0.25 },
-                    WireOp::LeaveNodes(vec![NodeId(1), NodeId(99)]),
+                    }),
+                    WorkloadOp::Churn(ChurnOp::Leave { count: 3 }),
+                    WorkloadOp::Churn(ChurnOp::Catastrophe { fraction: 0.25 }),
+                    WorkloadOp::LeaveNodes(vec![NodeId(1), NodeId(99)]),
                 ],
+            },
+            CtrlMsg::Step {
+                step: 18,
+                ops: Vec::new(),
             },
             CtrlMsg::EstimateQuery,
             CtrlMsg::Estimates {

@@ -7,9 +7,12 @@
 //! handful of fast DES runs) so it runs un-ignored in tier 1.
 
 use p2p_estimation::ProtocolSpec;
+use p2p_experiments::runner::WorkloadRuntime;
 use p2p_experiments::sink::{ResultSink, Row};
 use p2p_node::cluster::{des_envelope, run_cluster, ClusterConfig, Launch};
 use p2p_node::runtime::bind_with_retry;
+use p2p_sim::rng::small_rng;
+use p2p_workload::{WorkloadSource, WorkloadSpec};
 
 /// Collects rows in memory; the tests only need counts and series names.
 #[derive(Default)]
@@ -124,6 +127,42 @@ fn loopback_cluster_streams_merged_telemetry() {
         eps, 1,
         "windowed median enters ±ε of truth by the final interval"
     );
+}
+
+#[test]
+fn cluster_churn_matches_the_des_churn_stream() {
+    // Session churn: joiners get lifetimes only if the model observes
+    // them, so a step whose ops are `[Join, LeaveNodes]` must be observed
+    // as one delta, exactly as the DES does.
+    let protocol = ProtocolSpec::parse("aggregation:rounds=30").expect("spec parses");
+    let mut cfg = ClusterConfig::new(300, 2, protocol);
+    cfg.steps = 40;
+    let spec = WorkloadSpec::parse("pareto:alpha=1.5,mean=12").expect("spec parses");
+    cfg.churn = Some(spec.clone());
+
+    // The `--shards K` DES coordinator's churn, with no cluster at all:
+    // the overlay built off `small_rng(seed)`, whose remainder applies the
+    // ops, and the streamed workload stepped over exactly `1..=steps`.
+    let scenario = cfg.scenario();
+    let source = WorkloadSource::Model(spec);
+    let mut apply_rng = small_rng(cfg.seed);
+    let mut graph = scenario.build_overlay(&mut apply_rng);
+    let mut workload = WorkloadRuntime::new(&source, &scenario, cfg.seed, &graph);
+    for step in 1..=cfg.steps {
+        workload.step(step, &mut graph, &mut apply_rng);
+    }
+
+    let mut sink = CollectSink::default();
+    let report = run_cluster(&cfg, &Launch::InProcess, &mut sink).expect("cluster runs");
+    assert_eq!(report.unclean_exits, 0, "all shards must exit cleanly");
+    assert_eq!(
+        report.final_size,
+        graph.alive_count(),
+        "the cluster's overlay must follow the DES's churn stream step for step"
+    );
+    assert_ne!(graph.alive_count(), cfg.nodes, "the workload must churn");
+    // The matched DES run of `--des-check` churns the same way.
+    assert_eq!(scenario.workload, Some(source));
 }
 
 #[test]

@@ -9,9 +9,10 @@
 use p2p_estimation::net_protocol::{AggMsg, HsMsg, ScMsg};
 use p2p_node::wire::{
     decode_ctrl, decode_data, encode_ctrl, encode_data, read_ctrl, write_ctrl, CtrlMsg, WireError,
-    WireOp,
 };
+use p2p_overlay::churn::ChurnOp;
 use p2p_overlay::NodeId;
+use p2p_workload::WorkloadOp;
 use proptest::prelude::*;
 
 fn node_id() -> impl Strategy<Value = NodeId> {
@@ -47,12 +48,13 @@ fn agg_msg() -> impl Strategy<Value = AggMsg> {
     ]
 }
 
-fn wire_op() -> impl Strategy<Value = WireOp> {
+fn workload_op() -> impl Strategy<Value = WorkloadOp> {
     prop_oneof![
-        (1u32..1000, 1u32..64).prop_map(|(count, max_degree)| WireOp::Join { count, max_degree }),
-        (1u32..1000).prop_map(|count| WireOp::Leave { count }),
-        (0.0f64..1.0).prop_map(|fraction| WireOp::Catastrophe { fraction }),
-        prop::collection::vec(node_id(), 0..8).prop_map(WireOp::LeaveNodes),
+        (1usize..1000, 1usize..64)
+            .prop_map(|(count, max_degree)| WorkloadOp::Churn(ChurnOp::Join { count, max_degree })),
+        (1usize..1000).prop_map(|count| WorkloadOp::Churn(ChurnOp::Leave { count })),
+        (0.0f64..1.0).prop_map(|fraction| WorkloadOp::Churn(ChurnOp::Catastrophe { fraction })),
+        prop::collection::vec(node_id(), 0..8).prop_map(WorkloadOp::LeaveNodes),
     ]
 }
 
@@ -61,8 +63,8 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
         (any::<u32>(), any::<u16>()).prop_map(|(proc, udp_port)| CtrlMsg::Hello { proc, udp_port }),
         prop::collection::vec(any::<u16>(), 0..16).prop_map(|ports| CtrlMsg::Peers { ports }),
         any::<bool>().prop_map(|_| CtrlMsg::Start),
-        (any::<u64>(), prop::collection::vec(wire_op(), 0..5))
-            .prop_map(|(step, ops)| CtrlMsg::Churn { step, ops }),
+        (any::<u64>(), prop::collection::vec(workload_op(), 0..5))
+            .prop_map(|(step, ops)| CtrlMsg::Step { step, ops }),
         any::<bool>().prop_map(|_| CtrlMsg::EstimateQuery),
         prop::collection::vec((node_id(), 0.0f64..1.0e9), 0..12)
             .prop_map(|entries| CtrlMsg::Estimates { entries }),
@@ -86,12 +88,12 @@ fn ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
 fn counted_frame() -> impl Strategy<Value = (CtrlMsg, usize, u64)> {
     let peers = prop::collection::vec(any::<u16>(), 0..16)
         .prop_map(|ports| (CtrlMsg::Peers { ports }, 6_usize, 2_u64));
-    let churn = (any::<u64>(), prop::collection::vec(wire_op(), 0..5))
-        .prop_map(|(step, ops)| (CtrlMsg::Churn { step, ops }, 14_usize, 1_u64));
+    let churn = (any::<u64>(), prop::collection::vec(workload_op(), 0..5))
+        .prop_map(|(step, ops)| (CtrlMsg::Step { step, ops }, 14_usize, 1_u64));
     let leave_nodes =
         (any::<u64>(), prop::collection::vec(node_id(), 0..8)).prop_map(|(step, ids)| {
-            let ops = vec![WireOp::LeaveNodes(ids)];
-            (CtrlMsg::Churn { step, ops }, 19_usize, 4_u64)
+            let ops = vec![WorkloadOp::LeaveNodes(ids)];
+            (CtrlMsg::Step { step, ops }, 19_usize, 4_u64)
         });
     let estimates = prop::collection::vec((node_id(), 0.0f64..1.0e9), 0..12)
         .prop_map(|entries| (CtrlMsg::Estimates { entries }, 6_usize, 12_u64));

@@ -359,9 +359,11 @@ impl Snapshot {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal, mirroring the
-/// experiments sink conventions (quote, backslash, control chars).
-fn json_escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for a JSON string literal: quote,
+/// backslash and control characters (the subset the workspace emits needs
+/// no surrogate handling). The one escaper of every JSONL writer in the
+/// workspace.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -31,7 +31,7 @@ pub use dist::LifetimeDist;
 pub use model::{ChurnModel, CompositeModel};
 pub use models::{DiurnalModel, FlashCrowd, RegionalFailure, SessionModel, SteadyModel};
 pub use op::WorkloadOp;
-pub use pace::{PacedOps, WallPacer};
+pub use pace::WallPacer;
 pub use spec::{ModelSpec, WorkloadSpec};
 pub use trace::{TraceHeader, TraceModel, TraceReader, TraceWriter};
 
