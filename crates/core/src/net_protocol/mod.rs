@@ -174,9 +174,9 @@ impl<'a, M> Cx<'a, M> {
     ///
     /// With an outbox, a destination hosted by another shard goes through
     /// [`Network::route_remote`] (latency/drop resolved here, on this
-    /// shard's stream, in send order) and is buffered toward that shard;
-    /// dropped remote sends surface as a local [`NodeProtocol::on_loss`]
-    /// at the would-be delivery tick.
+    /// shard's stream, in send order) and is buffered toward that shard.
+    /// A dropped send, local or remote, is counted here and never
+    /// delivered; nobody is told.
     pub fn send(&mut self, src: NodeId, dst: NodeId, kind: MessageKind, msg: M) {
         if let (Some(view), Some(outbox)) = (self.view, self.outbox.as_deref_mut()) {
             if !view.hosts(dst) {
@@ -215,10 +215,12 @@ impl<'a, M> Cx<'a, M> {
 ///   polling classes, one gossip round for the epidemic class), after any
 ///   churn scheduled at the same step;
 /// * `on_message` — a message delivered to an **alive** node;
-/// * `on_timer` — a protocol-scheduled timer;
-/// * `on_loss` — a message that died in flight, either dropped by the
-///   [`NetworkModel`](p2p_sim::NetworkModel) or addressed to a node that
-///   departed before delivery. Dispatched at the would-be delivery time.
+/// * `on_timer` — a protocol-scheduled timer.
+///
+/// A message that dies — dropped by the
+/// [`NetworkModel`](p2p_sim::NetworkModel), or addressed to a node that
+/// departed before delivery — reaches no handler, as on a real network: a
+/// protocol that must notice loss does so by timeout.
 ///
 /// Estimates are published with [`Cx::report`]; all randomness comes from
 /// [`Cx::rng`], so runs are deterministic per seed.
@@ -253,17 +255,6 @@ pub trait NodeProtocol {
 
     /// A timer scheduled via [`Cx::timer_in`] fired at `node`.
     fn on_timer(&mut self, _node: NodeId, _tag: u64, _cx: &mut Cx<'_, Self::Msg>) {}
-
-    /// `msg` from `src` to `dst` was lost in flight (network drop, or `dst`
-    /// departed the overlay). The default ignores it.
-    fn on_loss(
-        &mut self,
-        _src: NodeId,
-        _dst: NodeId,
-        _msg: Self::Msg,
-        _cx: &mut Cx<'_, Self::Msg>,
-    ) {
-    }
 }
 
 /// A borrowed protocol is a protocol: lets a [`ShardCore`] drive an
@@ -298,10 +289,6 @@ impl<P: NodeProtocol + ?Sized> NodeProtocol for &mut P {
     fn on_timer(&mut self, node: NodeId, tag: u64, cx: &mut Cx<'_, Self::Msg>) {
         (**self).on_timer(node, tag, cx)
     }
-
-    fn on_loss(&mut self, src: NodeId, dst: NodeId, msg: Self::Msg, cx: &mut Cx<'_, Self::Msg>) {
-        (**self).on_loss(src, dst, msg, cx)
-    }
 }
 
 /// The synchronous adapter: a one-shot [`SizeEstimator`] runs as a
@@ -335,7 +322,7 @@ impl<E: SizeEstimator> NodeProtocol for SyncStep<E> {
 }
 
 /// Routes one popped network event to the matching protocol handler,
-/// reclassifying deliveries to departed nodes as churn losses — the
+/// counting deliveries to departed nodes as churn losses — the
 /// parts-based front of the [`ShardCore`] loop's event mapping, for callers
 /// that hold the protocol, network and RNG separately.
 pub fn dispatch<P: NodeProtocol>(
@@ -347,7 +334,7 @@ pub fn dispatch<P: NodeProtocol>(
     reports: &mut Vec<StepOutcome>,
 ) {
     let cx = Cx::new(graph, net, rng, reports);
-    shard_core::deliver_event(protocol, event, cx, true);
+    shard_core::deliver_event(protocol, event, cx);
 }
 
 #[cfg(test)]
@@ -569,8 +556,8 @@ mod tests {
     #[test]
     fn churn_eats_a_walk_in_flight() {
         // A 2-node overlay: the first hop is in flight when its destination
-        // departs. The driver reclassifies the delivery as a churn loss and
-        // the protocol reports the estimation failed.
+        // departs. The driver counts the delivery as a churn loss and tells
+        // nobody; the protocol's step timeout fails the estimation.
         let mut graph = Graph::with_nodes(2);
         graph.add_edge(NodeId(0), NodeId(1));
         let mut rng = small_rng(890);
@@ -597,7 +584,15 @@ mod tests {
             &mut rng,
             &mut reports,
         );
-        assert_eq!(reports, vec![StepOutcome::Failed]);
+        assert!(reports.is_empty(), "the loss is silent");
         assert_eq!(net.stats().churn_lost, 1);
+        for step in 2..=protocol.timeout_steps {
+            let mut cx = Cx::new(&graph, &mut net, &mut rng, &mut reports);
+            protocol.on_step(step, &mut cx);
+        }
+        assert!(reports.is_empty(), "the walk is still inside its timeout");
+        let mut cx = Cx::new(&graph, &mut net, &mut rng, &mut reports);
+        protocol.on_step(1 + protocol.timeout_steps, &mut cx);
+        assert_eq!(reports.first(), Some(&StepOutcome::Failed));
     }
 }

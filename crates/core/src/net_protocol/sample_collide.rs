@@ -10,9 +10,9 @@
 //!
 //! * an estimation's wall-clock time is the *sum* of its sequential hop
 //!   latencies (the paper's §V(p) delay conjecture becomes measurable);
-//! * a lost hop loses the walk token — the estimation fails outright
-//!   (observed via [`NodeProtocol::on_loss`] at the loss instant, or via a
-//!   step-count timeout when a walk strands on a node whose links died);
+//! * a lost hop loses the walk token — the estimation fails. Nobody is
+//!   told a message died, in the DES as on a socket: the initiator's
+//!   step-count timeout (`timeout_steps`) observes the lost walk;
 //! * churn can kill the node a walk currently sits on, with the same
 //!   effect.
 
@@ -220,15 +220,6 @@ impl NodeProtocol for AsyncSampleCollide {
                     self.launch_walk(initiator, cx);
                 }
             }
-        }
-    }
-
-    fn on_loss(&mut self, _src: NodeId, _dst: NodeId, msg: ScMsg, cx: &mut Cx<'_, ScMsg>) {
-        // Any lost message of the current run carried the walk token (or its
-        // reply): the estimation cannot complete.
-        let (ScMsg::Walk { run, .. } | ScMsg::Reply { run, .. }) = msg;
-        if self.active.is_some() && run == self.run_id {
-            self.fail(cx);
         }
     }
 }

@@ -5,22 +5,21 @@
 //! holding the in-flight messages, latency/loss stream), its protocol RNG, the report buffer
 //! and — when it hosts only a slice of the overlay — its [`ShardView`] and
 //! cross-shard [`Outbox`]. [`ShardCore::run_until`] is the only place
-//! matured events are popped and mapped onto `on_message` / `on_loss` /
-//! `on_timer`; every driver (the sequential scenario runner, the sharded
-//! engine, [`SizeMonitor`](crate::SizeMonitor), the UDP node runtime) is a
+//! matured events are popped and mapped onto `on_message` / `on_timer`;
+//! every driver (the sequential scenario runner, the sharded engine,
+//! [`SizeMonitor`](crate::SizeMonitor), the UDP node runtime) is a
 //! [`Host`] around one or more cores.
 //!
 //! What differs between drivers sits behind the [`Host`] seam, which is
 //! monomorphised into the loop (no `dyn` on the hot path). Its defaults
 //! are the simulator's answers; DESIGN.md ("The drive loop") tabulates
-//! every host × {controls, forward, loss, clock}. In the simulator
-//! `forward` is unreachable because a routed [`Cx::send`] diverts remote
-//! sends at *send* time ([`Network::route_remote`] → outbox); over sockets
-//! latency is served on the sender's wheel and the frame leaves at
-//! *maturity*. Loss silence over sockets is a semantic, not an omission:
-//! a real network never tells the sender a datagram died, so injected
-//! drops and deliveries to departed nodes surface only through protocol
-//! timeouts there.
+//! every host × {controls, forward, clock}. In the simulator `forward` is
+//! unreachable because a routed [`Cx::send`] diverts remote sends at
+//! *send* time ([`Network::route_remote`] → outbox); over sockets latency
+//! is served on the sender's wheel and the frame leaves at *maturity*.
+//! Loss is silent in every driver: an injected drop never enters the
+//! wheel, and a delivery to a departed node is counted and reaches no
+//! handler, so protocols detect loss by timeout, as on a real network.
 
 use super::{Cx, NodeProtocol, ShardView};
 use crate::protocol::StepOutcome;
@@ -30,19 +29,12 @@ use p2p_sim::{NetEvent, Network, SimTime};
 use rand::rngs::SmallRng;
 
 /// What a driver supplies around a [`ShardCore`]: the overlay it runs on
-/// and the three decisions that differ between the simulator and a real
-/// deployment. The defaults are the simulator's: loss is observable, the
-/// wheel carries no control events, and nothing matures for a slot hosted
-/// elsewhere.
+/// and the two decisions that differ between the simulator and a real
+/// deployment. The defaults are the simulator's: the wheel carries no
+/// control events, and nothing matures for a slot hosted elsewhere.
 pub trait Host<P: NodeProtocol> {
     /// The overlay as of now (the host owns churn).
     fn graph(&self) -> &Graph;
-
-    /// Whether a message dying in flight is observable: the simulator's
-    /// omniscient [`NodeProtocol::on_loss`], or a real network's silence.
-    fn observes_loss(&self) -> bool {
-        true
-    }
 
     /// A [`NetEvent::Control`] the host scheduled on the core's wheel
     /// popped. The one host that schedules any, the sequential runner,
@@ -182,9 +174,8 @@ impl<P: NodeProtocol> ShardCore<P> {
                 host.forward(NodeId(src), NodeId(dst), msg)
             }
             event => {
-                let observes_loss = host.observes_loss();
                 let (protocol, cx) = self.parts(host.graph());
-                deliver_event(protocol, event, cx, observes_loss);
+                deliver_event(protocol, event, cx);
             }
         }
     }
@@ -192,13 +183,11 @@ impl<P: NodeProtocol> ShardCore<P> {
 
 /// The event → handler mapping, shared by [`ShardCore::handle`] and the
 /// parts-based [`dispatch`](super::dispatch) front: a delivery to a
-/// departed node is reclassified as a churn loss, and losses reach the
-/// protocol only where the host can observe them.
+/// departed node is counted as a churn loss and reaches no handler.
 pub(super) fn deliver_event<P: NodeProtocol>(
     protocol: &mut P,
     event: NetEvent<P::Msg>,
     mut cx: Cx<'_, P::Msg>,
-    observes_loss: bool,
 ) {
     match event {
         NetEvent::Deliver { src, dst, msg } => {
@@ -207,14 +196,6 @@ pub(super) fn deliver_event<P: NodeProtocol>(
                 protocol.on_message(src, dst, msg, &mut cx);
             } else {
                 cx.net.note_churn_loss();
-                if observes_loss {
-                    protocol.on_loss(src, dst, msg, &mut cx);
-                }
-            }
-        }
-        NetEvent::Drop { src, dst, msg } => {
-            if observes_loss {
-                protocol.on_loss(NodeId(src), NodeId(dst), msg, &mut cx);
             }
         }
         NetEvent::Timer { node, tag } => protocol.on_timer(NodeId(node), tag, &mut cx),
@@ -228,15 +209,9 @@ mod tests {
     use p2p_sim::rng::small_rng;
     use p2p_sim::{HopLatency, MessageKind, NetworkModel};
 
-    #[derive(Debug, PartialEq)]
-    enum Call {
-        Message(NodeId, u32),
-        Loss(NodeId, u32),
-    }
-
-    /// Records which handler each event reached.
+    /// Records each `(dst, msg)` delivery the handler heard.
     #[derive(Default)]
-    struct Probe(Vec<Call>);
+    struct Probe(Vec<(NodeId, u32)>);
 
     impl NodeProtocol for Probe {
         type Msg = u32;
@@ -248,30 +223,24 @@ mod tests {
         fn on_step(&mut self, _step: u64, _cx: &mut Cx<'_, u32>) {}
 
         fn on_message(&mut self, _src: NodeId, dst: NodeId, msg: u32, _cx: &mut Cx<'_, u32>) {
-            self.0.push(Call::Message(dst, msg));
-        }
-
-        fn on_loss(&mut self, _src: NodeId, dst: NodeId, msg: u32, _cx: &mut Cx<'_, u32>) {
-            self.0.push(Call::Loss(dst, msg));
+            self.0.push((dst, msg));
         }
     }
 
     /// A recording host over the two-node overlay `0 — 1`.
     struct FakeHost {
         graph: Graph,
-        observes_loss: bool,
         forwarded: Vec<(NodeId, NodeId, u32)>,
         /// `(tag, handler calls the protocol had seen when it popped)`.
         controls: Vec<(u64, usize)>,
     }
 
     impl FakeHost {
-        fn new(observes_loss: bool) -> Self {
+        fn new() -> Self {
             let mut graph = Graph::with_nodes(2);
             graph.add_edge(NodeId(0), NodeId(1));
             FakeHost {
                 graph,
-                observes_loss,
                 forwarded: Vec::new(),
                 controls: Vec::new(),
             }
@@ -281,10 +250,6 @@ mod tests {
     impl Host<Probe> for FakeHost {
         fn graph(&self) -> &Graph {
             &self.graph
-        }
-
-        fn observes_loss(&self) -> bool {
-            self.observes_loss
         }
 
         fn control(&mut self, tag: u64, core: &mut ShardCore<Probe>) {
@@ -314,72 +279,58 @@ mod tests {
         };
         let net = Network::new(five_tick_hops(), 11);
         let mut core = ShardCore::shard(Probe::default(), net, small_rng(12), view, None);
-        let mut host = FakeHost::new(false);
+        let mut host = FakeHost::new();
         core.net.send(0, 1, MessageKind::Control, 7);
         core.net.send(1, 0, MessageKind::Control, 8);
         core.run_until(SimTime(10), &mut host);
         assert_eq!(host.forwarded, vec![(NodeId(0), NodeId(1), 7)]);
-        assert_eq!(core.protocol.0, vec![Call::Message(NodeId(0), 8)]);
+        assert_eq!(core.protocol.0, vec![(NodeId(0), 8)]);
     }
 
     #[test]
-    fn a_delivery_to_a_departed_node_is_a_churn_loss_heard_only_where_loss_is_observable() {
-        for observes_loss in [true, false] {
-            let mut core = whole_overlay_core(five_tick_hops());
-            let mut host = FakeHost::new(observes_loss);
-            core.net.send(0, 1, MessageKind::Control, 7);
-            host.graph.remove_node(NodeId(1));
-            core.run_until(SimTime(10), &mut host);
-            assert_eq!(core.net.stats().churn_lost, 1);
-            assert_eq!(core.net.stats().delivered, 0);
-            let heard: &[Call] = if observes_loss {
-                &[Call::Loss(NodeId(1), 7)]
-            } else {
-                &[]
-            };
-            assert_eq!(core.protocol.0, heard, "observes_loss = {observes_loss}");
-        }
+    fn a_delivery_to_a_departed_node_is_a_silent_churn_loss() {
+        let mut core = whole_overlay_core(five_tick_hops());
+        let mut host = FakeHost::new();
+        core.net.send(0, 1, MessageKind::Control, 7);
+        host.graph.remove_node(NodeId(1));
+        core.run_until(SimTime(10), &mut host);
+        assert_eq!(core.net.stats().churn_lost, 1);
+        assert_eq!(core.net.stats().delivered, 0);
+        assert!(core.protocol.0.is_empty(), "no handler hears a loss");
     }
 
     #[test]
-    fn an_injected_drop_is_heard_only_where_loss_is_observable() {
-        for observes_loss in [true, false] {
-            let mut core = whole_overlay_core(five_tick_hops().with_drop_rate(1.0));
-            let mut host = FakeHost::new(observes_loss);
-            core.net.send(0, 1, MessageKind::Control, 7);
-            core.run_until(SimTime(10), &mut host);
-            assert_eq!(core.net.stats().dropped, 1);
-            let heard: &[Call] = if observes_loss {
-                &[Call::Loss(NodeId(1), 7)]
-            } else {
-                &[]
-            };
-            assert_eq!(core.protocol.0, heard, "observes_loss = {observes_loss}");
-        }
+    fn an_injected_drop_is_silent() {
+        let mut core = whole_overlay_core(five_tick_hops().with_drop_rate(1.0));
+        let mut host = FakeHost::new();
+        core.net.send(0, 1, MessageKind::Control, 7);
+        core.run_until(SimTime(10), &mut host);
+        assert_eq!(core.net.stats().dropped, 1);
+        assert!(core.protocol.0.is_empty(), "no handler hears a loss");
     }
 
     #[test]
     fn controls_reach_the_host_in_fifo_order_ahead_of_same_tick_deliveries() {
         let mut core = whole_overlay_core(five_tick_hops());
-        let mut host = FakeHost::new(true);
+        let mut host = FakeHost::new();
         core.net.schedule_control_at(SimTime(5), 3);
         core.net.schedule_control_at(SimTime(5), 1);
         core.net.send(0, 1, MessageKind::Control, 7);
         core.run_until(SimTime(5), &mut host);
         assert_eq!(host.controls, vec![(3, 0), (1, 0)]);
-        assert_eq!(core.protocol.0, vec![Call::Message(NodeId(1), 7)]);
+        assert_eq!(core.protocol.0, vec![(NodeId(1), 7)]);
     }
 
     #[test]
     fn run_until_leaves_later_events_queued_and_parks_the_clock() {
         let mut core = whole_overlay_core(five_tick_hops());
-        let mut host = FakeHost::new(true);
+        let mut host = FakeHost::new();
         core.net.send(0, 1, MessageKind::Control, 7);
         core.run_until(SimTime(3), &mut host);
         assert!(core.protocol.0.is_empty());
         assert_eq!(core.net.now(), SimTime(3));
         assert_eq!(core.net.pending(), 1);
         core.run_until(SimTime(5), &mut host);
-        assert_eq!(core.protocol.0, vec![Call::Message(NodeId(1), 7)]);
+        assert_eq!(core.protocol.0, vec![(NodeId(1), 7)]);
     }
 }

@@ -29,7 +29,9 @@
 //!   stream — so a recorded trace replays the run bit for bit without the
 //!   model;
 //! * a message delivered to a node that departed while it was in flight is
-//!   lost ([`NodeProtocol::on_loss`]), never handled;
+//!   counted as a churn loss and reaches no handler; a dropped message is
+//!   counted at send time and never queued — protocols notice either by
+//!   timeout;
 //! * after the final step the queue drains: in-flight estimations may still
 //!   complete, recorded at the final step's x position;
 //! * estimates and the ground-truth size are recorded at the steps where

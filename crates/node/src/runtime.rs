@@ -13,10 +13,10 @@
 //! the simulator. The runtime maps simulated time onto the wall clock at
 //! one tick = one millisecond: whenever wall time reaches an outbox
 //! event's maturity the core pops it. A delivery to a remote slot is then
-//! encoded as a wire frame and sent over UDP to the shard owning it; a
-//! `Drop` is silently discarded — injected loss, like real loss, is
-//! observed only through protocol timeouts, never through the DES's
-//! omniscient `on_loss` callback. The wheel carries only protocol events:
+//! encoded as a wire frame and sent over UDP to the shard owning it. An
+//! injected drop never enters the outbox, exactly as in the simulator:
+//! loss, injected or real, is observed only through protocol timeouts, in
+//! every driver. The wheel carries only protocol events:
 //! steps arrive as the coordinator's [`CtrlMsg::Step`] frames, and each one
 //! pumps the outbox to the current wall millisecond, lands the step's
 //! churn, then runs `on_step`.
@@ -303,13 +303,6 @@ where
         &self.graph
     }
 
-    /// Injected loss and dead destinations: nobody hears about them. The
-    /// DES's `on_loss` shortcut does not exist out here — timeouts do the
-    /// work.
-    fn observes_loss(&self) -> bool {
-        false
-    }
-
     /// Latency was served on this (the sender's) outbox; the frame leaves
     /// at maturity and is delivered on receipt.
     fn forward(&mut self, src: NodeId, dst: NodeId, msg: P::Msg) {
@@ -418,9 +411,10 @@ where
     'main: loop {
         let now_ms = start.elapsed().as_millis() as u64;
 
-        // Pump: every matured outbox event goes into the protocol, the
-        // socket, or the void (drops); then ship what the handlers — the
-        // pump's and the previous iteration's inbound frame's — reported.
+        // Pump: every matured outbox event goes into the protocol or the
+        // socket (a drop never entered the outbox); then ship what the
+        // handlers — the pump's and the previous iteration's inbound
+        // frame's — reported.
         core.run_until(SimTime(now_ms), &mut host);
         std::mem::replace(&mut host.failed, Ok(()))?;
         for outcome in core.drain_reports() {

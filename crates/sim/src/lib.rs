@@ -63,9 +63,9 @@
 //!    that has departed must not dispatch it — it reclassifies the message
 //!    via [`Network::note_churn_loss`]. A message to a departed node is
 //!    simply lost, exactly the failure mode the paper attributes to dynamic
-//!    networks. Drops themselves surface at their would-be *delivery* time
-//!    ([`network::NetEvent::Drop`]), never at send time, so protocols cannot
-//!    peek at the future.
+//!    networks. A model drop is counted at send time and never queued.
+//!    Neither kind of loss reaches a protocol handler: loss is silence,
+//!    as on a real network, and protocols detect it by timeout.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 

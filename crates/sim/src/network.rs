@@ -177,7 +177,8 @@ pub struct NetStats {
     pub sent: u64,
     /// Messages delivered to their destination address.
     pub delivered: u64,
-    /// Messages the model dropped in flight.
+    /// Messages the model dropped, counted at send time (a dropped
+    /// message is never queued).
     pub dropped: u64,
     /// Messages whose destination departed while they were in flight
     /// (reported by the driver via [`Network::note_churn_loss`]).
@@ -240,16 +241,6 @@ pub enum NetEvent<M> {
         /// The payload.
         msg: M,
     },
-    /// `msg` was lost in flight (dispatched at its would-be delivery time,
-    /// so the sender cannot react before the loss "happened").
-    Drop {
-        /// Sending node slot.
-        src: u32,
-        /// Intended receiver slot.
-        dst: u32,
-        /// The lost payload.
-        msg: M,
-    },
     /// A protocol timer at `node` fired.
     Timer {
         /// The node the timer belongs to.
@@ -270,12 +261,6 @@ pub enum NetEvent<M> {
 /// under.
 enum QueuedEvent<M> {
     Deliver {
-        src: u32,
-        dst: u32,
-        msg: M,
-        kind: MessageKind,
-    },
-    Drop {
         src: u32,
         dst: u32,
         msg: M,
@@ -416,35 +401,41 @@ impl<M> Network<M> {
         1.0 + self.model.link_spread * (2.0 * u - 1.0)
     }
 
-    /// Sends `msg` from `src` to `dst`, charging one message of `kind`.
-    ///
-    /// The model decides the message's fate *now* (draws consumed in send
-    /// order) but the outcome is dispatched at the delivery timestamp: a
-    /// [`NetEvent::Deliver`] after the drawn latency, or a
-    /// [`NetEvent::Drop`] at the same instant so the protocol's loss hook
-    /// observes the loss no earlier than an acknowledgement timeout could.
-    pub fn send(&mut self, src: u32, dst: u32, kind: MessageKind, msg: M) {
+    /// Charges one message of `kind` and draws its latency and fate, in
+    /// that order, from the private stream. Returns the delay, or `None`
+    /// after counting a drop: a lost message never enters the wheel, and
+    /// nobody is told it died — protocols notice loss by timeout, as on a
+    /// real network.
+    fn draw(&mut self, src: u32, dst: u32, kind: MessageKind) -> Option<u64> {
         self.counter.count(kind);
         self.stats.sent += 1;
         let base = self.model.latency.sample(&mut self.rng);
         let delay = (base * self.link_factor(src, dst)).round().max(0.0) as u64;
-        let dropped = self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate;
-        let event = if dropped {
-            QueuedEvent::Drop {
-                src,
-                dst,
-                msg,
-                kind,
-            }
-        } else {
-            QueuedEvent::Deliver {
-                src,
-                dst,
-                msg,
-                kind,
-            }
-        };
-        self.engine.schedule_in(delay, event);
+        if self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate {
+            self.stats.dropped += 1;
+            self.dropped_by_kind.count(kind);
+            return None;
+        }
+        Some(delay)
+    }
+
+    /// Sends `msg` from `src` to `dst`, charging one message of `kind`.
+    ///
+    /// The model decides the message's fate now, with draws consumed in
+    /// send order: it is queued as a [`NetEvent::Deliver`] after the drawn
+    /// latency, or counted dropped and discarded.
+    pub fn send(&mut self, src: u32, dst: u32, kind: MessageKind, msg: M) {
+        if let Some(delay) = self.draw(src, dst, kind) {
+            self.engine.schedule_in(
+                delay,
+                QueuedEvent::Deliver {
+                    src,
+                    dst,
+                    msg,
+                    kind,
+                },
+            );
+        }
     }
 
     /// Routes a message whose destination lives on *another shard*: charges
@@ -455,9 +446,7 @@ impl<M> Network<M> {
     /// model's full bound) that lets every shard execute a whole window
     /// before the barrier exchange. Returns the resolved in-transit message for the
     /// caller to buffer toward the destination shard, or `None` when the
-    /// model dropped it — the drop is then scheduled *locally* at the
-    /// would-be delivery tick, so this (sending) shard's protocol instance
-    /// observes `on_loss` with no cross-shard round trip.
+    /// model dropped it — counted here, at the sending shard, and gone.
     pub fn route_remote(
         &mut self,
         src: u32,
@@ -465,23 +454,7 @@ impl<M> Network<M> {
         kind: MessageKind,
         msg: M,
     ) -> Option<RemoteMsg<M>> {
-        self.counter.count(kind);
-        self.stats.sent += 1;
-        let base = self.model.latency.sample(&mut self.rng);
-        let delay = ((base * self.link_factor(src, dst)).round().max(0.0) as u64).max(1);
-        let dropped = self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate;
-        if dropped {
-            self.engine.schedule_in(
-                delay,
-                QueuedEvent::Drop {
-                    src,
-                    dst,
-                    msg,
-                    kind,
-                },
-            );
-            return None;
-        }
+        let delay = self.draw(src, dst, kind)?.max(1);
         Some(RemoteMsg {
             src,
             dst,
@@ -528,7 +501,7 @@ impl<M> Network<M> {
     }
 
     /// Resolves a queued event into its caller-facing form, bumping the
-    /// delivery/drop counters.
+    /// delivery counters.
     #[inline]
     fn resolve(&mut self, ev: QueuedEvent<M>) -> NetEvent<M> {
         match ev {
@@ -541,16 +514,6 @@ impl<M> Network<M> {
                 self.stats.delivered += 1;
                 self.delivered_by_kind.count(kind);
                 NetEvent::Deliver { src, dst, msg }
-            }
-            QueuedEvent::Drop {
-                src,
-                dst,
-                msg,
-                kind,
-            } => {
-                self.stats.dropped += 1;
-                self.dropped_by_kind.count(kind);
-                NetEvent::Drop { src, dst, msg }
             }
             QueuedEvent::Timer { node, tag } => NetEvent::Timer { node, tag },
             QueuedEvent::Control { tag } => NetEvent::Control { tag },
@@ -590,23 +553,12 @@ impl<M> Network<M> {
         t
     }
 
-    /// Pops the earliest event not later than `horizon`, or returns `None`
-    /// (leaving later events queued) and parks the clock at `horizon`.
-    pub fn pop_until(&mut self, horizon: SimTime) -> Option<(SimTime, NetEvent<M>)> {
-        match self.engine.peek_time() {
-            Some(t) if t <= horizon => self.pop(),
-            _ => {
-                self.engine.advance_to(horizon);
-                None
-            }
-        }
-    }
-
     /// [`pop_batch`](Self::pop_batch) bounded by a horizon: drains the next
     /// simultaneous batch if it is due at or before `horizon`, otherwise
     /// returns `None` (leaving later events queued) and parks the clock at
-    /// `horizon`. The batched form of [`pop_until`](Self::pop_until) — what
-    /// a barrier-synchronized shard uses to execute exactly one agreed tick.
+    /// `horizon`. What every driver's drive loop pops with: a
+    /// barrier-synchronized shard uses it to execute exactly one agreed
+    /// window.
     pub fn pop_batch_until(
         &mut self,
         horizon: SimTime,
@@ -715,15 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn drops_surface_at_delivery_time_not_send_time() {
+    fn a_drop_is_counted_at_send_time_and_never_queued() {
         let model = NetworkModel::ideal()
             .with_latency(HopLatency::Constant(50.0))
             .with_drop_rate(1.0);
         let mut net: Network<&str> = Network::new(model, 4);
         net.send(0, 1, MessageKind::Control, "doomed");
-        let (t, ev) = net.pop().unwrap();
-        assert_eq!(t.ticks(), 50);
-        assert!(matches!(ev, NetEvent::Drop { msg: "doomed", .. }));
+        assert_eq!(net.pending(), 0, "a dropped message never enters the wheel");
+        assert_eq!(net.stats().dropped, 1);
+        assert_eq!(net.dropped_by_kind().get(MessageKind::Control), 1);
+        assert_eq!(net.stats().in_flight(), 0);
+        assert!(net.pop().is_none());
     }
 
     #[test]
@@ -778,21 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_the_horizon_and_parks_the_clock() {
-        let mut net: Network<()> = Network::new(
-            NetworkModel::ideal().with_latency(HopLatency::Constant(30.0)),
-            3,
-        );
-        net.send(0, 1, MessageKind::Control, ());
-        assert!(net.pop_until(SimTime(10)).is_none());
-        assert_eq!(net.now(), SimTime(10));
-        assert_eq!(net.pending(), 1);
-        assert!(net.pop_until(SimTime(30)).is_some());
-        assert!(net.pop_until(SimTime(40)).is_none());
-        assert_eq!(net.now(), SimTime(40));
-    }
-
-    #[test]
     fn churn_loss_reclassifies_a_delivery() {
         let mut net: Network<()> = Network::new(NetworkModel::ideal(), 5);
         net.send(0, 1, MessageKind::Control, ());
@@ -811,11 +750,15 @@ mod tests {
             NetworkModel::ideal().with_latency(HopLatency::Constant(5.0)),
             8,
         );
+        let mut batch = Vec::new();
         for round in 0..200u64 {
             for i in 0..10 {
                 net.send(0, i, MessageKind::Control, [round, i as u64, 0, 0]);
             }
-            while net.pop_until(SimTime((round + 1) * 5)).is_some() {}
+            while net
+                .pop_batch_until(SimTime((round + 1) * 5), &mut batch)
+                .is_some()
+            {}
         }
         let s = net.engine_stats();
         assert_eq!(
@@ -951,7 +894,8 @@ mod tests {
 
         // Random models × random links: 10 000 draws through each of
         // `route_remote` and `send` (whose delay `route_remote` clamps to
-        // ≥ 1), dropped or delivered, never resolve before the bound.
+        // ≥ 1) never resolve before the bound. A dropped send has no tick
+        // to bound: it is counted and never queued.
         let mut rng = small_rng(4242);
         for case in 0..100u64 {
             let lo = rng.gen_range(0.0..300.0);
@@ -972,23 +916,18 @@ mod tests {
             for i in 0..100u32 {
                 let now = net.now().0;
                 let (src, dst) = (rng.gen_range(0..64u32), 64 + i);
-                let remote = match net.route_remote(src, dst, MessageKind::Control, ()) {
-                    Some(m) => m.at.0,
-                    None => {
-                        net.pop()
-                            .expect("a dropped remote send surfaces locally")
-                            .0
-                             .0
-                    }
-                };
-                assert!(
-                    remote >= now + bound,
-                    "{model:?}: {remote} < {now} + {bound}"
-                );
-                let now = net.now().0;
+                if let Some(m) = net.route_remote(src, dst, MessageKind::Control, ()) {
+                    let remote = m.at.0;
+                    assert!(
+                        remote >= now + bound,
+                        "{model:?}: {remote} < {now} + {bound}"
+                    );
+                }
                 net.send(src, dst, MessageKind::Control, ());
-                let local = net.pop().expect("just sent").0 .0;
-                assert!(local.max(now + 1) >= now + bound, "{model:?}: send");
+                if let Some((t, _)) = net.pop() {
+                    let local = t.0;
+                    assert!(local.max(now + 1) >= now + bound, "{model:?}: send");
+                }
             }
         }
     }
@@ -1003,9 +942,7 @@ mod tests {
             .route_remote(0, 1, MessageKind::Control, "doomed")
             .is_none());
         assert_eq!(src.stats().sent, 1, "a dropped remote send was still sent");
-        let (t, ev) = src.pop().unwrap();
-        assert_eq!(t.ticks(), 50, "loss observed at the would-be delivery tick");
-        assert!(matches!(ev, NetEvent::Drop { msg: "doomed", .. }));
+        assert_eq!(src.pending(), 0, "a dropped message never enters the wheel");
         assert_eq!(src.stats().dropped, 1);
     }
 

@@ -145,6 +145,13 @@ fn all_three_classes_run_under_latency_and_loss_deterministically() {
     assert!(hs.completed >= 8, "hs completed {}", hs.completed);
     assert!(agg.completed >= 2, "agg completed {}", agg.completed);
     assert!(sc.completed <= 10);
+    // Sample&Collide sets no timers, so every event the wheel dispatched is
+    // a step or a delivered message: a dropped message never enters it.
+    assert_eq!(
+        sc.engine.dispatched,
+        poll.steps + sc.net.sent - sc.net.dropped,
+        "sc: drops are counted at send time, never queued"
+    );
 }
 
 #[test]
