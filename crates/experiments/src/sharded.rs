@@ -515,18 +515,27 @@ mod tests {
         (trace, snaps)
     }
 
+    /// Metrics that describe how a run is stored, not what it computed:
+    /// the event store's chunk pool and the overlay's edge-arena layout.
+    const STORAGE_METRICS: [&str; 4] = [
+        "engine.pool_hits",
+        "engine.pool_allocs",
+        "overlay.compactions",
+        "overlay.arena_bytes",
+    ];
+
     /// The Debug form of the whole trace plus every snapshot's JSONL, with
-    /// the event store's `pool_hits` / `pool_allocs` zeroed: they describe
-    /// how the wheel stores events, not what the run computed, so a storage
-    /// change must not move the stored constants — everything else must.
+    /// the [`STORAGE_METRICS`] zeroed (`pool_hits` / `pool_allocs` in the
+    /// trace too), so a storage change must not move the stored constants
+    /// — everything else must.
     fn fingerprint(trace: &Trace, snaps: &[Snapshot]) -> String {
         let mut trace = trace.clone();
         (trace.engine.pool_hits, trace.engine.pool_allocs) = (0, 0);
         let mut s = format!("{trace:?}");
         for snap in snaps {
             let mut snap = snap.clone();
-            for (name, value) in &mut snap.counters {
-                if name == "engine.pool_hits" || name == "engine.pool_allocs" {
+            for (name, value) in snap.counters.iter_mut().chain(&mut snap.gauges) {
+                if STORAGE_METRICS.contains(&name.as_str()) {
                     *value = 0;
                 }
             }
@@ -551,14 +560,15 @@ mod tests {
         // one-tick window is still that run, bit for bit. The derived
         // column (15-tick WAN windows) was recorded when windows landed and
         // differs from it only in `engine.peak_depth` (remote arrivals wait
-        // in the inbox, not the wheel). All seven were re-recorded once, on
-        // the engine they had always pinned, when `fingerprint` began
-        // masking the pool counters.
+        // in the inbox, not the wheel). All seven were re-recorded on the
+        // engine they had always pinned when `fingerprint` began masking the
+        // pool counters, and the six aggregation columns again, on an
+        // unchanged overlay, when it began masking the arena's layout.
         let scenario = wan_scenario(2_000, 60);
         let golden = [
-            (2, 0xa54a_3e53_d3a7_07ee_u64, 0x7420_553d_ffa4_301a_u64),
-            (3, 0xe0b7_ff00_06b3_bd71, 0x79c7_9767_7542_cca7),
-            (4, 0x49c8_f068_80c5_481e, 0xc52b_f9f2_dcb1_e18a),
+            (2, 0x8ba1_1213_ae22_ee58_u64, 0x8060_3076_dea1_2c04_u64),
+            (3, 0xa594_917b_bc84_648b, 0x24ac_1f15_a57b_452b),
+            (4, 0x6593_3a9b_3182_51dc, 0xa935_0c13_ebea_0344),
         ];
         for (k, one_tick, derived) in golden {
             for (lookahead, want) in [(Some(1), one_tick), (None, derived)] {
@@ -582,12 +592,13 @@ mod tests {
         // The seven constants above all run the static `wan_scenario`; this
         // one pins where scheduled churn lands in a sharded run. Recorded
         // while the coordinator still scheduled churn as control ticks of
-        // their own.
+        // their own; re-recorded on an unchanged overlay when `fingerprint`
+        // began masking the arena's layout.
         let scenario = Scenario::catastrophic(2_000, 60).with_network(NetworkModel::wan());
         let (t, s, _) = run_agg_on(&scenario, 2, None, None, 77);
         assert_eq!(
             fnv1a(&fingerprint(&t, &s)),
-            0xab35_ddee_9a11_c843,
+            0x2eff_181d_688b_9bf8,
             "aggregation, K=2, catastrophic"
         );
     }
