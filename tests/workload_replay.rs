@@ -10,7 +10,9 @@
 //!   protocol class, and replications stay deterministic per seed.
 
 use p2p_size_estimation::estimation::aggregation::{AggregationConfig, EpochedAggregation};
-use p2p_size_estimation::estimation::{Heuristic, HopsSampling, SampleCollide, SyncStep};
+use p2p_size_estimation::estimation::{
+    AsyncSampleCollide, Heuristic, HopsSampling, SampleCollide, SyncStep,
+};
 use p2p_size_estimation::experiments::runner::{run_scenario_des, Trace, WORKLOAD_SEED_STREAM};
 use p2p_size_estimation::experiments::Scenario;
 use p2p_size_estimation::overlay::churn::ChurnOp;
@@ -241,6 +243,40 @@ fn scheduled_joiners_live_sessions_under_a_session_workload() {
         "scheduled joiners must expire: final truth {final_truth}"
     );
     assert!(final_truth > 700.0, "population must not collapse either");
+}
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Session churn under slot reuse, pinned against history. The golden
+/// figures all run append-only overlays, so this is the run where departed
+/// slots are re-let and every id the session model tracks can carry a
+/// nonzero generation. The constant is FNV-1a over the Debug form of what
+/// the run reports; a change to how sessions expire or how joiners are
+/// stored must leave it where it is.
+#[test]
+fn slot_reusing_session_churn_matches_the_stored_golden() {
+    let spec = WorkloadSpec::parse("pareto:alpha=1.5,mean=20").unwrap();
+    let scenario = Scenario::static_network(3_000, 200)
+        .with_slot_reuse()
+        .with_workload(WorkloadSource::Model(spec));
+    let mut sc = AsyncSampleCollide::cheap();
+    let t = run_scenario_des(&mut sc, &scenario, Heuristic::OneShot, SEED, "sc");
+    assert!(t.completed > 0, "the run must estimate");
+    let fingerprint = format!(
+        "{:?}\n{:?}\n{:?}\n{}\n{:?}",
+        t.estimates, t.real_size, t.messages, t.completed, t.net
+    );
+    assert_eq!(
+        fnv1a(&fingerprint),
+        0xae35_19c9_1c9a_0b11,
+        "completed {}, net {:?}",
+        t.completed,
+        t.net
+    );
 }
 
 /// Workload churn layers on top of scheduled ops (both fire), and stays
