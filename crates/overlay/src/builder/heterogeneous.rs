@@ -66,12 +66,18 @@ impl GraphBuilder for HeterogeneousRandom {
 /// Wires one *new* node into an existing overlay using the same rule as the
 /// construction: uniform target degree in `1..=max_degree`, partners chosen
 /// uniformly among below-max nodes. Used for arrivals under churn.
+///
+/// The node's arena region is reserved at `max_degree` entries (at most one
+/// per other alive node) before any partner is picked: its own links and
+/// the passive links later arrivals add stay in place. The reservation
+/// draws nothing, so the wiring is the same draw for draw.
 pub fn wire_new_node<R: Rng + ?Sized>(
     g: &mut Graph,
     max_degree: usize,
     rng: &mut R,
 ) -> crate::NodeId {
     let node = g.add_node();
+    g.reserve_neighbors(node, max_degree.min(g.alive_count() - 1));
     let target = rng.gen_range(1..=max_degree);
     while g.degree(node) < target {
         match pick_below_max(g, node, max_degree, rng) {

@@ -29,8 +29,10 @@ struct Span {
 /// per-slot span — `u32` offset/len/cap, 12 bytes per slot instead of a
 /// 24-byte `Vec` header plus a private heap block each. Appending past a
 /// span's capacity relocates that one region to the arena tail with ~1.5×
-/// capacity (the overflow path for churn-time insertions); removals swap
-/// with the region's last entry exactly like `Vec::swap_remove`. Abandoned
+/// capacity (the overflow path for churn-time insertions), except that an
+/// arrival wired by [`wire_new_node`](crate::builder::wire_new_node) is
+/// given its full-size region before its first link; removals swap with
+/// the region's last entry exactly like `Vec::swap_remove`. Abandoned
 /// regions accumulate as garbage until the dead fraction crosses one half,
 /// at which point [`compact_adjacency`](Self::compact_adjacency) rebuilds
 /// the arena in slot order. The trigger is purely edge-count based — never
@@ -323,22 +325,45 @@ impl Graph {
             self.spans[slot].len += 1;
             return;
         }
-        // Region full: relocate to the tail with ~1.5× capacity. The old
-        // region becomes arena garbage reclaimed by the next compaction.
-        let new_cap = span.len + (span.len >> 1) + 2;
+        // Region full: relocate to the tail with ~1.5× capacity.
+        self.relocate(slot, span.len + (span.len >> 1) + 2);
+        let span = &mut self.spans[slot];
+        self.arena[(span.offset + span.len) as usize] = id;
+        span.len += 1;
+    }
+
+    /// Gives `node` a region of at least `cap` entries, so that many links
+    /// land without a relocation. Called for an arrival before it is wired
+    /// ([`wire_new_node`](crate::builder::wire_new_node)): its region is
+    /// placed once, at its final size, instead of growing 0 → 2 → 5 → 9 as
+    /// links arrive. Unused entries are in-region slack, which the
+    /// compaction trigger counts as garbage like any other. Invisible to
+    /// every observable API but [`adjacency_bytes`](Self::adjacency_bytes)
+    /// and [`compactions`](Self::compactions).
+    pub(crate) fn reserve_neighbors(&mut self, node: NodeId, cap: usize) {
+        let slot = node.index();
+        if (self.spans[slot].cap as usize) < cap {
+            self.relocate(slot, cap as u32);
+        }
+    }
+
+    /// Moves `slot`'s neighbor list to a fresh region of `cap` entries at
+    /// the arena tail, copying it front to back. The old region becomes
+    /// arena garbage reclaimed by the next compaction.
+    fn relocate(&mut self, slot: usize, cap: u32) {
+        let span = self.spans[slot];
         let new_off = self.arena.len();
         assert!(
-            new_off + new_cap as usize <= u32::MAX as usize,
+            new_off + cap as usize <= u32::MAX as usize,
             "edge arena exceeds u32 addressing"
         );
         self.arena
             .extend_from_within(span.offset as usize..(span.offset + span.len) as usize);
-        self.arena.resize(new_off + new_cap as usize, ARENA_SLACK);
-        self.arena[new_off + span.len as usize] = id;
+        self.arena.resize(new_off + cap as usize, ARENA_SLACK);
         self.spans[slot] = Span {
             offset: new_off as u32,
-            len: span.len + 1,
-            cap: new_cap,
+            len: span.len,
+            cap,
         };
     }
 
@@ -992,7 +1017,7 @@ mod tests {
                 old.enable_slot_reuse();
             }
             for step in 0..800 {
-                match rng.gen_range(0..10u32) {
+                match rng.gen_range(0..11u32) {
                     // Wire a random pair (often a duplicate or self edge).
                     0..=4 => {
                         let a = csr.random_alive(&mut rng);
@@ -1015,10 +1040,18 @@ mod tests {
                             assert_eq!(csr.remove_node(v), old.remove_node(v));
                         }
                     }
-                    // Join and wire to up to 3 peers.
-                    _ => {
+                    // Join and wire to up to 3 peers; every other join first
+                    // reserves a region for the arrival (and one for a
+                    // random alive node), which the oracle has no notion of.
+                    op => {
                         let a = csr.add_node();
                         assert_eq!(a, old.add_node(), "arrival ids diverged");
+                        if op == 10 {
+                            csr.reserve_neighbors(a, rng.gen_range(0..6));
+                            if let Some(v) = csr.random_alive(&mut rng) {
+                                csr.reserve_neighbors(v, rng.gen_range(0..12));
+                            }
+                        }
                         for _ in 0..3 {
                             if let Some(p) = csr.random_alive(&mut rng) {
                                 assert_eq!(csr.add_edge(a, p), old.add_edge(a, p));
@@ -1044,6 +1077,42 @@ mod tests {
             }
             csr.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn a_joiner_gets_its_region_once() {
+        use crate::builder::wire_new_node;
+
+        let max_degree = 10;
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut g = Graph::with_nodes(40);
+        g.enable_slot_reuse();
+        // Every partner has room for `max_degree` links, so no backlink
+        // relocates a partner and the arena grows by the joiners alone.
+        for i in 0..40 {
+            g.reserve_neighbors(NodeId(i), max_degree);
+        }
+        let mut placed = Vec::new();
+        for round in 0..30 {
+            if round % 3 == 0 {
+                // Departures free slots that later joiners re-let.
+                let victim = g.random_alive(&mut rng).unwrap();
+                g.remove_node(victim);
+            }
+            let before = g.arena.len();
+            let node = wire_new_node(&mut g, max_degree, &mut rng);
+            assert_eq!(g.arena.len(), before + max_degree, "round {round}");
+            assert!((1..=max_degree).contains(&g.degree(node)));
+            placed.push((node, before as u32));
+        }
+        assert!(placed.iter().any(|(n, _)| n.generation() > 0));
+        // Passive links from later joiners landed in place too.
+        for (node, offset) in placed.into_iter().filter(|&(n, _)| g.is_alive(n)) {
+            let span = g.spans[node.index()];
+            assert_eq!((span.offset, span.cap), (offset, max_degree as u32));
+        }
+        assert_eq!(g.compactions(), 0);
+        g.check_invariants().unwrap();
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ops due at each step, applies them, and feeds the applied identities
 //! back through [`observe`](ChurnModel::observe). Nothing is materialized
 //! up front — a million-node, million-step workload costs O(alive nodes)
-//! state (session heaps), never O(steps) schedule memory.
+//! state (session expiry calendars), never O(steps) schedule memory.
 //!
 //! Determinism contract (what makes traces recordable and replayable bit
 //! for bit):

@@ -4,8 +4,8 @@
 //!   "constant nodes arrivals and departures".
 //! * [`SessionModel`] — heavy-tailed per-node session lengths
 //!   (Pareto/Weibull), the IPFS-measurement-style workload: every node gets
-//!   a lifetime at join, a min-heap streams the expiries out as targeted
-//!   departures.
+//!   a lifetime at join, and a calendar of per-step expiry buckets streams
+//!   the expiries out as targeted departures.
 //! * [`DiurnalModel`] — sine-modulated Poisson rates (day/night cycles).
 //! * [`FlashCrowd`] — a mass arrival at one step, optionally leaving again
 //!   as a cohort after a hold period.
@@ -18,8 +18,7 @@ use p2p_overlay::churn::{ChurnDelta, ChurnOp};
 use p2p_overlay::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::f64::consts::TAU;
 
 /// Poisson join/leave at constant expected rates.
@@ -117,7 +116,9 @@ impl ChurnModel for DiurnalModel {
 /// `arrival_rate`, defaulting to `initial population / mean lifetime` so
 /// the expected size stays balanced.
 ///
-/// State is one heap entry per alive session — O(alive), never O(steps).
+/// State is one calendar entry per alive session — O(alive), never
+/// O(steps): sessions are bucketed by the step they end, so a step's
+/// departures are one bucket taken whole rather than a heap pop each.
 #[derive(Clone, Debug)]
 pub struct SessionModel {
     /// The session-length distribution.
@@ -128,8 +129,11 @@ pub struct SessionModel {
     pub max_degree: usize,
     /// Resolved arrival rate (set at `on_init`).
     rate: f64,
-    /// Min-heap of `(expiry step, node id)`.
-    expiries: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Expiry calendar: expiry step → the raw ids of the sessions that end
+    /// then, in admission order.
+    expiries: BTreeMap<u64, Vec<u32>>,
+    /// Entries across all buckets.
+    tracked: usize,
 }
 
 impl SessionModel {
@@ -140,20 +144,22 @@ impl SessionModel {
             arrival_rate,
             max_degree,
             rate: 0.0,
-            expiries: BinaryHeap::new(),
+            expiries: BTreeMap::new(),
+            tracked: 0,
         }
     }
 
-    /// Sessions currently tracked (alive nodes plus not-yet-popped entries
+    /// Sessions currently tracked (alive nodes plus not-yet-expired entries
     /// for nodes something else removed).
     pub fn tracked(&self) -> usize {
-        self.expiries.len()
+        self.tracked
     }
 
     fn admit(&mut self, node: NodeId, now: u64, rng: &mut SmallRng) {
         // Lifetimes round up to at least one full step.
         let life = self.dist.sample(rng).ceil().max(1.0) as u64;
-        self.expiries.push(Reverse((now + life, node.0)));
+        self.expiries.entry(now + life).or_default().push(node.0);
+        self.tracked += 1;
     }
 }
 
@@ -176,16 +182,22 @@ impl ChurnModel for SessionModel {
             }));
         }
         let mut expired = Vec::new();
-        while let Some(&Reverse((at, id))) = self.expiries.peek() {
-            if at > step {
+        while let Some(bucket) = self.expiries.first_entry() {
+            if *bucket.key() > step {
                 break;
             }
-            self.expiries.pop();
-            // Nodes another workload (or a scheduled catastrophe) already
-            // removed just fall out of the heap.
-            if graph.is_alive(NodeId(id)) {
-                expired.push(NodeId(id));
-            }
+            let mut ids = bucket.remove();
+            self.tracked -= ids.len();
+            // Departures leave in `(expiry step, raw id)` order — buckets by
+            // key, then ids ascending with their generation bits. Nodes
+            // another workload (or a scheduled catastrophe) already removed
+            // just fall out of the calendar.
+            ids.sort_unstable();
+            expired.extend(
+                ids.into_iter()
+                    .map(NodeId)
+                    .filter(|&node| graph.is_alive(node)),
+            );
         }
         if !expired.is_empty() {
             out.push(WorkloadOp::LeaveNodes(expired));
@@ -379,6 +391,121 @@ mod tests {
         // lifetimes for the initial population give a mild early dip).
         assert!((1_400..=2_600).contains(&n), "population {n}");
         assert!(m.tracked() >= n, "every alive node holds a session entry");
+    }
+
+    /// `SessionModel` as it stood on a binary heap of `(expiry, raw id)`,
+    /// kept as the oracle for the calendar: departures in heap order, the
+    /// same draws from the workload stream.
+    struct HeapSessions {
+        dist: LifetimeDist,
+        rate: f64,
+        expiries: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    }
+
+    impl HeapSessions {
+        fn admit(&mut self, node: NodeId, now: u64, rng: &mut SmallRng) {
+            let life = self.dist.sample(rng).ceil().max(1.0) as u64;
+            self.expiries.push(std::cmp::Reverse((now + life, node.0)));
+        }
+
+        fn ops_at(&mut self, step: u64, graph: &Graph, rng: &mut SmallRng) -> Vec<WorkloadOp> {
+            let mut out = Vec::new();
+            let joins = poisson(rng, self.rate);
+            if joins > 0 {
+                out.push(WorkloadOp::Churn(ChurnOp::Join {
+                    count: joins,
+                    max_degree: 10,
+                }));
+            }
+            let mut expired = Vec::new();
+            while let Some(&std::cmp::Reverse((at, id))) = self.expiries.peek() {
+                if at > step {
+                    break;
+                }
+                self.expiries.pop();
+                if graph.is_alive(NodeId(id)) {
+                    expired.push(NodeId(id));
+                }
+            }
+            if !expired.is_empty() {
+                out.push(WorkloadOp::LeaveNodes(expired));
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn session_calendar_matches_the_heap_oracle() {
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+
+        for seed in 0..8u64 {
+            // Short sessions over a small population: many expiries share a
+            // step, and re-let slots soon carry generation bits.
+            let dist = LifetimeDist::Pareto {
+                alpha: 1.5,
+                mean: 4.0,
+            };
+            let mut calendar = SessionModel::new(dist, Some(3.0), 10);
+            let mut heap = HeapSessions {
+                dist,
+                rate: 3.0,
+                expiries: Default::default(),
+            };
+            let mut g = Graph::with_nodes(64);
+            g.enable_slot_reuse();
+            let mut driver = small_rng(seed);
+            let (mut cal_rng, mut heap_rng) = (small_rng(seed ^ 0x5eed), small_rng(seed ^ 0x5eed));
+            calendar.on_init(&g, &mut cal_rng);
+            for node in g.alive_nodes() {
+                heap.admit(node, 0, &mut heap_rng);
+            }
+            let mut step = 0;
+            let mut generations = 0;
+            for _ in 0..400 {
+                // Skipped steps: every bucket at or before `step` is due.
+                step += driver.gen_range(1..=3u64);
+                let mut ops = Vec::new();
+                calendar.ops_at(step, &g, &mut cal_rng, &mut ops);
+                assert_eq!(
+                    ops,
+                    heap.ops_at(step, &g, &mut heap_rng),
+                    "seed {seed}, step {step}"
+                );
+                assert_eq!(
+                    cal_rng.clone().next_u64(),
+                    heap_rng.clone().next_u64(),
+                    "seed {seed}, step {step}: workload streams diverged"
+                );
+                for op in &ops {
+                    if let WorkloadOp::LeaveNodes(nodes) = op {
+                        for &n in nodes {
+                            g.remove_node(n);
+                        }
+                    }
+                }
+                // Removed behind the model's back: still tracked, never
+                // emitted.
+                for _ in 0..driver.gen_range(0..3usize) {
+                    if let Some(v) = g.random_alive(&mut driver) {
+                        g.remove_node(v);
+                    }
+                }
+                // Arrivals re-let freed slots; admitted out of id order.
+                let mut delta = ChurnDelta::default();
+                for _ in 0..driver.gen_range(0..8usize) {
+                    delta.joined.push(g.add_node());
+                }
+                delta.joined.shuffle(&mut driver);
+                generations += delta.joined.iter().filter(|n| n.generation() > 0).count();
+                calendar.observe(step, &delta, &mut cal_rng);
+                for &n in &delta.joined {
+                    heap.admit(n, step, &mut heap_rng);
+                }
+                assert_eq!(calendar.tracked(), heap.expiries.len());
+            }
+            assert!(generations > 0, "seed {seed}: no id carried a generation");
+        }
     }
 
     #[test]

@@ -625,14 +625,24 @@ proptest! {
     #[test]
     fn csr_churn_storm_matches_from_scratch_rebuild(
         seed in any::<u64>(),
-        storms in prop::collection::vec((1u8..20, 1u8..20), 1..25),
+        storms in prop::collection::vec((1u8..20, 1u8..20, 0u8..6), 1..25),
     ) {
         let mut rng = small_rng(seed);
         let mut g = HeterogeneousRandom::new(50, 6).build(&mut rng);
         g.enable_slot_reuse();
-        for (leaves, joins) in storms {
+        for (leaves, joins, plain_joins) in storms {
             churn::remove_random_nodes(&mut g, leaves as usize, &mut rng);
+            // `join_nodes` reserves each arrival's region before wiring it;
+            // a plain join grows its region link by link. Mixed, the arena
+            // holds reserved slack, relocated regions and abandoned ones.
             churn::join_nodes(&mut g, joins as usize, 6, &mut rng);
+            for _ in 0..plain_joins {
+                let node = g.add_node();
+                for _ in 0..3 {
+                    let peer = g.random_alive(&mut rng).expect("the joiner is alive");
+                    g.add_edge(node, peer);
+                }
+            }
 
             // From-scratch rebuild: compaction rewrites the whole arena
             // slot by slot, dropping every relocated / dead region.
