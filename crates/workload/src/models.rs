@@ -118,7 +118,7 @@ impl ChurnModel for DiurnalModel {
 ///
 /// State is one calendar entry per alive session — O(alive), never
 /// O(steps): sessions are bucketed by the step they end, so a step's
-/// departures are one bucket taken whole rather than a heap pop each.
+/// departures are one bucket taken whole.
 #[derive(Clone, Debug)]
 pub struct SessionModel {
     /// The session-length distribution.
