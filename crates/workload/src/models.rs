@@ -132,8 +132,6 @@ pub struct SessionModel {
     /// Expiry calendar: expiry step → the raw ids of the sessions that end
     /// then, in admission order.
     expiries: BTreeMap<u64, Vec<u32>>,
-    /// Entries across all buckets.
-    tracked: usize,
 }
 
 impl SessionModel {
@@ -145,21 +143,19 @@ impl SessionModel {
             max_degree,
             rate: 0.0,
             expiries: BTreeMap::new(),
-            tracked: 0,
         }
     }
 
     /// Sessions currently tracked (alive nodes plus not-yet-expired entries
     /// for nodes something else removed).
     pub fn tracked(&self) -> usize {
-        self.tracked
+        self.expiries.values().map(Vec::len).sum()
     }
 
     fn admit(&mut self, node: NodeId, now: u64, rng: &mut SmallRng) {
         // Lifetimes round up to at least one full step.
         let life = self.dist.sample(rng).ceil().max(1.0) as u64;
         self.expiries.entry(now + life).or_default().push(node.0);
-        self.tracked += 1;
     }
 }
 
@@ -187,7 +183,6 @@ impl ChurnModel for SessionModel {
                 break;
             }
             let mut ids = bucket.remove();
-            self.tracked -= ids.len();
             // Departures leave in `(expiry step, raw id)` order — buckets by
             // key, then ids ascending with their generation bits. Nodes
             // another workload (or a scheduled catastrophe) already removed
