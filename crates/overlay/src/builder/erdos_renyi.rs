@@ -47,6 +47,7 @@ impl GraphBuilder for ErdosRenyi {
                 placed += 1;
             }
         }
+        g.compact_adjacency();
         g
     }
 

@@ -55,6 +55,9 @@ impl GraphBuilder for HeterogeneousRandom {
                 }
             }
         }
+        // Regions recycled while wiring sit wherever a free list had room:
+        // hand over one slot-ordered, exact-fit arena instead.
+        g.compact_adjacency();
         g
     }
 

@@ -28,7 +28,8 @@ use rand::Rng;
 
 /// A recipe that constructs an overlay graph from randomness.
 pub trait GraphBuilder {
-    /// Builds the overlay.
+    /// Builds the overlay. Its edge arena is handed over compacted:
+    /// slot-ordered, exact-fit regions.
     fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph;
 
     /// Human-readable topology name (used in experiment reports).

@@ -37,6 +37,7 @@ impl GraphBuilder for RingLattice {
                 g.add_edge(NodeId::from_index(i), NodeId::from_index(j));
             }
         }
+        g.compact_adjacency();
         g
     }
 
@@ -88,6 +89,7 @@ impl GraphBuilder for WattsStrogatz {
                 }
             }
         }
+        g.compact_adjacency();
         g
     }
 

@@ -74,6 +74,8 @@ impl GraphBuilder for BarabasiAlbert {
                 }
             }
         }
+        drop(endpoints);
+        g.compact_adjacency();
         g
     }
 

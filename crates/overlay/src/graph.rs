@@ -28,16 +28,20 @@ struct Span {
 /// Neighbor lists live in one shared arena (`Vec<NodeId>`) addressed by a
 /// per-slot span — `u32` offset/len/cap, 12 bytes per slot instead of a
 /// 24-byte `Vec` header plus a private heap block each. Appending past a
-/// span's capacity relocates that one region to the arena tail with ~1.5×
+/// span's capacity relocates that one region to a region of ~1.5× the
 /// capacity (the overflow path for churn-time insertions), except that an
 /// arrival wired by [`wire_new_node`](crate::builder::wire_new_node) is
 /// given its full-size region before its first link; removals swap with
-/// the region's last entry exactly like `Vec::swap_remove`. Abandoned
-/// regions accumulate as garbage until the dead fraction crosses one half,
-/// at which point [`compact_adjacency`](Self::compact_adjacency) rebuilds
-/// the arena in slot order. The trigger is purely edge-count based — never
-/// time- or address-based — and neither relocation nor compaction reorders
-/// a neighbor list, so iteration order is bit-for-bit the order the historic
+/// the region's last entry exactly like `Vec::swap_remove`. A region a
+/// relocation or a departure abandons goes onto a free list keyed by its
+/// capacity, and the next relocation to that exact capacity takes it
+/// before the arena tail grows. Abandoned regions (free-listed or too
+/// large to list) accumulate as garbage until they outweigh the regions
+/// slots hold, at which point [`compact_adjacency`](Self::compact_adjacency)
+/// rebuilds the arena in slot order, exact-fit; every builder ends with
+/// one such rebuild. The trigger is purely count based — never time- or
+/// address-based — and neither relocation nor compaction reorders a
+/// neighbor list, so iteration order is bit-for-bit the order the historic
 /// `Vec<Vec<NodeId>>` layout produced (property-tested against it).
 ///
 /// # Slot reuse (bounded-memory churn)
@@ -89,6 +93,12 @@ pub struct Graph {
     slots_reused: u64,
     /// Cumulative arena compactions, automatic or forced (telemetry).
     compactions: u64,
+    /// Sum of every span's capacity: the arena entries slots hold.
+    /// Everything else in the arena is abandoned.
+    reserved: usize,
+    /// Abandoned regions awaiting reuse: `free_regions[c]` holds the
+    /// offsets of regions of exactly `c` entries, `0 < c < RECYCLE_CAPS`.
+    free_regions: Vec<Vec<u32>>,
 }
 
 const NOT_ALIVE: u32 = u32::MAX;
@@ -99,6 +109,10 @@ const ARENA_SLACK: NodeId = NodeId(u32::MAX);
 /// Below this arena size compaction never fires: small graphs stay cheap
 /// and the historic many-tiny-graph tests never pay a rebuild.
 const COMPACT_FLOOR: usize = 4096;
+
+/// Regions of this many entries or more are never free-listed: they stay
+/// tail garbage until the next compaction.
+const RECYCLE_CAPS: usize = 64;
 
 impl Graph {
     /// Creates an empty graph with capacity reserved for `n` nodes.
@@ -115,6 +129,8 @@ impl Graph {
             edges: 0,
             slots_reused: 0,
             compactions: 0,
+            reserved: 0,
+            free_regions: vec![Vec::new(); RECYCLE_CAPS],
         }
     }
 
@@ -193,8 +209,8 @@ impl Graph {
     }
 
     /// Bytes currently held by the adjacency storage (span table + arena,
-    /// including arena garbage awaiting compaction). Instrumentation for
-    /// the `engine-memory` ablation; excludes alive/generation bookkeeping.
+    /// including in-region slack and abandoned regions). Excludes the
+    /// alive/generation bookkeeping.
     pub fn adjacency_bytes(&self) -> usize {
         self.spans.len() * std::mem::size_of::<Span>()
             + self.arena.len() * std::mem::size_of::<NodeId>()
@@ -315,9 +331,9 @@ impl Graph {
     }
 
     /// Appends `id` to `slot`'s neighbor region, relocating the region to
-    /// the arena tail with grown capacity when full (the overflow path).
-    /// Relocation copies the list front-to-back: iteration order is exactly
-    /// what `Vec::push` produced.
+    /// one of grown capacity when full (the overflow path). Relocation
+    /// copies the list front-to-back: iteration order is exactly what
+    /// `Vec::push` produced.
     fn push_neighbor(&mut self, slot: usize, id: NodeId) {
         let span = self.spans[slot];
         if span.len < span.cap {
@@ -325,7 +341,7 @@ impl Graph {
             self.spans[slot].len += 1;
             return;
         }
-        // Region full: relocate to the tail with ~1.5× capacity.
+        // Region full: relocate with ~1.5× capacity.
         self.relocate(slot, span.len + (span.len >> 1) + 2);
         let span = &mut self.spans[slot];
         self.arena[(span.offset + span.len) as usize] = id;
@@ -336,10 +352,9 @@ impl Graph {
     /// land without a relocation. Called for an arrival before it is wired
     /// ([`wire_new_node`](crate::builder::wire_new_node)): its region is
     /// placed once, at its final size, instead of growing 0 → 2 → 5 → 9 as
-    /// links arrive. Unused entries are in-region slack, which the
-    /// compaction trigger counts as garbage like any other. Invisible to
-    /// every observable API but [`adjacency_bytes`](Self::adjacency_bytes)
-    /// and [`compactions`](Self::compactions).
+    /// links arrive. Invisible to every observable API but
+    /// [`adjacency_bytes`](Self::adjacency_bytes) and
+    /// [`compactions`](Self::compactions).
     pub(crate) fn reserve_neighbors(&mut self, node: NodeId, cap: usize) {
         let slot = node.index();
         if (self.spans[slot].cap as usize) < cap {
@@ -347,24 +362,47 @@ impl Graph {
         }
     }
 
-    /// Moves `slot`'s neighbor list to a fresh region of `cap` entries at
-    /// the arena tail, copying it front to back. The old region becomes
-    /// arena garbage reclaimed by the next compaction.
+    /// Moves `slot`'s neighbor list to a region of `cap` entries, copying
+    /// it front to back: a free-listed region of exactly that capacity if
+    /// there is one, else a fresh one at the arena tail. The old region is
+    /// abandoned.
     fn relocate(&mut self, slot: usize, cap: u32) {
         let span = self.spans[slot];
-        let new_off = self.arena.len();
-        assert!(
-            new_off + cap as usize <= u32::MAX as usize,
-            "edge arena exceeds u32 addressing"
-        );
-        self.arena
-            .extend_from_within(span.offset as usize..(span.offset + span.len) as usize);
-        self.arena.resize(new_off + cap as usize, ARENA_SLACK);
+        let live = span.offset as usize..(span.offset + span.len) as usize;
+        let new_off = match self.free_regions.get_mut(cap as usize).and_then(Vec::pop) {
+            Some(off) => {
+                self.arena.copy_within(live, off as usize);
+                off
+            }
+            None => {
+                let new_off = self.arena.len();
+                assert!(
+                    new_off + cap as usize <= u32::MAX as usize,
+                    "edge arena exceeds u32 addressing"
+                );
+                self.arena.extend_from_within(live);
+                self.arena.resize(new_off + cap as usize, ARENA_SLACK);
+                new_off as u32
+            }
+        };
+        self.abandon(span);
+        self.reserved += cap as usize;
         self.spans[slot] = Span {
-            offset: new_off as u32,
+            offset: new_off,
             len: span.len,
             cap,
         };
+    }
+
+    /// Gives up the region `span` holds: it is free-listed under its
+    /// capacity, or left as tail garbage when it is too large to list.
+    fn abandon(&mut self, span: Span) {
+        self.reserved -= span.cap as usize;
+        if span.cap > 0 {
+            if let Some(list) = self.free_regions.get_mut(span.cap as usize) {
+                list.push(span.offset);
+            }
+        }
     }
 
     /// Removes `target` from `slot`'s neighbor region with the positional
@@ -385,35 +423,31 @@ impl Graph {
         }
     }
 
-    /// Releases `slot`'s whole neighbor region to arena garbage.
+    /// Releases `slot`'s whole neighbor region for reuse.
     fn release_region(&mut self, slot: usize) {
+        self.abandon(self.spans[slot]);
         self.spans[slot] = Span::default();
     }
 
-    /// Number of arena entries holding live neighbor-list data. Everything
-    /// else (abandoned regions, in-region slack) is garbage.
-    #[inline]
-    fn arena_live(&self) -> usize {
-        2 * self.edges
-    }
-
-    /// Rebuilds the arena when garbage outweighs live data. Deterministic:
-    /// the trigger depends only on edge/arena counts, and the rebuild is
-    /// order-preserving, so it is invisible to every observable API.
+    /// Rebuilds the arena when abandoned regions outweigh the ones slots
+    /// hold. Deterministic: the trigger depends only on arena counts, and
+    /// the rebuild is order-preserving, so it is invisible to every
+    /// observable API.
     fn maybe_compact(&mut self) {
-        let live = self.arena_live();
-        if self.arena.len() >= COMPACT_FLOOR && self.arena.len() - live > live {
+        let abandoned = self.arena.len() - self.reserved;
+        if self.arena.len() >= COMPACT_FLOOR && abandoned > self.reserved {
             self.compact_adjacency();
         }
     }
 
     /// Rebuilds the edge arena in slot order with exact-fit regions,
-    /// dropping all garbage. Neighbor-list contents and iteration order are
-    /// unchanged; only arena addresses move. O(V + E). Normally triggered
-    /// automatically; public so bulk loads and tests can force it.
+    /// dropping all slack and every abandoned region. Neighbor-list
+    /// contents and iteration order are unchanged; only arena addresses
+    /// move. O(V + E). Fired automatically under churn and once at the end
+    /// of every builder; public so bulk loads and tests can force it.
     pub fn compact_adjacency(&mut self) {
         self.compactions += 1;
-        let mut new_arena = Vec::with_capacity(self.arena_live());
+        let mut new_arena = Vec::with_capacity(2 * self.edges);
         for span in self.spans.iter_mut() {
             let off = new_arena.len() as u32;
             new_arena.extend_from_slice(
@@ -423,6 +457,10 @@ impl Graph {
             span.cap = span.len;
         }
         self.arena = new_arena;
+        self.reserved = self.arena.len();
+        for list in &mut self.free_regions {
+            list.clear();
+        }
     }
 
     /// Removes `node` from the overlay: all its links disappear and surviving
@@ -536,8 +574,30 @@ impl Graph {
                 return Err(format!("slot {slot} both free and alive"));
             }
         }
-        // CSR structure: every span in bounds, regions pairwise disjoint.
+        // CSR structure: every span and free-listed region in bounds, all
+        // of them pairwise disjoint, and `reserved` the sum of span caps.
         let mut regions: Vec<(u32, u32)> = Vec::new();
+        let reserved: usize = self.spans.iter().map(|s| s.cap as usize).sum();
+        if reserved != self.reserved {
+            return Err(format!(
+                "reserved counter {} but spans hold {reserved} entries",
+                self.reserved
+            ));
+        }
+        for (cap, list) in self.free_regions.iter().enumerate() {
+            if cap == 0 && !list.is_empty() {
+                return Err("empty regions free-listed".to_string());
+            }
+            for &offset in list {
+                if offset as usize + cap > self.arena.len() {
+                    return Err(format!(
+                        "free region [{offset}, +{cap}) outside arena of {}",
+                        self.arena.len()
+                    ));
+                }
+                regions.push((offset, cap as u32));
+            }
+        }
         for (i, span) in self.spans.iter().enumerate() {
             if span.len > span.cap {
                 return Err(format!(
@@ -1088,23 +1148,41 @@ mod tests {
         let mut g = Graph::with_nodes(40);
         g.enable_slot_reuse();
         // Every partner has room for `max_degree` links, so no backlink
-        // relocates a partner and the arena grows by the joiners alone.
+        // relocates a partner: the joiners alone place regions, and every
+        // region abandoned is a departure's, of capacity `max_degree`.
         for i in 0..40 {
             g.reserve_neighbors(NodeId(i), max_degree);
         }
         let mut placed = Vec::new();
+        let mut recycled = 0;
         for round in 0..30 {
-            if round % 3 == 0 {
-                // Departures free slots that later joiners re-let.
+            let departed = (round % 3 == 0).then(|| {
+                // Departures free slots and regions that the next joiner
+                // re-lets.
                 let victim = g.random_alive(&mut rng).unwrap();
+                let span = g.spans[victim.index()];
                 g.remove_node(victim);
-            }
+                span
+            });
             let before = g.arena.len();
             let node = wire_new_node(&mut g, max_degree, &mut rng);
-            assert_eq!(g.arena.len(), before + max_degree, "round {round}");
+            let span = g.spans[node.index()];
+            assert_eq!(span.cap, max_degree as u32, "round {round}");
+            match departed {
+                Some(gone) => {
+                    assert_eq!(span.offset, gone.offset, "round {round}");
+                    assert_eq!(g.arena.len(), before, "round {round}");
+                    recycled += 1;
+                }
+                None => {
+                    assert_eq!(span.offset as usize, before, "round {round}");
+                    assert_eq!(g.arena.len(), before + max_degree, "round {round}");
+                }
+            }
             assert!((1..=max_degree).contains(&g.degree(node)));
-            placed.push((node, before as u32));
+            placed.push((node, span.offset));
         }
+        assert_eq!(recycled, 10);
         assert!(placed.iter().any(|(n, _)| n.generation() > 0));
         // Passive links from later joiners landed in place too.
         for (node, offset) in placed.into_iter().filter(|&(n, _)| g.is_alive(n)) {
@@ -1112,6 +1190,74 @@ mod tests {
             assert_eq!((span.offset, span.cap), (offset, max_degree as u32));
         }
         assert_eq!(g.compactions(), 0);
+        g.check_invariants().unwrap();
+    }
+
+    /// Departures and joins alternate at one capacity: after the first
+    /// cycle every joiner's region is a departed one, so the arena stops
+    /// growing, and the recycled layout still iterates every neighbor list
+    /// in the oracle's order.
+    #[test]
+    fn recycled_regions_keep_the_arena_flat_and_the_oracle_order() {
+        use crate::builder::wire_new_node;
+
+        let (n, max_degree) = (300, 8);
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut csr = Graph::with_nodes(n);
+            let mut old = oracle::VecGraph::with_nodes(n);
+            csr.enable_slot_reuse();
+            old.enable_slot_reuse();
+            for i in 0..n {
+                csr.reserve_neighbors(NodeId::from_index(i), max_degree);
+            }
+            // A static start below `max_degree`, so no backlink relocates.
+            for _ in 0..2 * n {
+                let a = csr.random_alive(&mut rng).unwrap();
+                let b = csr.random_alive(&mut rng).unwrap();
+                if csr.degree(a) < max_degree - 1 && csr.degree(b) < max_degree - 1 {
+                    assert_eq!(csr.add_edge(a, b), old.add_edge(a, b));
+                }
+            }
+            let mut warm_len = None;
+            for cycle in 0..400 {
+                let victim = csr.random_alive(&mut rng).unwrap();
+                assert_eq!(csr.remove_node(victim), old.remove_node(victim));
+                let node = wire_new_node(&mut csr, max_degree, &mut rng);
+                assert_eq!(node, old.add_node(), "arrival ids diverged");
+                for &p in csr.neighbors(node) {
+                    assert!(old.add_edge(node, p));
+                }
+                let len = csr.arena.len();
+                assert_eq!(*warm_len.get_or_insert(len), len, "cycle {cycle}");
+                assert_eq!(csr.edge_count(), old.edge_count());
+                assert_eq!(csr.alive_slice(), old.alive_slice());
+                for slot in 0..csr.num_slots() {
+                    assert_eq!(
+                        csr.neighbors(NodeId::from_index(slot)),
+                        old.neighbors_of_slot(slot),
+                        "slot {slot} neighbor order diverged (seed {seed}, cycle {cycle})"
+                    );
+                }
+            }
+            assert_eq!(csr.compactions(), 0);
+            csr.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn builders_hand_over_a_slot_ordered_exact_fit_arena() {
+        use crate::builder::{GraphBuilder, HeterogeneousRandom};
+
+        let mut rng = SmallRng::seed_from_u64(17);
+        let g = HeterogeneousRandom::paper(3_000).build(&mut rng);
+        let mut offset = 0;
+        for (slot, span) in g.spans.iter().enumerate() {
+            assert_eq!((span.offset, span.cap), (offset, span.len), "slot {slot}");
+            offset += span.len;
+        }
+        assert_eq!(g.adjacency_bytes(), 12 * g.num_slots() + 8 * g.edge_count());
+        assert!(g.free_regions.iter().all(Vec::is_empty));
         g.check_invariants().unwrap();
     }
 
