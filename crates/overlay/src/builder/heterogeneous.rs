@@ -74,7 +74,12 @@ impl GraphBuilder for HeterogeneousRandom {
 /// per other alive node) before any partner is picked: its own links and
 /// the passive links later arrivals add stay in place. The reservation
 /// draws nothing, so the wiring is the same draw for draw.
-pub fn wire_new_node<R: Rng + ?Sized>(
+///
+/// The partner search's first draws are uniform alive nodes from `rng`
+/// itself, so a clone of the stream names them in advance: their lists
+/// are read ahead ([`Graph::read_ahead`]) before the search starts. The
+/// clone is dropped; `rng` advances exactly as without it.
+pub fn wire_new_node<R: Rng + Clone>(
     g: &mut Graph,
     max_degree: usize,
     rng: &mut R,
@@ -82,11 +87,15 @@ pub fn wire_new_node<R: Rng + ?Sized>(
     let node = g.add_node();
     g.reserve_neighbors(node, max_degree.min(g.alive_count() - 1));
     let target = rng.gen_range(1..=max_degree);
+    let mut ahead = rng.clone();
+    for _ in 0..=target {
+        if let Some(cand) = g.random_alive(&mut ahead) {
+            g.read_ahead(cand);
+        }
+    }
     while g.degree(node) < target {
         match pick_below_max(g, node, max_degree, rng) {
-            Some(partner) => {
-                g.add_edge(node, partner);
-            }
+            Some(partner) => g.add_vetted_edge(node, partner),
             None => break,
         }
     }

@@ -28,7 +28,7 @@ pub enum ChurnOp {
 
 impl ChurnOp {
     /// Applies the operation; returns how many nodes joined (+) or left (−).
-    pub fn apply<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R) -> i64 {
+    pub fn apply<R: Rng + Clone>(&self, g: &mut Graph, rng: &mut R) -> i64 {
         match *self {
             ChurnOp::Join { count, max_degree } => {
                 join_nodes(g, count, max_degree, rng);
@@ -45,7 +45,7 @@ impl ChurnOp {
     /// appended to `delta.joined` and victims to `delta.left`, so workload
     /// models can maintain per-node session state across arbitrary churn.
     /// Consumes exactly the same RNG draws as `apply`.
-    pub fn apply_into<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R, delta: &mut ChurnDelta) {
+    pub fn apply_into<R: Rng + Clone>(&self, g: &mut Graph, rng: &mut R, delta: &mut ChurnDelta) {
         match *self {
             ChurnOp::Join { count, max_degree } => {
                 // Collect the actual minted ids (identical draws to
@@ -92,7 +92,7 @@ impl ChurnDelta {
 
 /// Adds `count` nodes, each wired into the overlay like the paper's
 /// construction process with the given `max_degree`.
-pub fn join_nodes<R: Rng + ?Sized>(g: &mut Graph, count: usize, max_degree: usize, rng: &mut R) {
+pub fn join_nodes<R: Rng + Clone>(g: &mut Graph, count: usize, max_degree: usize, rng: &mut R) {
     for _ in 0..count {
         wire_new_node(g, max_degree, rng);
     }

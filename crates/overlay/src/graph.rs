@@ -318,6 +318,30 @@ impl Graph {
         true
     }
 
+    /// [`add_edge`](Self::add_edge) for a pair the caller has already
+    /// vetted (distinct, both alive, not yet linked), as
+    /// [`pick_below_max`](crate::builder::pick_below_max) does.
+    pub(crate) fn add_vetted_edge(&mut self, a: NodeId, b: NodeId) {
+        debug_assert!(a != b && self.is_alive(a) && self.is_alive(b));
+        debug_assert!(!self.has_edge(a, b), "duplicate edge {a:?} — {b:?}");
+        self.push_neighbor(a.index(), b);
+        self.push_neighbor(b.index(), a);
+        self.edges += 1;
+        self.maybe_compact();
+    }
+
+    /// Reads `node`'s span and the first entry of its neighbor list, so
+    /// that a later access finds both in cache: a churn loop that knows
+    /// which lists it touches next calls this ahead of time and lets the
+    /// misses overlap. Changes nothing; any slot id is accepted, alive or
+    /// not.
+    #[inline]
+    pub fn read_ahead(&self, node: NodeId) {
+        if let Some(span) = self.spans.get(node.index()) {
+            std::hint::black_box(self.arena.get(span.offset as usize).copied());
+        }
+    }
+
     /// Removes the undirected edge `a — b`. Returns `false` if absent.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         if !self.remove_from_slot(a.index(), b) {

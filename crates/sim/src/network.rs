@@ -410,7 +410,7 @@ impl<M> Network<M> {
         self.counter.count(kind);
         self.stats.sent += 1;
         let base = self.model.latency.sample(&mut self.rng);
-        let delay = (base * self.link_factor(src, dst)).round().max(0.0) as u64;
+        let delay = crate::time::round_to_u64(base * self.link_factor(src, dst));
         if self.model.drop_rate > 0.0 && self.rng.gen::<f64>() < self.model.drop_rate {
             self.stats.dropped += 1;
             self.dropped_by_kind.count(kind);

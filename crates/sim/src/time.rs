@@ -53,9 +53,69 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// `x.round().max(0.0) as u64` without the libm call: rounds half away
+/// from zero, saturates at `u64::MAX`, and maps negatives and NaN to 0 —
+/// the same value for every `f64`.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    // `x − t` is exact for every finite `x ≥ 0` below 2^64.
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
+/// `x.ceil() as u64` without the libm call: saturates at `u64::MAX` and
+/// maps negatives and NaN to 0 — the same value for every `f64`.
+#[inline]
+pub fn ceil_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integer_rounding_matches_the_f64_methods() {
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            two53,
+            two53 - 1.0,
+            two53 + 2.0,
+            2f64.powi(52) + 0.5,
+            two64,
+            two64 - 2048.0,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            -0.4,
+            -0.5,
+            -0.6,
+            -7.5,
+            -1e30,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in [0u64, 1, 2, 3, 41, 1 << 20, (1 << 52) - 1] {
+            let k = k as f64;
+            cases.extend([k, k + 0.5, k + 0.25, k + 0.75, -(k + 0.5)]);
+        }
+        for x in cases {
+            assert_eq!(
+                round_to_u64(x),
+                x.round().max(0.0) as u64,
+                "round_to_u64({x:e})"
+            );
+            assert_eq!(ceil_to_u64(x), x.ceil() as u64, "ceil_to_u64({x:e})");
+        }
+    }
 
     #[test]
     fn arithmetic() {

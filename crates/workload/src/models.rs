@@ -16,6 +16,7 @@ use crate::dist::{poisson, LifetimeDist};
 use crate::{ChurnModel, WorkloadOp};
 use p2p_overlay::churn::{ChurnDelta, ChurnOp};
 use p2p_overlay::{Graph, NodeId};
+use p2p_sim::time::ceil_to_u64;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -154,7 +155,7 @@ impl SessionModel {
 
     fn admit(&mut self, node: NodeId, now: u64, rng: &mut SmallRng) {
         // Lifetimes round up to at least one full step.
-        let life = self.dist.sample(rng).ceil().max(1.0) as u64;
+        let life = ceil_to_u64(self.dist.sample(rng)).max(1);
         self.expiries.entry(now + life).or_default().push(node.0);
     }
 }

@@ -26,7 +26,7 @@ impl WorkloadOp {
     /// Draws (victim sampling, join wiring) come from `rng` — the run's
     /// *main* stream, exactly like scheduled ops, which is what makes a
     /// recorded op sequence replayable without the generating model.
-    pub fn apply<R: Rng + ?Sized>(&self, g: &mut Graph, rng: &mut R, delta: &mut ChurnDelta) {
+    pub fn apply<R: Rng + Clone>(&self, g: &mut Graph, rng: &mut R, delta: &mut ChurnDelta) {
         let mut scratch = Vec::new();
         self.apply_with(g, rng, delta, &mut scratch);
     }
@@ -34,7 +34,7 @@ impl WorkloadOp {
     /// [`apply`](Self::apply) with a caller-owned scratch buffer for the
     /// departing nodes' neighbor lists: drivers that apply a stream of ops
     /// every step reuse one buffer instead of allocating per op.
-    pub fn apply_with<R: Rng + ?Sized>(
+    pub fn apply_with<R: Rng + Clone>(
         &self,
         g: &mut Graph,
         rng: &mut R,
@@ -44,7 +44,18 @@ impl WorkloadOp {
         match self {
             WorkloadOp::Churn(op) => op.apply_into(g, rng, delta),
             WorkloadOp::LeaveNodes(nodes) => {
-                for &n in nodes {
+                for (i, &n) in nodes.iter().enumerate() {
+                    // Read ahead of the removals: the list of the victim
+                    // after next, and the lists the next victim's removal
+                    // will scan.
+                    if let Some(&later) = nodes.get(i + 2) {
+                        g.read_ahead(later);
+                    }
+                    if let Some(&next) = nodes.get(i + 1).filter(|&&v| g.is_alive(v)) {
+                        for &w in g.neighbors(next) {
+                            g.read_ahead(w);
+                        }
+                    }
                     if g.remove_node_with(n, scratch) {
                         delta.left.push(n);
                     }
