@@ -41,6 +41,13 @@ impl HeterogeneousRandom {
 impl GraphBuilder for HeterogeneousRandom {
     fn build<R: Rng + ?Sized>(&self, rng: &mut R) -> Graph {
         let mut g = Graph::with_nodes(self.n);
+        // No degree exceeds `max_degree`: reserving every region at that
+        // size, in slot order, means no link relocates one, and the
+        // closing compaction slides them down in place.
+        let cap = self.max_degree.min(self.n.saturating_sub(1));
+        for i in 0..self.n {
+            g.reserve_neighbors(crate::NodeId::from_index(i), cap);
+        }
         for i in 0..self.n {
             let node = crate::NodeId::from_index(i);
             let target = rng.gen_range(1..=self.max_degree);
@@ -55,8 +62,6 @@ impl GraphBuilder for HeterogeneousRandom {
                 }
             }
         }
-        // Regions recycled while wiring sit wherever a free list had room:
-        // hand over one slot-ordered, exact-fit arena instead.
         g.compact_adjacency();
         g
     }

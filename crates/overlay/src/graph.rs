@@ -469,18 +469,41 @@ impl Graph {
     /// contents and iteration order are unchanged; only arena addresses
     /// move. O(V + E). Fired automatically under churn and once at the end
     /// of every builder; public so bulk loads and tests can force it.
+    ///
+    /// Regions that already lie in slot order (a builder that reserved
+    /// them up front) slide down in place, so the old and the new arena
+    /// are never both live; any other layout is copied into a fresh one.
     pub fn compact_adjacency(&mut self) {
         self.compactions += 1;
-        let mut new_arena = Vec::with_capacity(2 * self.edges);
-        for span in self.spans.iter_mut() {
-            let off = new_arena.len() as u32;
-            new_arena.extend_from_slice(
-                &self.arena[span.offset as usize..(span.offset + span.len) as usize],
-            );
-            span.offset = off;
-            span.cap = span.len;
+        let mut end = 0;
+        let in_slot_order = self.spans.iter().filter(|s| s.cap > 0).all(|s| {
+            let after = s.offset >= end;
+            end = s.offset + s.cap;
+            after
+        });
+        if in_slot_order {
+            let mut cursor = 0;
+            for span in self.spans.iter_mut() {
+                let live = span.offset as usize..(span.offset + span.len) as usize;
+                self.arena.copy_within(live, cursor as usize);
+                span.offset = cursor;
+                span.cap = span.len;
+                cursor += span.len;
+            }
+            self.arena.truncate(cursor as usize);
+            self.arena.shrink_to_fit();
+        } else {
+            let mut new_arena = Vec::with_capacity(2 * self.edges);
+            for span in self.spans.iter_mut() {
+                let off = new_arena.len() as u32;
+                new_arena.extend_from_slice(
+                    &self.arena[span.offset as usize..(span.offset + span.len) as usize],
+                );
+                span.offset = off;
+                span.cap = span.len;
+            }
+            self.arena = new_arena;
         }
-        self.arena = new_arena;
         self.reserved = self.arena.len();
         for list in &mut self.free_regions {
             list.clear();
@@ -1267,6 +1290,35 @@ mod tests {
             assert_eq!(csr.compactions(), 0);
             csr.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn slot_ordered_regions_compact_in_place() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut g = Graph::with_nodes(500);
+        for i in 0..500 {
+            g.reserve_neighbors(NodeId(i), 6);
+        }
+        for _ in 0..1_200 {
+            let a = g.random_alive(&mut rng).unwrap();
+            let b = g.random_alive(&mut rng).unwrap();
+            if g.degree(a) < 6 && g.degree(b) < 6 {
+                g.add_edge(a, b);
+            }
+        }
+        // Departures free regions but leave the rest in slot order.
+        for v in [3, 77, 250] {
+            g.remove_node(NodeId(v));
+        }
+        let before: Vec<Vec<NodeId>> = (0..g.num_slots())
+            .map(|s| g.neighbors(NodeId::from_index(s)).to_vec())
+            .collect();
+        g.compact_adjacency();
+        for (s, want) in before.iter().enumerate() {
+            assert_eq!(g.neighbors(NodeId::from_index(s)), &want[..], "slot {s}");
+        }
+        assert_eq!(g.adjacency_bytes(), 12 * g.num_slots() + 8 * g.edge_count());
+        g.check_invariants().unwrap();
     }
 
     #[test]
