@@ -45,6 +45,7 @@ impl GraphBuilder for HeterogeneousRandom {
         // size, in slot order, means no link relocates one, and the
         // closing compaction slides them down in place.
         let cap = self.max_degree.min(self.n.saturating_sub(1));
+        g.reserve_arena(self.n * cap);
         for i in 0..self.n {
             g.reserve_neighbors(crate::NodeId::from_index(i), cap);
         }

@@ -30,7 +30,9 @@ struct Span {
 /// 24-byte `Vec` header plus a private heap block each. Appending past a
 /// span's capacity relocates that one region to a region of ~1.5× the
 /// capacity (the overflow path for churn-time insertions), except that an
-/// arrival wired by [`wire_new_node`](crate::builder::wire_new_node) is
+/// arrival wired by [`wire_new_node`](crate::builder::wire_new_node), like
+/// every node of a
+/// [`HeterogeneousRandom`](crate::builder::HeterogeneousRandom) build, is
 /// given its full-size region before its first link; removals swap with
 /// the region's last entry exactly like `Vec::swap_remove`. A region a
 /// relocation or a departure abandons goes onto a free list keyed by its
@@ -373,10 +375,11 @@ impl Graph {
     }
 
     /// Gives `node` a region of at least `cap` entries, so that many links
-    /// land without a relocation. Called for an arrival before it is wired
-    /// ([`wire_new_node`](crate::builder::wire_new_node)): its region is
-    /// placed once, at its final size, instead of growing 0 → 2 → 5 → 9 as
-    /// links arrive. Invisible to every observable API but
+    /// land without a relocation. Called before a node is wired (by
+    /// [`wire_new_node`](crate::builder::wire_new_node) and the
+    /// heterogeneous builder): its region is placed once, at its final
+    /// size, instead of growing 0 → 2 → 5 → 9 as links arrive. Invisible
+    /// to every observable API but
     /// [`adjacency_bytes`](Self::adjacency_bytes) and
     /// [`compactions`](Self::compactions).
     pub(crate) fn reserve_neighbors(&mut self, node: NodeId, cap: usize) {
@@ -384,6 +387,12 @@ impl Graph {
         if (self.spans[slot].cap as usize) < cap {
             self.relocate(slot, cap as u32);
         }
+    }
+
+    /// Sizes the arena for `additional` more entries in one allocation, so
+    /// a bulk load does not grow it by doubling.
+    pub(crate) fn reserve_arena(&mut self, additional: usize) {
+        self.arena.reserve_exact(additional);
     }
 
     /// Moves `slot`'s neighbor list to a region of `cap` entries, copying
