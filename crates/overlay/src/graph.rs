@@ -313,10 +313,7 @@ impl Graph {
         if a == b || !self.is_alive(a) || !self.is_alive(b) || self.has_edge(a, b) {
             return false;
         }
-        self.push_neighbor(a.index(), b);
-        self.push_neighbor(b.index(), a);
-        self.edges += 1;
-        self.maybe_compact();
+        self.add_vetted_edge(a, b);
         true
     }
 
