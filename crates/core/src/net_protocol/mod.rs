@@ -351,12 +351,13 @@ mod tests {
     }
 
     /// The event core queues messages inline; `p2p_sim`'s
-    /// `queued_entry_is_at_most_48_bytes` sizes its entry for a 24-byte,
-    /// 8-aligned payload. A fatter wire format fails here first.
+    /// `queued_event_is_32_bytes_for_an_agg_msg_and_at_most_40` sizes its
+    /// level-0 entry at 32 bytes for a 16-byte, 8-aligned payload and at
+    /// most 40 for a 24-byte one. A fatter wire format fails here first.
     #[test]
     fn wire_messages_fit_the_queued_entry() {
         use std::mem::{align_of, size_of};
-        assert!(size_of::<AggMsg>() <= 24 && align_of::<AggMsg>() <= 8);
+        assert!(size_of::<AggMsg>() <= 16 && align_of::<AggMsg>() <= 8);
         assert!(size_of::<ScMsg>() <= 24 && align_of::<ScMsg>() <= 8);
         assert!(size_of::<HsMsg>() <= 24 && align_of::<HsMsg>() <= 8);
     }

@@ -17,8 +17,9 @@
 //!   *conservative*: nothing a shard does during the window
 //!   `[T, T + L − 1]` can affect another shard before tick `T + L`, so all
 //!   shards may execute the whole window in parallel;
-//! * at the barrier, buffered cross-shard messages are exchanged through
-//!   [`ExchangeGrid`] and enqueued at the destination in
+//! * at the barrier, each buffered cross-shard lane swaps places with its
+//!   destination's drained inbox lane ([`Outbox::hand_over`]) and is
+//!   enqueued at the destination in
 //!   **(source-shard-index, FIFO)** order — a fixed merge order, so the
 //!   destination wheel's structural FIFO makes same-tick remote arrivals
 //!   deterministic.
@@ -80,7 +81,7 @@ use p2p_estimation::{Heuristic, Host, NodeProtocol, ShardCore, ShardView};
 use p2p_overlay::Graph;
 use p2p_sim::parallel::default_threads;
 use p2p_sim::rng::{derive_seed, small_rng};
-use p2p_sim::shard::{ExchangeGrid, Inbox, Outbox};
+use p2p_sim::shard::{Inbox, Outbox};
 use p2p_sim::{Network, SimTime};
 use p2p_telemetry::{Log2Histogram, Snapshot};
 use std::any::Any;
@@ -162,19 +163,20 @@ impl<P: NodeProtocol> Shard<P> {
 
 /// The window barrier's second half: moves every shard's buffered
 /// cross-shard traffic to its destination's inbox in (source-shard-index,
-/// FIFO) order.
+/// FIFO) order. The coordinator holds every shard here, so each outbox lane
+/// swaps places with its destination's drained inbox lane
+/// ([`Outbox::hand_over`]): two buffers per direction.
 ///
 /// # Panics
 /// Panics if a buffered delivery is due at or before `until`, the last tick
 /// of the window just executed: the lookahead over-stated what the model
 /// guarantees, and delivering it would schedule into a shard's past.
-fn exchange<P: NodeProtocol>(
-    grid: &mut ExchangeGrid<P::Msg>,
-    shards: &mut [MutexGuard<'_, Shard<P>>],
-    until: u64,
-) {
-    for (s, st) in shards.iter_mut().enumerate() {
-        let outbox = st.core.outbox();
+fn exchange<P: NodeProtocol>(shards: &mut [MutexGuard<'_, Shard<P>>], until: u64) {
+    for s in 0..shards.len() {
+        let (before, rest) = shards.split_at_mut(s);
+        let (this, after) = rest.split_first_mut().expect("s < K");
+        let this: &mut Shard<P> = this;
+        let outbox = this.core.outbox();
         if let Some(due) = outbox.min_at() {
             assert!(
                 due.0 > until,
@@ -183,10 +185,12 @@ fn exchange<P: NodeProtocol>(
                 due.0
             );
         }
-        grid.collect(s, outbox);
-    }
-    for (d, st) in shards.iter_mut().enumerate() {
-        grid.deliver(d, &mut st.inbox);
+        let inboxes = before
+            .iter_mut()
+            .map(|st| &mut st.inbox)
+            .chain([&mut this.inbox])
+            .chain(after.iter_mut().map(|st| &mut st.inbox));
+        outbox.hand_over(s, inboxes);
     }
 }
 
@@ -287,15 +291,13 @@ where
             .map(|st| st.lock().expect("a failed worker ends the run first"))
             .collect()
     };
-    let mut grid: ExchangeGrid<P::Msg> = ExchangeGrid::new(k as usize);
-
     // Per-shard protocol init, then one exchange so init-time cross-shard
     // sends are visible to the first round's horizon computation.
     let mut shards = lock_all();
     for st in &mut shards {
         st.core.init(&graph);
     }
-    exchange(&mut grid, &mut shards, 0);
+    exchange(&mut shards, 0);
 
     // Control ticks are the step grid: step `next_step` begins at tick
     // `next_step · step_ticks`, and the step's churn lands with it.
@@ -407,7 +409,7 @@ where
                 let cores = shards.iter().map(|st| (&st.core.net, &st.batch_lens));
                 run.interval_snapshot(s, &graph, cores);
             }
-            exchange(&mut grid, &mut shards, until);
+            exchange(&mut shards, until);
         }));
         plan.lock().expect("the plan is only ever assigned").done = true;
         start.wait();

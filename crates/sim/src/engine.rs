@@ -1,5 +1,5 @@
-//! The discrete-event engine: a hierarchical timing wheel over one chunk
-//! pool.
+//! The discrete-event engine: a hierarchical timing wheel over pooled
+//! chunks.
 //!
 //! The original engine was a `BinaryHeap<Scheduled<E>>` paying an O(log n)
 //! sift per push/pop plus a 16-byte tie-break key per entry. At the scales
@@ -13,29 +13,42 @@
 //!
 //! # Geometry
 //!
-//! Level 0 is 4 096 one-tick slots (12 bits); above it sit 9 levels of 64
-//! slots (6 bits each; 12 + 54 ≥ 64 bits, the whole `u64` tick range). An
-//! event is filed at the lowest level whose window, relative to the wheel
-//! cursor, contains its timestamp, and a higher-level bucket is re-filed
-//! one level down ("cascades") when the cursor enters its window. Level 0
-//! is wider than any hop the network models draw (WAN: 15–250 ticks), so an
-//! in-flight message is written once, straight to its one-tick slot, and
-//! read once; only far-future timers, step controls and the few hops that
-//! straddle a 4 096-tick boundary ever cascade.
+//! Level 0 is two rings of 4 096 one-tick slots each (12 bits): one for the
+//! cursor's 4 096-tick window and one for the window after it. Above them
+//! sit 9 levels of 64 slots (6 bits each; 12 + 54 ≥ 64 bits, the whole
+//! `u64` tick range). An event due in the cursor's window or the next is
+//! filed straight into its one-tick ring slot; a later one is filed at the
+//! upper level of the highest digit in which it differs from the cursor,
+//! and a higher-level bucket is re-filed one level down ("cascades") when
+//! the cursor enters its window. When the current ring empties the next
+//! one becomes current and the upper bucket holding the new next window is
+//! pulled down into the freed ring, before anything else is scheduled
+//! there. So any event due less than 4 096 ticks ahead — every hop the
+//! network models draw (WAN: 15–250 ticks) — is written once, straight to
+//! its slot, and read once, even across a window edge; only far-future
+//! timers and step controls ever cascade.
 //!
 //! # Storage: what is in flight and nothing else
 //!
-//! A bucket owns no memory: it is a `{head, tail}` pair of indices into the
-//! engine's one table of chunks. A chunk is a FIFO of at most `CHUNK` = 64
-//! entries plus the index of the next chunk in its bucket's chain; a chunk
-//! that empties goes to a LIFO free list and is the first one refilled,
-//! while its memory is still in cache. The store's footprint is therefore
+//! A bucket owns no memory: it is a `{head, tail}` pair of indices into a
+//! table of chunks. A chunk is a FIFO of at most `CHUNK` = 64 entries plus
+//! the index of the next chunk in its bucket's chain; a chunk that empties
+//! goes to its table's LIFO free list and is the first one refilled, while
+//! its memory is still in cache. The store's footprint is therefore
 //! `in-flight ÷ CHUNK` chunks plus at most one partial chunk per occupied
 //! bucket — no bucket keeps a high-water capacity for the next lap of the
 //! wheel, and a cascading bucket needs no scratch buffer: it is re-filed
 //! chunk by chunk, each chunk freed as it empties. A chunk's own storage
 //! grows on demand up to `CHUNK`, so a sparse timeline (one step control
 //! per tick) costs a few entries per occupied tick, not a full chunk.
+//!
+//! There are two tables. A level-0 slot spans one tick, so its entries are
+//! bare payloads: the slot is their timestamp. An upper-level slot spans
+//! many ticks, so its entries keep their timestamp (a `Timed` payload) in
+//! a table of their own with its own free list — a chunk never changes
+//! entry type, so the level-0 table, where nearly every event lives,
+//! stores 8 bytes less per event. Because no hop reaches the upper levels,
+//! the two tables never both hold the in-flight population.
 //!
 //! # Determinism: FIFO among equal timestamps
 //!
@@ -45,9 +58,10 @@
 //! * a level-0 slot spans exactly one tick, so all its entries share a
 //!   timestamp and its chunk chain pops in insertion (= scheduling) order;
 //! * higher-level buckets cascade down **when the cursor enters their
-//!   window**, i.e. strictly before any later-scheduled event for the same
-//!   window can be filed at a lower level — so cascaded (earlier-scheduled)
-//!   entries always land ahead of direct (later-scheduled) ones;
+//!   window, or the window before it**, i.e. strictly before any
+//!   later-scheduled event for the same window can be filed at a lower
+//!   level — so cascaded (earlier-scheduled) entries always land ahead of
+//!   direct (later-scheduled) ones;
 //! * cascading walks a bucket's chain front to back, which is
 //!   order-preserving.
 //!
@@ -88,8 +102,8 @@ pub struct EngineStats {
     /// Scheduled events whose storage allocated nothing: they went into a
     /// chunk the store already had.
     pub pool_hits: u64,
-    /// Chunks the store has allocated (its chunk table only grows, one
-    /// chunk per event that found no room): `pool_allocs × 64 ×
+    /// Chunks the store has allocated (its two chunk tables only grow, one
+    /// chunk per entry that found no room): `pool_allocs × 64 ×
     /// size_of::<entry>` bounds the store's footprint.
     pub pool_allocs: u64,
 }
@@ -97,7 +111,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Share of scheduled events that allocated nothing: `hits / (hits +
     /// allocs)`, or 1.0 for an engine that never stored an event. Once the
-    /// chunk table covers the in-flight plateau this approaches 1.0 — the
+    /// chunk tables cover the in-flight plateau this approaches 1.0 — the
     /// "zero allocations per event at steady state" property.
     pub fn pool_hit_rate(&self) -> f64 {
         let total = self.pool_hits + self.pool_allocs;
@@ -121,8 +135,9 @@ impl EngineStats {
     }
 }
 
-/// One pending event as the wheel stores it.
-pub(crate) struct Entry<E> {
+/// An upper-level entry: the payload and its timestamp, which the
+/// upper-level slot (spanning many ticks) does not give.
+struct Timed<E> {
     time: u64,
     payload: E,
 }
@@ -130,9 +145,103 @@ pub(crate) struct Entry<E> {
 /// A FIFO of at most [`CHUNK`] entries and the link to the next chunk of
 /// the same bucket (or of the free list). A chunk linked into a bucket is
 /// never empty.
-struct Chunk<E> {
-    items: VecDeque<Entry<E>>,
+struct Chunk<T> {
+    items: VecDeque<T>,
     next: u32,
+}
+
+/// A table of chunks and the head of its LIFO list of empty ones, threaded
+/// through `next`. Buckets index into it.
+struct ChunkTable<T> {
+    chunks: Vec<Chunk<T>>,
+    free: u32,
+}
+
+impl<T> ChunkTable<T> {
+    const fn new() -> Self {
+        ChunkTable {
+            chunks: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// The FIFO of `chunk`.
+    #[inline]
+    fn items(&mut self, chunk: u32) -> &mut VecDeque<T> {
+        &mut self.chunks[chunk as usize].items
+    }
+
+    /// Takes an empty chunk: the most recently freed one, else a new one.
+    #[inline]
+    fn take(&mut self) -> u32 {
+        if self.free != NIL {
+            let chunk = self.free;
+            self.free = std::mem::replace(&mut self.chunks[chunk as usize].next, NIL);
+            return chunk;
+        }
+        assert!(
+            self.chunks.len() < NIL as usize,
+            "chunk table overflows u32"
+        );
+        let chunk = self.chunks.len() as u32;
+        self.chunks.push(Chunk {
+            items: VecDeque::new(),
+            next: NIL,
+        });
+        chunk
+    }
+
+    /// Returns an emptied chunk to the head of the free list.
+    #[inline]
+    fn release(&mut self, chunk: u32) {
+        debug_assert!(self.chunks[chunk as usize].items.is_empty());
+        self.chunks[chunk as usize].next = self.free;
+        self.free = chunk;
+    }
+
+    /// Appends `item` to `bucket`'s chain: into its tail chunk while that
+    /// has room, else into a chunk linked behind it.
+    #[inline]
+    fn push(&mut self, bucket: &mut Bucket, item: T) {
+        let tail = bucket.tail;
+        let chunk = if tail != NIL && self.chunks[tail as usize].items.len() < CHUNK {
+            tail
+        } else {
+            let chunk = self.take();
+            if tail == NIL {
+                bucket.head = chunk;
+            } else {
+                self.chunks[tail as usize].next = chunk;
+            }
+            bucket.tail = chunk;
+            chunk
+        };
+        self.chunks[chunk as usize].items.push_back(item);
+    }
+
+    /// Unlinks and frees `bucket`'s emptied head chunk. Returns whether the
+    /// bucket is now empty.
+    #[inline]
+    fn release_head(&mut self, bucket: &mut Bucket) -> bool {
+        let head = bucket.head;
+        let next = self.chunks[head as usize].next;
+        self.release(head);
+        bucket.head = next;
+        if next == NIL {
+            bucket.tail = NIL;
+        }
+        next == NIL
+    }
+
+    /// Empties every chunk and puts them all on the free list, lowest
+    /// index first out.
+    fn clear(&mut self) {
+        self.free = NIL;
+        for chunk in (0..self.chunks.len() as u32).rev() {
+            self.chunks[chunk as usize].items.clear();
+            self.release(chunk);
+        }
+    }
 }
 
 /// A wheel slot: the ends of its chain of chunks, `NIL` when empty.
@@ -169,24 +278,29 @@ impl Bucket {
 /// assert_eq!(order, vec![(5, "a"), (10, "b")]);
 /// ```
 pub struct Engine<E> {
-    /// Level 0's `L0_SLOTS` one-tick buckets, then `UPPER_LEVELS ×
-    /// LEVEL_SLOTS` buckets whose slots span `4096 × 64^level` ticks.
+    /// Level 0's two rings of `L0_SLOTS` one-tick buckets, then
+    /// `UPPER_LEVELS × LEVEL_SLOTS` buckets whose slots span `4096 ×
+    /// 64^level` ticks.
     buckets: Vec<Bucket>,
-    /// The chunk table every bucket's chain indexes into.
-    chunks: Vec<Chunk<E>>,
-    /// Head of the LIFO list of empty chunks, threaded through `next`.
-    free: u32,
-    /// Level 0's occupancy: a set bit means the slot's bucket is non-empty,
-    /// and a set summary bit means the word is non-zero, so "earliest
-    /// pending slot" is two `trailing_zeros`.
-    l0_occupied: [u64; L0_WORDS],
-    l0_summary: u64,
+    /// The chunks level 0's buckets chain: bare payloads.
+    level0: ChunkTable<E>,
+    /// The chunks the upper levels' buckets chain: timestamped payloads.
+    upper: ChunkTable<Timed<E>>,
+    /// Which ring holds the cursor's window (the other holds the next).
+    cur: usize,
+    /// Each ring's occupancy: a set bit means the slot's bucket is
+    /// non-empty, and a set summary bit means the word is non-zero, so
+    /// "earliest pending slot" is two `trailing_zeros`.
+    l0_occupied: [[u64; L0_WORDS]; 2],
+    l0_summary: [u64; 2],
     /// One occupancy word per upper level.
     upper_occupied: [u64; UPPER_LEVELS],
     len: usize,
-    /// The wheel cursor: window-aligned internal time. Invariant:
-    /// `cursor ≤ now ≤ every pending timestamp`, so slot indices never
-    /// wrap within a window and bitmap minima are true minima.
+    /// The wheel cursor: the start of the current ring's window, so a
+    /// multiple of `L0_SLOTS`. Invariant: `cursor ≤ now ≤ every pending
+    /// timestamp`, every upper-level entry lies beyond the next ring's
+    /// window, and it is filed by the highest 6-bit digit in which it
+    /// differs from `cursor` — so bitmap minima are true minima.
     cursor: u64,
     now: SimTime,
     scheduled: u64,
@@ -204,11 +318,12 @@ impl<E> Engine<E> {
     /// Creates an engine at time zero with an empty queue.
     pub fn new() -> Self {
         Engine {
-            buckets: vec![Bucket::EMPTY; L0_SLOTS + UPPER_LEVELS * LEVEL_SLOTS],
-            chunks: Vec::new(),
-            free: NIL,
-            l0_occupied: [0; L0_WORDS],
-            l0_summary: 0,
+            buckets: vec![Bucket::EMPTY; 2 * L0_SLOTS + UPPER_LEVELS * LEVEL_SLOTS],
+            level0: ChunkTable::new(),
+            upper: ChunkTable::new(),
+            cur: 0,
+            l0_occupied: [[0; L0_WORDS]; 2],
+            l0_summary: [0; 2],
             upper_occupied: [0; UPPER_LEVELS],
             len: 0,
             cursor: 0,
@@ -238,95 +353,54 @@ impl<E> Engine<E> {
     }
 
     /// Hot-path counters: events dispatched, peak depth, and how many of the
-    /// events scheduled so far were stored without growing the chunk table
+    /// events scheduled so far were stored without growing the chunk tables
     /// (see [`EngineStats::pool_hit_rate`]).
     pub fn stats(&self) -> EngineStats {
-        // The table never outgrows the peak depth (a chunk is taken only
-        // when every chunk in use holds an entry), so this cannot underflow.
-        let pool_allocs = self.chunks.len() as u64;
+        // Each table holds at most one chunk per entry it stored at its
+        // peak, so the sum can exceed the events scheduled only on a
+        // near-empty wheel (a lone far-future event takes one chunk in each
+        // table); `pool_hits` floors at zero there.
+        let pool_allocs = (self.level0.chunks.len() + self.upper.chunks.len()) as u64;
         EngineStats {
             dispatched: self.dispatched,
             peak_depth: self.peak_depth,
-            pool_hits: self.scheduled - pool_allocs,
+            pool_hits: self.scheduled.saturating_sub(pool_allocs),
             pool_allocs,
         }
     }
 
-    /// Takes an empty chunk: the most recently freed one, else a new one.
+    /// The upper level and slot that file `time` for the current cursor:
+    /// the level of the highest 6-bit digit above level 0's 12 bits in
+    /// which they differ. Only meaningful for a `time` beyond the cursor's
+    /// window.
     #[inline]
-    fn take_chunk(&mut self) -> u32 {
-        if self.free != NIL {
-            let chunk = self.free;
-            self.free = std::mem::replace(&mut self.chunks[chunk as usize].next, NIL);
-            return chunk;
-        }
-        assert!(
-            self.chunks.len() < NIL as usize,
-            "chunk table overflows u32"
-        );
-        let chunk = self.chunks.len() as u32;
-        self.chunks.push(Chunk {
-            items: VecDeque::new(),
-            next: NIL,
-        });
-        chunk
+    fn upper_slot(&self, time: u64) -> (usize, usize) {
+        let diff = time ^ self.cursor;
+        let level = (63 - diff.leading_zeros() - L0_BITS) / LEVEL_BITS;
+        let slot = (time >> (L0_BITS + LEVEL_BITS * level)) & (LEVEL_SLOTS as u64 - 1);
+        (level as usize, slot as usize)
     }
 
-    /// Returns an emptied chunk to the head of the free list.
-    #[inline]
-    fn free_chunk(&mut self, chunk: u32) {
-        debug_assert!(self.chunks[chunk as usize].items.is_empty());
-        self.chunks[chunk as usize].next = self.free;
-        self.free = chunk;
-    }
-
-    /// Unlinks and frees `bucket`'s emptied head chunk. Returns whether the
-    /// bucket is now empty.
-    #[inline]
-    fn release_head(&mut self, bucket: usize) -> bool {
-        let head = self.buckets[bucket].head;
-        let next = self.chunks[head as usize].next;
-        self.free_chunk(head);
-        self.buckets[bucket].head = next;
-        if next == NIL {
-            self.buckets[bucket].tail = NIL;
-        }
-        next == NIL
-    }
-
-    /// Files an entry at its level/slot for the current cursor: level 0
-    /// when `time` lies in the cursor's 4 096-tick window, else the upper
-    /// level of the highest 6-bit digit in which it differs from `cursor`.
+    /// Files a payload: in the current or the next ring when `time` lies
+    /// in the cursor's window or the one after it, else at its upper
+    /// level/slot.
     #[inline]
     fn insert(&mut self, time: u64, payload: E) {
-        let diff = time ^ self.cursor;
-        let bucket = if diff < L0_SLOTS as u64 {
+        debug_assert!(time >= self.cursor);
+        let ahead = (time >> L0_BITS) - (self.cursor >> L0_BITS);
+        if ahead < 2 {
+            let ring = self.cur ^ ahead as usize;
             let slot = (time & (L0_SLOTS as u64 - 1)) as usize;
-            self.l0_occupied[slot / 64] |= 1 << (slot % 64);
-            self.l0_summary |= 1 << (slot / 64);
-            slot
+            self.l0_occupied[ring][slot / 64] |= 1 << (slot % 64);
+            self.l0_summary[ring] |= 1 << (slot / 64);
+            self.level0
+                .push(&mut self.buckets[ring * L0_SLOTS + slot], payload);
         } else {
-            let level = (63 - diff.leading_zeros() - L0_BITS) / LEVEL_BITS;
-            let slot =
-                ((time >> (L0_BITS + LEVEL_BITS * level)) & (LEVEL_SLOTS as u64 - 1)) as usize;
-            self.upper_occupied[level as usize] |= 1 << slot;
-            L0_SLOTS + level as usize * LEVEL_SLOTS + slot
-        };
-        let tail = self.buckets[bucket].tail;
-        let chunk = if tail != NIL && self.chunks[tail as usize].items.len() < CHUNK {
-            tail
-        } else {
-            let chunk = self.take_chunk();
-            if tail == NIL {
-                self.buckets[bucket].head = chunk;
-            } else {
-                self.chunks[tail as usize].next = chunk;
-            }
-            self.buckets[bucket].tail = chunk;
-            chunk
-        };
-        let entry = Entry { time, payload };
-        self.chunks[chunk as usize].items.push_back(entry);
+            let (level, slot) = self.upper_slot(time);
+            self.upper_occupied[level] |= 1 << slot;
+            let bucket = &mut self.buckets[2 * L0_SLOTS + level * LEVEL_SLOTS + slot];
+            self.upper.push(bucket, Timed { time, payload });
+        }
     }
 
     /// Schedules `payload` at absolute time `time`.
@@ -353,7 +427,7 @@ impl<E> Engine<E> {
     }
 
     /// The earliest occupied upper-level bucket, as `(level, slot)`. Only
-    /// meaningful when level 0 is empty and events are pending.
+    /// meaningful when both rings are empty and events are pending.
     #[inline]
     fn first_upper(&self) -> (usize, usize) {
         let level = (0..UPPER_LEVELS)
@@ -362,12 +436,60 @@ impl<E> Engine<E> {
         (level, self.upper_occupied[level].trailing_zeros() as usize)
     }
 
-    /// Moves the earliest occupied upper-level bucket down into the lower
-    /// levels, advancing the cursor to that bucket's window start. Called
-    /// only when level 0 is empty and events are pending.
+    /// Takes upper bucket `(level, slot)`'s chain and files every entry
+    /// again for the current cursor. Front-to-back re-filing preserves
+    /// scheduling order within every destination bucket — the FIFO
+    /// tie-break guarantee.
+    fn refile(&mut self, level: usize, slot: usize) {
+        if self.upper_occupied[level] & (1 << slot) == 0 {
+            return;
+        }
+        self.upper_occupied[level] &= !(1u64 << slot);
+        let bucket = 2 * L0_SLOTS + level * LEVEL_SLOTS + slot;
+        let mut chunk = std::mem::replace(&mut self.buckets[bucket], Bucket::EMPTY).head;
+        while chunk != NIL {
+            let next = self.upper.chunks[chunk as usize].next;
+            let n = self.upper.items(chunk).len();
+            for i in 0..n {
+                let e = self.upper.items(chunk).pop_front().expect("counted entry");
+                // Freed before its last entry is re-filed, so an entry that
+                // stays in the upper levels can take it.
+                if i + 1 == n {
+                    self.upper.release(chunk);
+                }
+                self.insert(e.time, e.payload);
+            }
+            chunk = next;
+        }
+    }
+
+    /// Moves the next ring's window's entries out of the upper levels into
+    /// the next ring, so that ring holds its window whole before anything
+    /// else is scheduled there. Called whenever the cursor moves.
+    fn pull_next_window(&mut self) {
+        if let Some(next) = self.cursor.checked_add(L0_SLOTS as u64) {
+            let (level, slot) = self.upper_slot(next);
+            self.refile(level, slot);
+        }
+    }
+
+    /// Makes the next ring current, one window on. The upper bucket whose
+    /// span (for the old cursor) holds the new window carries later windows
+    /// of that span too, which the new cursor files lower: it is re-filed.
+    fn advance_ring(&mut self) {
+        let next = self.cursor + L0_SLOTS as u64;
+        let (level, slot) = self.upper_slot(next);
+        self.cursor = next;
+        self.cur ^= 1;
+        self.refile(level, slot);
+        self.pull_next_window();
+    }
+
+    /// Moves the earliest occupied upper-level bucket down, advancing the
+    /// cursor to that bucket's window start. Called only when both rings
+    /// are empty and events are pending.
     fn cascade(&mut self) {
         let (level, slot) = self.first_upper();
-        self.upper_occupied[level] &= !(1u64 << slot);
         let shift = L0_BITS + LEVEL_BITS * level as u32;
         // Everything below this level's digit is zeroed; the digit becomes
         // `slot`. Guard the shift: the top level's window mask covers the
@@ -380,76 +502,78 @@ impl<E> Engine<E> {
         let window_start = (self.cursor & !low_mask) | ((slot as u64) << shift);
         debug_assert!(window_start >= self.cursor);
         self.cursor = window_start;
-        let bucket = L0_SLOTS + level * LEVEL_SLOTS + slot;
-        let mut chunk = std::mem::replace(&mut self.buckets[bucket], Bucket::EMPTY).head;
-        // Front-to-back re-filing preserves scheduling order within every
-        // destination bucket — the FIFO tie-break guarantee.
-        while chunk != NIL {
-            let next = self.chunks[chunk as usize].next;
-            let n = self.chunks[chunk as usize].items.len();
-            for i in 0..n {
-                let e = self.chunks[chunk as usize]
-                    .items
-                    .pop_front()
-                    .expect("counted entry");
-                // Freed before its last entry is re-filed, so that entry
-                // can take it: re-filing never needs a chunk more than the
-                // entries in flight do.
-                if i + 1 == n {
-                    self.free_chunk(chunk);
-                }
-                self.insert(e.time, e.payload);
-            }
-            chunk = next;
-        }
+        self.refile(level, slot);
+        self.pull_next_window();
     }
 
-    /// The earliest occupied level-0 slot and the one tick of the cursor's
-    /// window it holds. Only meaningful when level 0 is occupied.
+    /// The earliest occupied slot of `ring` as a bucket index, and the one
+    /// tick it holds. Only meaningful when the ring is occupied.
     #[inline]
-    fn first_l0(&self) -> (usize, u64) {
-        let word = self.l0_summary.trailing_zeros() as usize;
-        let slot = word * 64 + self.l0_occupied[word].trailing_zeros() as usize;
-        (slot, (self.cursor & !(L0_SLOTS as u64 - 1)) | slot as u64)
+    fn first_in_ring(&self, ring: usize) -> (usize, u64) {
+        let word = self.l0_summary[ring].trailing_zeros() as usize;
+        let slot = word * 64 + self.l0_occupied[ring][word].trailing_zeros() as usize;
+        let window = if ring == self.cur {
+            self.cursor
+        } else {
+            self.cursor + L0_SLOTS as u64
+        };
+        (ring * L0_SLOTS + slot, window | slot as u64)
     }
 
-    /// [`first_l0`](Self::first_l0) after cascading upper levels down until
-    /// level 0 is occupied; `None` when the queue is empty.
+    /// The earliest pending level-0 bucket and its tick, after moving the
+    /// rings and cascading upper levels down until the current ring is
+    /// occupied; `None` when the queue is empty.
     #[inline]
     fn front_slot(&mut self) -> Option<(usize, u64)> {
         if self.len == 0 {
             return None;
         }
-        while self.l0_summary == 0 {
-            self.cascade();
+        while self.l0_summary[self.cur] == 0 {
+            if self.l0_summary[self.cur ^ 1] != 0 {
+                self.advance_ring();
+            } else {
+                self.cascade();
+            }
         }
-        Some(self.first_l0())
+        Some(self.first_in_ring(self.cur))
     }
 
-    /// Clears an emptied level-0 slot's occupancy bit.
+    /// Unlinks and frees level-0 `bucket`'s emptied head chunk, clearing
+    /// its occupancy bit when that was its last. Returns whether the
+    /// bucket is now empty.
     #[inline]
-    fn mark_l0_empty(&mut self, slot: usize) {
-        let word = slot / 64;
-        self.l0_occupied[word] &= !(1u64 << (slot % 64));
-        if self.l0_occupied[word] == 0 {
-            self.l0_summary &= !(1u64 << word);
+    fn release_l0_head(&mut self, bucket: usize) -> bool {
+        if !self.level0.release_head(&mut self.buckets[bucket]) {
+            return false;
         }
+        let (ring, slot) = (bucket / L0_SLOTS, bucket % L0_SLOTS);
+        let word = slot / 64;
+        self.l0_occupied[ring][word] &= !(1u64 << (slot % 64));
+        if self.l0_occupied[ring][word] == 0 {
+            self.l0_summary[ring] &= !(1u64 << word);
+        }
+        true
+    }
+
+    /// Advances the clock to `time` after `n` events at it were taken.
+    #[inline]
+    fn dispatch(&mut self, time: u64, n: usize) -> SimTime {
+        self.len -= n;
+        self.dispatched += n as u64;
+        debug_assert!(time >= self.now.0);
+        self.now = SimTime(time);
+        self.now
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (slot, time) = self.front_slot()?;
-        let items = &mut self.chunks[self.buckets[slot].head as usize].items;
-        let e = items.pop_front().expect("a linked chunk holds an entry");
-        debug_assert_eq!(e.time, time, "level-0 bucket spans one tick");
-        if items.is_empty() && self.release_head(slot) {
-            self.mark_l0_empty(slot);
+        let (bucket, time) = self.front_slot()?;
+        let items = self.level0.items(self.buckets[bucket].head);
+        let payload = items.pop_front().expect("a linked chunk holds an entry");
+        if items.is_empty() {
+            self.release_l0_head(bucket);
         }
-        self.len -= 1;
-        self.dispatched += 1;
-        debug_assert!(time >= self.now.0);
-        self.now = SimTime(time);
-        Some((self.now, e.payload))
+        Some((self.dispatch(time, 1), payload))
     }
 
     /// Drains up to `max` events from the earliest level-0 bucket into
@@ -467,52 +591,53 @@ impl<E> Engine<E> {
     /// million-node round can share one tick); remaining entries keep the
     /// bucket's occupancy bit set.
     pub fn pop_bucket(&mut self, out: &mut Vec<E>, max: usize) -> Option<SimTime> {
+        self.pop_bucket_map(out, max, |e| e)
+    }
+
+    /// [`pop_bucket`](Self::pop_bucket) that passes each event through `f`
+    /// as it leaves its chunk, so a caller that wants another form of the
+    /// event writes that form straight into `out`: one copy from the wheel
+    /// to the batch. `f` runs once per event, in dispatch order.
+    pub fn pop_bucket_map<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        max: usize,
+        mut f: impl FnMut(E) -> T,
+    ) -> Option<SimTime> {
         out.clear();
-        let (slot, time) = self.front_slot()?;
+        let (bucket, time) = self.front_slot()?;
         let max = max.max(1);
         loop {
-            let items = &mut self.chunks[self.buckets[slot].head as usize].items;
+            let items = self.level0.items(self.buckets[bucket].head);
             let n = items.len().min(max - out.len());
-            out.extend(items.drain(..n).map(|e| {
-                debug_assert_eq!(e.time, time, "level-0 bucket spans one tick");
-                e.payload
-            }));
-            if !items.is_empty() {
-                break;
-            }
-            if self.release_head(slot) {
-                self.mark_l0_empty(slot);
-                break;
-            }
-            if out.len() == max {
+            out.extend(items.drain(..n).map(&mut f));
+            if !items.is_empty() || self.release_l0_head(bucket) || out.len() == max {
                 break;
             }
         }
-        self.len -= out.len();
-        self.dispatched += out.len() as u64;
-        debug_assert!(time >= self.now.0);
-        self.now = SimTime(time);
-        Some(self.now)
+        Some(self.dispatch(time, out.len()))
     }
 
     /// Peeks at the timestamp of the next event without dispatching it.
     ///
-    /// Never advances the cursor (so a caller may still schedule events
+    /// Never moves the cursor (so a caller may still schedule events
     /// earlier than the peeked time, as long as they are not in the past):
-    /// when level 0 is empty the earliest upper-level bucket is scanned for
-    /// its minimum instead of cascaded.
+    /// when both rings are empty the earliest upper-level bucket is scanned
+    /// for its minimum instead of cascaded.
     pub fn peek_time(&self) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
-        if self.l0_summary != 0 {
-            return Some(SimTime(self.first_l0().1));
+        for ring in [self.cur, self.cur ^ 1] {
+            if self.l0_summary[ring] != 0 {
+                return Some(SimTime(self.first_in_ring(ring).1));
+            }
         }
         let (level, slot) = self.first_upper();
-        let mut chunk = self.buckets[L0_SLOTS + level * LEVEL_SLOTS + slot].head;
+        let mut chunk = self.buckets[2 * L0_SLOTS + level * LEVEL_SLOTS + slot].head;
         let mut min = u64::MAX;
         while chunk != NIL {
-            let c = &self.chunks[chunk as usize];
+            let c = &self.upper.chunks[chunk as usize];
             min = c.items.iter().fold(min, |m, e| m.min(e.time));
             chunk = c.next;
         }
@@ -561,14 +686,11 @@ impl<E> Engine<E> {
     /// goes back to the free list, so a reused engine refills the storage
     /// it already has.
     pub fn clear(&mut self) {
-        self.free = NIL;
-        for chunk in (0..self.chunks.len() as u32).rev() {
-            self.chunks[chunk as usize].items.clear();
-            self.free_chunk(chunk);
-        }
+        self.level0.clear();
+        self.upper.clear();
         self.buckets.fill(Bucket::EMPTY);
-        self.l0_occupied = [0; L0_WORDS];
-        self.l0_summary = 0;
+        self.l0_occupied = [[0; L0_WORDS]; 2];
+        self.l0_summary = [0; 2];
         self.upper_occupied = [0; UPPER_LEVELS];
         self.len = 0;
     }
@@ -775,11 +897,12 @@ mod tests {
         assert_eq!(idle.stats().pool_allocs, 0);
         assert!((idle.stats().pool_hit_rate() - 1.0).abs() < f64::EPSILON);
         // A cascade re-files into the chunk it frees: a lone far-future
-        // event crosses every level in the chunk it was stored in.
+        // event crosses every upper level in the one upper chunk it was
+        // stored in, then takes one level-0 chunk.
         let mut far: Engine<u8> = Engine::new();
         far.schedule_at(SimTime(1 << 40), 0);
         assert_eq!(far.pop(), Some((SimTime(1 << 40), 0)));
-        assert_eq!(far.stats().pool_allocs, 1);
+        assert_eq!(far.stats().pool_allocs, 2);
     }
 
     #[test]
@@ -997,6 +1120,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A cascade into an empty level 0 also pulls the window after it down
+    /// into the next ring: an event scheduled there later must pop behind
+    /// the one that waited in the upper levels for the same tick.
+    #[test]
+    fn a_cascade_pulls_the_next_window_into_the_next_ring() {
+        let window = L0_SLOTS as u64;
+        let mut e: Engine<&str> = Engine::new();
+        e.schedule_at(SimTime(3 * window + 5), "cascaded");
+        e.schedule_at(SimTime(4 * window + 7), "waited");
+        assert_eq!(e.pop(), Some((SimTime(3 * window + 5), "cascaded")));
+        e.schedule_at(SimTime(4 * window + 7), "later");
+        assert_eq!(e.pop(), Some((SimTime(4 * window + 7), "waited")));
+        assert_eq!(e.pop(), Some((SimTime(4 * window + 7), "later")));
+    }
+
+    /// A steady stream of events due up to 10 000 ticks ahead — in the
+    /// current ring, the next one and the upper level just beyond — with
+    /// same-tick bursts, replayed against the heap oracle across dozens of
+    /// window edges and several 64-window carries, where a ring advance
+    /// re-files a higher-level bucket. No hop-sized delay may reach the
+    /// upper table.
+    #[test]
+    fn matches_the_heap_oracle_across_ring_advances() {
+        use oracle::HeapEngine;
+        let mut rng = xorshift(0x6A09_E667_F3BC_C909);
+        let mut wheel: Engine<u64> = Engine::new();
+        let mut heap: HeapEngine<u64> = HeapEngine::new();
+        let mut id = 0u64;
+        let mut batch = Vec::new();
+        // Far-future events stay in the upper levels throughout.
+        for t in [1 << 30, 1 << 40, u64::MAX - 1] {
+            wheel.schedule_at(SimTime(t), id);
+            heap.schedule_at(SimTime(t), id);
+            id += 1;
+        }
+        while wheel.now().0 < 5 << 17 {
+            while wheel.len() < 303 {
+                let burst = if rng().is_multiple_of(64) {
+                    2 * CHUNK as u64 + 1
+                } else {
+                    1
+                };
+                let at = SimTime(wheel.now().0 + rng() % 10_000);
+                for _ in 0..burst {
+                    wheel.schedule_at(at, id);
+                    heap.schedule_at(at, id);
+                    id += 1;
+                }
+            }
+            if rng().is_multiple_of(2) {
+                assert_eq!(wheel.pop(), heap.pop());
+            } else {
+                let t = wheel.pop_bucket(&mut batch, 16).expect("not empty");
+                for &p in &batch {
+                    assert_eq!(heap.pop(), Some((t, p)));
+                }
+            }
+        }
+        while let Some(a) = wheel.pop() {
+            assert_eq!(Some(a), heap.pop());
+        }
+        assert_eq!(heap.pop(), None);
+
+        let mut hops: Engine<u64> = Engine::new();
+        for i in 0..100_000u64 {
+            hops.schedule_in(1 + rng() % 4_095, i);
+            if i >= 1_000 {
+                hops.pop();
+            }
+        }
+        assert!(
+            hops.upper.chunks.is_empty(),
+            "a hop reached the upper levels"
+        );
     }
 
     /// The footprint invariant: the store holds what is in flight and

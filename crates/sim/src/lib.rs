@@ -15,8 +15,9 @@
 //! * [`engine::Engine`] — a generic discrete-event queue over virtual time:
 //!   a hierarchical timing wheel (calendar queue) with O(1) schedule,
 //!   amortized O(1) pop and structural FIFO tie-breaking, whose buckets are
-//!   chains of 64-entry chunks drawn from one LIFO-recycled pool — the
-//!   store holds what is in flight and nothing else, and
+//!   chains of 64-entry chunks drawn from LIFO-recycled tables (bare
+//!   payloads for level 0, timestamped ones above it) — the store holds
+//!   what is in flight and nothing else, and
 //!   [`EngineStats::pool_hit_rate`] is the share of scheduled events that
 //!   allocated nothing;
 //! * [`pool`] — the free-list [`pool::PayloadPool`] slab in-flight payloads
@@ -35,7 +36,8 @@
 //!   replications (independent seeds/parameter points);
 //! * [`shard`] — the cross-shard exchange buffers of the sharded parallel
 //!   DES: per-destination outbox lanes, (source-shard-index, FIFO) ordered
-//!   inbox draining, and the coordinator's lane-swapping exchange grid.
+//!   inbox draining, and the barrier's swap of each outbox lane with its
+//!   destination's drained inbox lane.
 //!
 //! ## The determinism contract
 //!

@@ -295,9 +295,6 @@ pub struct Network<M> {
     /// population of each message class.
     delivered_by_kind: MessageCounter,
     dropped_by_kind: MessageCounter,
-    /// Reused scratch for [`pop_batch`](Self::pop_batch) (no steady-state
-    /// allocation).
-    batch_buf: Vec<QueuedEvent<M>>,
 }
 
 /// Cap on events drained per [`Network::pop_batch`] call. Bounds the
@@ -321,7 +318,6 @@ impl<M> Network<M> {
             stats: NetStats::default(),
             delivered_by_kind: MessageCounter::new(),
             dropped_by_kind: MessageCounter::new(),
-            batch_buf: Vec::new(),
         }
     }
 
@@ -500,30 +496,10 @@ impl<M> Network<M> {
         self.engine.peek_time()
     }
 
-    /// Resolves a queued event into its caller-facing form, bumping the
-    /// delivery counters.
-    #[inline]
-    fn resolve(&mut self, ev: QueuedEvent<M>) -> NetEvent<M> {
-        match ev {
-            QueuedEvent::Deliver {
-                src,
-                dst,
-                msg,
-                kind,
-            } => {
-                self.stats.delivered += 1;
-                self.delivered_by_kind.count(kind);
-                NetEvent::Deliver { src, dst, msg }
-            }
-            QueuedEvent::Timer { node, tag } => NetEvent::Timer { node, tag },
-            QueuedEvent::Control { tag } => NetEvent::Control { tag },
-        }
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, NetEvent<M>)> {
         let (t, ev) = self.engine.pop()?;
-        let ev = self.resolve(ev);
+        let ev = resolve(&mut self.stats, &mut self.delivered_by_kind, ev);
         Some((t, ev))
     }
 
@@ -537,20 +513,18 @@ impl<M> Network<M> {
     /// handle the batch in a plain `for` loop — including calling
     /// [`note_churn_loss`](Self::note_churn_loss) per delivery and sending
     /// follow-ups, which land in later batches. Dense ticks larger than
-    /// the internal cap are split over several calls.
+    /// the internal cap are split over several calls. Each event is
+    /// resolved as it leaves the wheel, straight into `out`.
     pub fn pop_batch(&mut self, out: &mut Vec<NetEvent<M>>) -> Option<SimTime> {
-        out.clear();
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        let t = self.engine.pop_bucket(&mut buf, BATCH_EVENTS);
-        if t.is_some() {
-            out.reserve(buf.len());
-            for ev in buf.drain(..) {
-                let resolved = self.resolve(ev);
-                out.push(resolved);
-            }
-        }
-        self.batch_buf = buf;
-        t
+        let Network {
+            engine,
+            stats,
+            delivered_by_kind,
+            ..
+        } = self;
+        engine.pop_bucket_map(out, BATCH_EVENTS, |ev| {
+            resolve(stats, delivered_by_kind, ev)
+        })
     }
 
     /// [`pop_batch`](Self::pop_batch) bounded by a horizon: drains the next
@@ -584,6 +558,30 @@ impl<M> Network<M> {
     /// Panics if an event earlier than `t` is still pending.
     pub fn advance_to(&mut self, t: SimTime) {
         self.engine.advance_to(t);
+    }
+}
+
+/// Resolves a queued event into its caller-facing form, bumping the
+/// delivery counters.
+#[inline]
+fn resolve<M>(
+    stats: &mut NetStats,
+    delivered_by_kind: &mut MessageCounter,
+    ev: QueuedEvent<M>,
+) -> NetEvent<M> {
+    match ev {
+        QueuedEvent::Deliver {
+            src,
+            dst,
+            msg,
+            kind,
+        } => {
+            stats.delivered += 1;
+            delivered_by_kind.count(kind);
+            NetEvent::Deliver { src, dst, msg }
+        }
+        QueuedEvent::Timer { node, tag } => NetEvent::Timer { node, tag },
+        QueuedEvent::Control { tag } => NetEvent::Control { tag },
     }
 }
 
@@ -776,27 +774,39 @@ mod tests {
         assert!(s.peak_depth >= 10);
     }
 
-    /// What the wheel stores per in-flight event: the timestamp plus the
-    /// queued form of a message of the largest wire format (24 bytes,
-    /// 8-aligned — `net_protocol::tests::wire_messages_fit_the_queued_entry`
-    /// holds `AggMsg`, `ScMsg` and `HsMsg` to that). A fatter entry is a
-    /// slower event core: it must show here, not on the ruler.
+    /// What level 0 stores per in-flight event: the queued form alone —
+    /// the one-tick slot is its timestamp. A 16-byte, 8-aligned payload
+    /// (`AggMsg`'s shape, held to it by
+    /// `net_protocol::tests::wire_messages_fit_the_queued_entry`) makes a
+    /// 32-byte event, the largest wire format (24 bytes: `ScMsg`, `HsMsg`)
+    /// at most 40. A fatter event is a slower event core: it must show
+    /// here, not on the ruler.
     #[test]
-    fn queued_entry_is_at_most_48_bytes() {
-        use crate::engine::Entry;
-        assert!(std::mem::size_of::<Entry<QueuedEvent<[u64; 3]>>>() <= 48);
+    fn queued_event_is_32_bytes_for_an_agg_msg_and_at_most_40() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<QueuedEvent<(u32, f64)>>(), 32);
+        assert!(size_of::<QueuedEvent<[u64; 3]>>() <= 40);
     }
 
+    /// Batches mixing deliveries of several kinds (some dropped), timers
+    /// and controls: resolving each event as it leaves the wheel yields and
+    /// counts exactly what the single-pop path does.
     #[test]
     fn pop_batch_matches_single_pops_event_for_event() {
         let model = NetworkModel::wan().with_drop_rate(0.1);
+        let kinds = [
+            MessageKind::WalkStep,
+            MessageKind::AggregationPush,
+            MessageKind::AggregationPull,
+            MessageKind::Control,
+        ];
         let build = || {
             let mut net: Network<u64> = Network::new(model, 13);
             for i in 0..500u64 {
                 net.send(
                     (i % 9) as u32,
                     ((i + 1) % 9) as u32,
-                    MessageKind::Control,
+                    kinds[i as usize % kinds.len()],
                     i,
                 );
                 if i % 7 == 0 {
@@ -819,6 +829,10 @@ mod tests {
         }
         assert!(single.pop().is_none(), "batched net drained early");
         assert_eq!(single.stats(), batched.stats());
+        assert_eq!(single.delivered_by_kind(), batched.delivered_by_kind());
+        for kind in kinds {
+            assert!(batched.delivered_by_kind().get(kind) > 0, "{kind}");
+        }
     }
 
     #[test]

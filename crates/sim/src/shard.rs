@@ -36,10 +36,13 @@
 //!   touches it).
 //! * [`Inbox`] — a destination shard's per-source lanes for one round,
 //!   drained in source-index order at the start of the next window.
-//! * [`ExchangeGrid`] — the coordinator's scratch that moves lanes from
-//!   outboxes to inboxes between parallel phases, one shard locked at a
-//!   time, swapping `Vec`s so lane capacity circulates with zero
-//!   steady-state allocation.
+//! * [`Outbox::hand_over`] — the barrier's move: each outbox lane swaps
+//!   places with its destination's drained inbox lane, so every direction
+//!   owns exactly two buffers — one filling while the other is read — and
+//!   lane capacity circulates with zero steady-state allocation.
+//! * [`ExchangeGrid`] — the same move in two passes through a third
+//!   buffer per direction, for a coordinator that holds one shard at a
+//!   time.
 
 use crate::network::RemoteMsg;
 use crate::time::SimTime;
@@ -82,6 +85,33 @@ impl<M> Outbox<M> {
     /// Whether no messages are buffered.
     pub fn is_empty(&self) -> bool {
         self.lanes.iter().all(Vec::is_empty)
+    }
+
+    /// The barrier exchange for source shard `src`, whose coordinator holds
+    /// every shard: each lane swaps places with the lane from `src` of its
+    /// destination's inbox (`inboxes`, in shard order), which that shard
+    /// drained at the start of the window just run. The outbox keeps the
+    /// drained lane's capacity for the next window, so each direction's
+    /// traffic alternates between two buffers.
+    ///
+    /// # Panics
+    /// Debug-asserts every inbox lane was drained — an undrained lane would
+    /// splice two rounds' FIFOs together and silently break the merge
+    /// order.
+    pub fn hand_over<'a>(&mut self, src: usize, inboxes: impl IntoIterator<Item = &'a mut Inbox<M>>)
+    where
+        M: 'a,
+    {
+        let mut shards = 0;
+        for (d, inbox) in inboxes.into_iter().enumerate() {
+            debug_assert!(inbox.lanes[src].is_empty(), "inbox lane not drained");
+            std::mem::swap(&mut self.lanes[d], &mut inbox.lanes[src]);
+            inbox.min = inbox
+                .min
+                .min(std::mem::replace(&mut self.mins[d], u64::MAX));
+            shards += 1;
+        }
+        debug_assert_eq!(shards, self.shards(), "one inbox per shard");
     }
 }
 
@@ -127,12 +157,13 @@ impl<M> Inbox<M> {
     }
 }
 
-/// The coordinator's scratch for one exchange: `K × K` cells moved from
-/// outboxes (pass 1, [`collect`](Self::collect)) into inboxes (pass 2,
-/// [`deliver`](Self::deliver)). Each pass touches one shard's state at a
-/// time — the driver holds at most one shard lock — and every move is a
-/// `Vec` swap, so lane capacity circulates outbox → grid → inbox → grid →
-/// outbox with zero steady-state allocation.
+/// A coordinator's scratch for one exchange when it holds one shard at a
+/// time: `K × K` cells moved from outboxes (pass 1,
+/// [`collect`](Self::collect)) into inboxes (pass 2,
+/// [`deliver`](Self::deliver)). Every move is a `Vec` swap, so lane
+/// capacity circulates outbox → grid → inbox → grid → outbox with zero
+/// steady-state allocation — but through three buffers per direction, each
+/// grown to the largest burst, where [`Outbox::hand_over`] needs two.
 pub struct ExchangeGrid<M> {
     shards: usize,
     /// Cell `s * shards + d`: shard `s`'s lane toward shard `d`, plus its
@@ -287,6 +318,71 @@ mod tests {
             for inbox in &inboxes {
                 assert!(inbox.is_empty());
             }
+        }
+    }
+
+    /// The barrier's direct swap over eight rounds, with bursts in
+    /// windows 1, 2 and 3 — odd, even and odd again, where a three-buffer
+    /// rotation would grow a third buffer: every direction's burst only
+    /// ever lives in two allocations, and each destination still drains in
+    /// the stable-sort oracle's (tick, source, FIFO) order.
+    #[test]
+    fn hand_over_keeps_two_buffers_per_direction_and_the_merge_order() {
+        const K: usize = 3;
+        const BURST: u64 = 300;
+        let mut outboxes: Vec<Outbox<(usize, u64)>> = (0..K).map(|_| Outbox::new(K)).collect();
+        let mut inboxes: Vec<Inbox<(usize, u64)>> = (0..K).map(|_| Inbox::new(K)).collect();
+        // Per direction `s * K + d`: every allocation seen holding a burst.
+        let mut burst_buffers = vec![std::collections::BTreeSet::new(); K * K];
+        let mut note = |outboxes: &[Outbox<(usize, u64)>], inboxes: &[Inbox<(usize, u64)>]| {
+            for s in 0..K {
+                for d in 0..K {
+                    for lane in [&outboxes[s].lanes[d], &inboxes[d].lanes[s]] {
+                        if lane.capacity() >= BURST as usize {
+                            burst_buffers[s * K + d].insert(lane.as_ptr() as usize);
+                        }
+                    }
+                }
+            }
+        };
+        for round in 0..8u64 {
+            let per_lane = if (1..=3).contains(&round) { BURST } else { 4 };
+            let mut expected: Vec<Vec<(u64, (usize, u64))>> = vec![Vec::new(); K];
+            for (s, outbox) in outboxes.iter_mut().enumerate() {
+                for seq in 0..per_lane * K as u64 {
+                    let d = (seq % K as u64) as usize;
+                    // Tie-heavy ticks, all beyond the round's window.
+                    let at = 10 * round + 10 + (seq * 7 + s as u64) % 3;
+                    outbox.push(d, msg(s, seq, at));
+                    expected[d].push((at, (s, seq)));
+                }
+            }
+            note(&outboxes, &inboxes);
+            for (s, outbox) in outboxes.iter_mut().enumerate() {
+                outbox.hand_over(s, inboxes.iter_mut());
+                assert!(outbox.is_empty());
+                assert!(outbox.min_at().is_none());
+            }
+            note(&outboxes, &inboxes);
+            for (d, inbox) in inboxes.iter_mut().enumerate() {
+                let mut oracle = std::mem::take(&mut expected[d]);
+                // Stable: equal ticks keep (source-index, FIFO) order.
+                oracle.sort_by_key(|&(at, _)| at);
+                assert_eq!(
+                    inbox.min_at().map(|t| t.0),
+                    oracle.first().map(|&(at, _)| at)
+                );
+                let mut wheel: crate::Engine<(usize, u64)> = crate::Engine::new();
+                inbox.drain(|m| wheel.schedule_at(m.at, m.msg));
+                assert!(inbox.is_empty());
+                let got: Vec<(u64, (usize, u64))> =
+                    std::iter::from_fn(|| wheel.pop().map(|(t, p)| (t.0, p))).collect();
+                assert_eq!(got, oracle, "round {round} dest {d}");
+            }
+            note(&outboxes, &inboxes);
+        }
+        for (dir, buffers) in burst_buffers.iter().enumerate() {
+            assert_eq!(buffers.len(), 2, "direction {dir}: {buffers:?}");
         }
     }
 
